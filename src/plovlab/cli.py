@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from random import Random
 
 from . import golden
@@ -296,8 +294,7 @@ def _jordan_types(d: int):
     yield from rec(d, d)
 
 
-def _scan_one(job):
-    blocks, seed = job
+def _scan_one(blocks, seed):
     rng = Random(seed)
     model = random_conjugate(blocks, rng)
     try:
@@ -320,13 +317,7 @@ def cmd_scan(args):
         return USAGE_ERROR
     seed = args.seed if args.seed is not None else 0
     types = list(_jordan_types(args.d))
-    jobs = []
-    for i in range(args.count):
-        blocks = types[i % len(types)]
-        jobs.append((blocks, seed + i))
-    threads = int(os.environ.get("PLOVLAB_THREADS", os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        rows = list(pool.map(_scan_one, jobs))  # submission order = deterministic
+    rows = [_scan_one(types[i % len(types)], seed + i) for i in range(args.count)]
     passed = sum(1 for r in rows if r.get("pass"))
     plov_values = sorted({r["plov"] for r in rows if "plov" in r})
     conjecture_holds = all(r.get("conjecture_lb", False) for r in rows)

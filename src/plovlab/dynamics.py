@@ -17,15 +17,16 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from itertools import product
+from math import comb, factorial, gcd, lcm, prod
 from random import Random
 
 from .exactmat import ExactMatrix
 from .incidence import build_incidence, kappa_of
 from .partitions import (
     Partition,
+    enumerate_partitions,
     format_partition,
-    lex_compare,
     multiplicities,
     partition_set,
 )
@@ -332,11 +333,10 @@ def _sym_basis(g: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(g) for j in range(i, g)]
 
 
-def _vec_to_sym(g: int, vec) -> list[list[Fraction]]:
-    s = [[Fraction(0)] * g for _ in range(g)]
+def _vec_to_sym(g: int, vec) -> list[list]:
+    s = [[0] * g for _ in range(g)]
     for (i, j), v in zip(_sym_basis(g), vec):
-        s[i][j] = Fraction(v)
-        s[j][i] = Fraction(v)
+        s[i][j] = s[j][i] = v
     return s
 
 
@@ -369,8 +369,8 @@ class AbelianSurrogate:
     """Product-of-elliptic-curves stand-in: divisor classes are symmetric g x g
     rational matrices, the action is S -> A^T S A for an integer unimodular A,
     H is the identity, and the intersection form is the polarized determinant
-    (the coefficient of t_1...t_g in det(sum t_i S_i), computed as a sum of
-    g! column-mixed determinants)."""
+    (the coefficient of t_1...t_g in det(sum t_i S_i), computed by
+    polarization over the distinct classes)."""
 
     def __init__(self, a: list[list[int]], jordan: tuple[int, ...] | None = None):
         g = len(a)
@@ -405,107 +405,75 @@ class AbelianSurrogate:
                 for r in range(self.dim)]
 
     def intersect(self, vecs) -> Fraction:
-        if len(vecs) != self.g:
-            raise ValueError(f"need exactly {self.g} classes")
-        mats = [_vec_to_sym(self.g, v) for v in vecs]
-        return _mixed_determinant(mats)
+        """Polarization over the distinct classes S_j, of multiplicity e_j:
+        the sum over 0 <= f_j <= e_j of
+        (-1)^(g - sum f) * prod C(e_j, f_j) * det(sum f_j S_j)
+        (Bapat 1989).  Each class is scaled to integers first, which the
+        multilinear form turns into one overall factor."""
+        g = self.g
+        if len(vecs) != g:
+            raise ValueError(f"need exactly {g} classes")
+        groups: dict[tuple[Fraction, ...], int] = {}
+        for v in vecs:
+            key = tuple(Fraction(x) for x in v)
+            groups[key] = groups.get(key, 0) + 1
+        scale = Fraction(1)
+        cleared = []
+        for vec, e in groups.items():
+            den = lcm(*(x.denominator for x in vec))
+            cleared.append([int(x * den) for x in vec])
+            scale /= den ** e
+        mults = list(groups.values())
+        total = 0
+        for f in product(*(range(e + 1) for e in mults)):
+            summed = [sum(fj * c[t] for fj, c in zip(f, cleared))
+                      for t in range(self.dim)]
+            weight = prod(comb(e, fj) for e, fj in zip(mults, f))
+            total += (-1) ** (g - sum(f)) * weight * _int_det(_vec_to_sym(g, summed))
+        return total * scale
 
     def to_json(self) -> str:
         return json.dumps({"type": "abelian", "g": self.g, "A": self.a})
-
-
-def _mixed_determinant(mats: list[list[list[Fraction]]]) -> Fraction:
-    """Sum over bijections phi of det(column j taken from mats[phi(j)]).
-
-    Duplicate matrices are grouped: distinct assignments are enumerated once
-    and weighted by the product of multiplicity factorials.
-    """
-    g = len(mats)
-    # group identical matrices
-    groups: list[tuple[list[list[Fraction]], int]] = []
-    for m in mats:
-        for idx, (rep, _) in enumerate(groups):
-            if rep == m:
-                groups[idx] = (rep, groups[idx][1] + 1)
-                break
-        else:
-            groups.append((m, 1))
-    weight = 1
-    for _, mult in groups:
-        weight *= factorial(mult)
-    # clear denominators per matrix; track the common scale
-    scale = Fraction(1)
-    cleared = []
-    for rep, mult in groups:
-        mults = 1
-        for row in rep:
-            for v in row:
-                mults = mults * v.denominator // gcd(mults, v.denominator)
-        cleared.append(([[int(v * mults) for v in row] for row in rep], mult))
-        scale /= Fraction(mults) ** mult
-
-    total = 0
-    counts = [mult for _, mult in cleared]
-
-    def assign(col: int, current: list[int]):
-        nonlocal total
-        if col == g:
-            mat = [[cleared[current[j]][0][i][j] for j in range(g)]
-                   for i in range(g)]
-            total += _int_det(mat)
-            return
-        for gi in range(len(cleared)):
-            if counts[gi]:
-                counts[gi] -= 1
-                current.append(gi)
-                assign(col + 1, current)
-                current.pop()
-                counts[gi] += 1
-
-    assign(0, [])
-    return Fraction(total) * weight * scale
 
 
 # ---------------------------------------------------------------------------
 # the pipeline
 
 def _prepared(model):
-    """Cache (m, U, L, [L^i H]) on the model instance."""
+    """Cache (m, U, L, [L^i H], w-table) on the model instance.
+
+    L^i H runs up to the last nonzero class, K = len(LH) - 1, and the w-table
+    maps each partition with d parts in [0, K] to w_lambda, the intersection
+    of (L^{lambda_1} H, ..., L^{lambda_d} H); every other w_lambda is zero.
+    """
     cache = getattr(model, "_pipeline_cache", None)
     if cache is None:
         m, u = unipotent_power(model.F)
         l = nilpotent_log(u)
-        dim = model.dim
         lh = [list(model.H)]
-        power = [list(r) for r in mat_identity(dim)]
         while True:
-            power = mat_mul(power, l)
-            if mat_is_zero(power):
+            v = [sum(a * b for a, b in zip(row, lh[-1])) for row in l]
+            if not any(v):
                 break
-            lh.append([sum(power[i][j] * Fraction(model.H[j])
-                           for j in range(dim)) for i in range(dim)])
-        cache = {"m": m, "U": u, "L": l, "LH": lh}
+            lh.append(v)
+        kmax = len(lh) - 1
+        w = {lam: model.intersect([lh[part] for part in lam])
+             for n in range(model.d * kmax + 1)
+             for lam in enumerate_partitions(kmax, model.d, n)}
+        cache = {"m": m, "U": u, "L": l, "LH": lh, "w": w}
         model._pipeline_cache = cache
     return cache
-
-
-def _lh(model, i: int):
-    lh = _prepared(model)["LH"]
-    return lh[i] if i < len(lh) else [Fraction(0)] * model.dim
 
 
 def degree_growth_exponent(model) -> int:
     """max i with (L^i H) . H^{d-1} nonzero; must be even and at most 2d-2."""
     d = model.d
-    best = 0
-    lh = _prepared(model)["LH"]
-    for i in range(len(lh) - 1, -1, -1):
-        if model.intersect([lh[i]] + [list(model.H)] * (d - 1)) != 0:
-            best = i
-            break
+    prep = _prepared(model)
+    nilp_index = len(prep["LH"])  # L^nilp_index H = 0
+    best = next((i for i in range(nilp_index - 1, -1, -1)
+                 if prep["w"][(i,) + (0,) * (d - 1)] != 0), 0)
     if best % 2 != 0 or best > 2 * d - 2:
         raise ModelError(f"degree growth exponent {best} is odd or above 2d-2")
-    nilp_index = len(lh)  # L^(len) = 0, so nilpotency index is len(lh)
     if best != nilp_index - 1:
         import warnings
 
@@ -539,10 +507,8 @@ def w_vector(model, n: int, k: int | None = None) -> WVector:
     if not 1 <= n <= d * k:
         raise ValueError(f"n={n} outside [1, {d * k}]")
     index = partition_set(k, d, n)
-    values = tuple(
-        model.intersect([_lh(model, part) for part in lam]) for lam in index
-    )
-    return WVector(k, d, n, index, values)
+    w = _prepared(model)["w"]
+    return WVector(k, d, n, index, tuple(w[lam] for lam in index))
 
 
 def verify_linear_system(model, n: int, k: int | None = None) -> bool:
@@ -561,7 +527,6 @@ def verify_linear_system(model, n: int, k: int | None = None) -> bool:
 class DeltaExpansion:
     poly: UnivariatePoly
     plov: int
-    coefficient2: tuple[Fraction, ...]  # entry m = sum over P(k,d,m) of the closed form
 
 
 def delta_polynomial(model) -> DeltaExpansion:
@@ -572,35 +537,20 @@ def delta_polynomial(model) -> DeltaExpansion:
     """
     d = model.d
     k = degree_growth_exponent(model)
-    if k == 0:
-        top = model.intersect([list(model.H)] * d)
-        coeffs = [Fraction(0)] * d + [Fraction(top)]
-        poly = UnivariatePoly.from_coeffs(coeffs)
-        return DeltaExpansion(poly, poly.degree, (top * 1,))
     s_over_fact = [power_sum_polynomial(i).scale(Fraction(1, factorial(i)))
                    for i in range(k + 1)]
     total = UnivariatePoly(())
-    coeff2 = []
-    for m in range(0, d * k + 1):
-        c2_m = Fraction(0)
-        for lam in partition_set(k, d, m):
-            w = model.intersect([_lh(model, part) for part in lam])
-            e = multiplicities(lam, k)
-            denom = 1
-            denom2 = 1
-            for i, e_i in enumerate(e):
-                denom *= factorial(e_i)
-                denom2 *= factorial(e_i) * factorial(i + 1) ** e_i
-            c2_m += Fraction(factorial(d), denom2) * w
-            if w == 0:
-                continue
-            term = UnivariatePoly((Fraction(factorial(d), denom) * w,))
-            for i, e_i in enumerate(e):
-                if e_i:
-                    term = term * (s_over_fact[i] ** e_i)
-            total = total + term
-        coeff2.append(c2_m)
-    return DeltaExpansion(total, total.degree, tuple(coeff2))
+    for lam, w in _prepared(model)["w"].items():
+        if w == 0 or lam[0] > k:
+            continue
+        e = multiplicities(lam, k)
+        denom = prod(factorial(e_i) for e_i in e)
+        term = UnivariatePoly((Fraction(factorial(d), denom) * w,))
+        for i, e_i in enumerate(e):
+            if e_i:
+                term = term * (s_over_fact[i] ** e_i)
+        total = total + term
+    return DeltaExpansion(total, total.degree)
 
 
 @dataclass(frozen=True)
@@ -617,10 +567,8 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
     if k < 2:
         raise ModelError("distinguished partition requires k = 2r >= 2")
     r = k // 2
-    all_w: list[tuple[Partition, Fraction]] = []
-    for n in range(1, d * k + 1):
-        w = w_vector(model, n, k)
-        all_w.extend(zip(w.index, w.values))
+    w = _prepared(model)["w"]
+    nonzero = [lam for lam, v in w.items() if v != 0 and lam[0] <= k]
 
     def compositions(total: int, parts: int):
         if parts == 1:
@@ -634,9 +582,8 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
     matches = []
     for t in compositions(d, r + 1):
         kappa = kappa_of(t)
-        if model_w_at(all_w, kappa) <= 0:
-            continue
-        if all(v == 0 for lam, v in all_w if lex_compare(lam, kappa) > 0):
+        # tuples of equal length compare in lexicographic order
+        if w[kappa] > 0 and all(lam <= kappa for lam in nonzero):
             matches.append(t)
     if len(matches) != 1:
         raise ModelError(f"distinguished tuple not unique: {matches}")
@@ -648,13 +595,6 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
     if t[r] > (d - r + 1) // 2:
         raise ModelError(f"t_r = {t[r]} above floor((d-r+1)/2)")
     return DistinguishedPartition(r, t, kappa)
-
-
-def model_w_at(all_w, kappa: Partition) -> Fraction:
-    for lam, v in all_w:
-        if lam == kappa:
-            return v
-    return Fraction(0)
 
 
 def check_principles(d: int, k: int, plov: int) -> dict:
@@ -689,8 +629,7 @@ def hilbert_top_coefficient_check(model) -> dict:
         raise ValueError("requires maximal degree growth k = 2d-2")
     expansion = delta_polynomial(model)
     top = expansion.poly.coeff(d * d)
-    kappa = kappa_of(tuple([1] * d))
-    w_kappa = model.intersect([_lh(model, part) for part in kappa])
+    w_kappa = _prepared(model)["w"][kappa_of(tuple([1] * d))]
     expected = w_kappa * hilbert_product(d)
     report = {"coefficient": top, "expected": expected, "w_kappa": w_kappa,
               "pass": top == expected}
@@ -761,10 +700,27 @@ def random_conjugate(blocks: tuple[int, ...], rng: Random) -> AbelianSurrogate:
 
 
 def model_from_json(text: str) -> AbelianSurrogate:
+    """Parse {"type": "abelian", "g": g, "A": [[...], ...]}; "g" is optional.
+
+    Raises ValueError, with a one-line message, for anything that is not a
+    square matrix of JSON integers of the declared size.
+    """
     spec = json.loads(text)
+    if not isinstance(spec, dict):
+        raise ValueError("model must be a JSON object")
     if spec.get("type") != "abelian":
         raise ValueError(f"unsupported model type {spec.get('type')!r}")
-    return AbelianSurrogate(spec["A"])
+    if "A" not in spec:
+        raise ValueError('model has no "A" matrix')
+    a = spec["A"]
+    if not (isinstance(a, list) and a
+            and all(isinstance(r, list) and len(r) == len(a) for r in a)):
+        raise ValueError('"A" must be a nonempty square list of rows')
+    if not all(type(x) is int for r in a for x in r):
+        raise ValueError('"A" entries must be integers')
+    if spec.get("g", len(a)) != len(a):
+        raise ValueError(f'"g" is {spec["g"]!r} but "A" is {len(a)} x {len(a)}')
+    return AbelianSurrogate(a)
 
 
 def run_pipeline(model: AbelianSurrogate) -> dict:

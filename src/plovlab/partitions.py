@@ -7,7 +7,6 @@ lexicographic order.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -121,7 +120,6 @@ def partition_set(k: int, d: int, n: int) -> PartitionSet:
 
 
 _count_cache: dict[tuple[int, int, int], int] = {}
-_count_lock = threading.Lock()
 
 
 def count(k: int, d: int, n: int) -> int:
@@ -131,8 +129,7 @@ def count(k: int, d: int, n: int) -> int:
     """
     if k < 1 or d < 1:
         raise ValueError("k and d must be positive")
-    with _count_lock:
-        return _count(k, d, n)
+    return _count(k, d, n)
 
 
 def _count(k: int, d: int, n: int) -> int:

@@ -1,11 +1,12 @@
 """Slow, independent reference implementations used to cross-check the library.
 
 Everything here is written the dumb way on purpose: dense Gaussian
-elimination over Fraction, brute-force enumeration over product spaces.
+elimination over Fraction, brute-force enumeration over product spaces and
+permutations.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 
 def brute_force_partitions(k, d, n):
@@ -73,3 +74,33 @@ def dense_nullspace(rows, ncols):
             v[c] = -rref[r][f]
         basis.append(v)
     return basis
+
+
+def dense_det(rows):
+    """Determinant by dense Gaussian elimination over Fraction."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    n = len(rows)
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
+    return out
+
+
+def mixed_determinant(mats):
+    """Coefficient of t_1...t_g in det(sum t_i mats[i]): the sum over the g!
+    column assignments phi of det(column j taken from mats[phi(j)])."""
+    g = len(mats)
+    return sum(
+        (dense_det([[mats[phi[j]][i][j] for j in range(g)] for i in range(g)])
+         for phi in permutations(range(g))),
+        Fraction(0),
+    )

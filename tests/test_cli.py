@@ -119,6 +119,21 @@ def test_plov_entropy_rejected(capsys, tmp_path):
     assert main(["plov", "--model", str(path)]) == 1
 
 
+@pytest.mark.parametrize("text", [
+    '{"type": "abelian", "g": 2}',
+    '[[1, 0], [0, 1]]',
+    '{"type": "abelian", "g": 2, "A": [[1, 0.5], [0, 1]]}',
+    '{"type": "abelian", "g": 2, "A": [[1, 0], [0]]}',
+])
+def test_plov_malformed_model(capsys, tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["plov", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_plov_usage(capsys):
     assert main(["plov"]) == 2
     assert main(["plov", "--abelian-blocks", "2", "--model", "x.json"]) == 2

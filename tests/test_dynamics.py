@@ -1,10 +1,13 @@
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 import pytest
 
+from oracles import dense_det, mixed_determinant
 from plovlab.dynamics import (
     AbelianSurrogate,
+    _vec_to_sym,
     ModelError,
     charpoly,
     check_principles,
@@ -74,6 +77,56 @@ def test_intersection_form_normalization():
     # H.H = 2 at g = 2 with the polarized determinant
     m = AbelianSurrogate([[1, 0], [0, 1]])
     assert m.intersect([m.H, m.H]) == 2
+
+
+def test_intersect_matches_assignment_oracle():
+    # polarization against the sum over column assignments, on random
+    # rational classes drawn from a small pool so that classes repeat
+    rng = Random(5)
+    for g in range(2, 6):
+        m = AbelianSurrogate(jordan_matrix((1,) * g))
+        for pool_size in range(1, g + 1):
+            pool = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                     for _ in range(m.dim)] for _ in range(pool_size)]
+            vecs = [rng.choice(pool) for _ in range(g)]
+            mats = [_vec_to_sym(g, v) for v in vecs]
+            assert m.intersect(vecs) == mixed_determinant(mats), (g, vecs)
+
+
+def test_pipeline_computes_each_w_once(monkeypatch):
+    # one intersect call per partition with d parts in [0, 2d - 2]
+    calls = []
+    inner = AbelianSurrogate.intersect
+
+    def counting(self, vecs):
+        calls.append(1)
+        return inner(self, vecs)
+
+    monkeypatch.setattr(AbelianSurrogate, "intersect", counting)
+    for blocks, expected in (((4,), 210), ((4, 1), 462)):  # C(10,4), C(11,5)
+        calls.clear()
+        report = run_pipeline(AbelianSurrogate(jordan_matrix(blocks), jordan=blocks))
+        assert report["pass"]
+        assert len(calls) == expected, blocks
+
+
+def test_delta_polynomial_equals_determinant():
+    # Delta(n) = g! det(sum_i S_i(n)/i! L^i H), the intersect of g equal classes
+    rng = Random(23)
+    for blocks in ((4,), (4, 1), (3, 2), (2, 2, 1)):
+        m = random_conjugate(blocks, rng)
+        g = m.g
+        _, u = unipotent_power(m.F)
+        l = nilpotent_log(u)
+        lh = [list(m.H)]
+        for _ in range(m.dim):
+            lh.append([sum(a * b for a, b in zip(row, lh[-1])) for row in l])
+        poly = delta_polynomial(m).poly
+        for n in range(1, g * g + 3):
+            total = [sum(power_sum_polynomial(i)(n) / factorial(i) * v[t]
+                         for i, v in enumerate(lh)) for t in range(m.dim)]
+            assert poly(n) == factorial(g) * dense_det(_vec_to_sym(g, total)), (
+                blocks, n)
 
 
 def test_intersection_form_invariance():
@@ -178,6 +231,23 @@ def test_model_json_roundtrip():
     assert m2.a == m.a
     with pytest.raises(ValueError):
         model_from_json('{"type": "k3"}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"type": "abelian", "g": 2}',                       # no "A"
+    '[[1, 0], [0, 1]]',                                   # not an object
+    '{"type": "abelian", "A": [[1, 0.5], [0, 1]]}',       # non-integer entry
+    '{"type": "abelian", "A": [[1, 1.0], [0, 1]]}',       # float, even if integral
+    '{"type": "abelian", "A": [[1, true], [0, 1]]}',      # boolean entry
+    '{"type": "abelian", "A": [[1, 0], [0]]}',            # ragged rows
+    '{"type": "abelian", "A": [[1, 0]]}',                 # not square
+    '{"type": "abelian", "A": []}',                       # empty
+    '{"type": "abelian", "A": [1, 0]}',                   # rows are not lists
+    '{"type": "abelian", "g": 3, "A": [[1, 0], [0, 1]]}',  # wrong g
+])
+def test_model_from_json_rejects(text):
+    with pytest.raises(ValueError):
+        model_from_json(text)
 
 
 def test_abelian_plov_law():
