@@ -35,6 +35,8 @@ from .partitions import count, format_partition
 
 USAGE_ERROR = 2
 MISMATCH = 1
+# largest model dimension g that plov --abelian-blocks and scan accept
+MAX_MODEL_DIM = 6
 
 
 def _emit(report: dict, args) -> None:
@@ -253,6 +255,9 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     blocks = tuple(int(x) for x in text.split(","))
     if not blocks or any(b < 1 for b in blocks):
         raise ValueError("block sizes must be positive integers")
+    if sum(blocks) > MAX_MODEL_DIM:
+        raise ValueError(
+            f"block sizes sum to {sum(blocks)}, above the cap of {MAX_MODEL_DIM}")
     return blocks
 
 
@@ -309,8 +314,8 @@ def _scan_one(blocks, seed):
 
 def cmd_scan(args):
     started = time.monotonic()
-    if args.d is None or not 2 <= args.d <= 6:
-        print("error: --d must be between 2 and 6", file=sys.stderr)
+    if args.d is None or not 2 <= args.d <= MAX_MODEL_DIM:
+        print(f"error: --d must be between 2 and {MAX_MODEL_DIM}", file=sys.stderr)
         return USAGE_ERROR
     if args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)

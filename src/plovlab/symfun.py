@@ -13,13 +13,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from .exactmat import SparseMultiPoly
 from .partitions import (
     Partition,
     PartitionSet,
+    enumerate_partitions,
     format_partition,
     multiplicities,
     partition_set,
@@ -57,22 +57,26 @@ class CoeffVector:
 
 
 def distinct_permutations(items: tuple[int, ...]):
-    """All distinct rearrangements, generated deterministically."""
-    pool = sorted(items, reverse=True)
+    """All distinct rearrangements, in decreasing lexicographic order.
 
-    def rec(remaining: list[int]):
-        if not remaining:
-            yield ()
+    Each step goes to the previous permutation: take the last descent
+    a[i] > a[i+1], swap a[i] with the last entry below it, and reverse the
+    (now increasing) suffix.
+    """
+    a = sorted(items, reverse=True)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        seen = set()
-        for i, x in enumerate(remaining):
-            if x in seen:
-                continue
-            seen.add(x)
-            for rest in rec(remaining[:i] + remaining[i + 1:]):
-                yield (x,) + rest
-
-    yield from rec(pool)
+        j = n - 1
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 @lru_cache(maxsize=None)
@@ -91,23 +95,35 @@ def mhat_poly(lam: Partition) -> SparseMultiPoly:
 def mhat_expand(p: SparseMultiPoly, k: int, d: int, n: int) -> CoeffVector:
     """Coefficients of p in the normalized monomial basis over P(k,d,n).
 
-    Validates that p is symmetric (adjacent transpositions suffice),
-    homogeneous of degree n, and has per-variable degree at most k.  The
-    lambda coefficient is the z^lambda coefficient of p times lambda!.
+    Validates that p is homogeneous of degree n, has per-variable degree at
+    most k, and is symmetric: the nonzero terms sharing a sorted exponent
+    lambda (an orbit) have one coefficient and number d!/prod_i e_i!, with
+    e the multiplicities of lambda.  The lambda coefficient is the z^lambda
+    coefficient of p times lambda!.
     """
     if p.arity != d:
         raise ValueError(f"arity {p.arity} != d = {d}")
+    orbits: dict[Partition, list] = {}  # sorted exponent -> [coefficient, members]
+    symmetric = True
     for expo, coef in p.terms.items():
         if sum(expo) != n:
             raise ValueError(f"term {expo} is not of degree {n}")
         if max(expo, default=0) > k:
             raise ValueError(f"term {expo} has variable degree above {k}")
-    for i in range(d - 1):
-        for expo, coef in p.terms.items():
-            swapped = list(expo)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if p.coefficient(tuple(swapped)) != coef:
-                raise ValueError("polynomial is not symmetric")
+        if not coef:
+            continue
+        orbit = orbits.setdefault(tuple(sorted(expo, reverse=True)), [coef, 0])
+        orbit[1] += 1
+        # an orbit often shares one Fraction object; skip comparing it to itself
+        if orbit[0] is not coef and orbit[0] != coef:
+            symmetric = False
+    for lam, (_, members) in orbits.items():
+        size = factorial(d)
+        for e_i in multiplicities(lam, k):
+            size //= factorial(e_i)
+        symmetric = symmetric and members == size
+    if not symmetric:
+        raise ValueError("polynomial is not symmetric")
     index = partition_set(k, d, n)
     entries = []
     for lam in index:
@@ -144,39 +160,61 @@ def apply_derivation(x: CoeffVector) -> CoeffVector:
 
 
 @lru_cache(maxsize=None)
-def _vandermonde_square(m: int) -> SparseMultiPoly:
-    """prod_{i<j<=m} (z_i - z_j)^2 in m variables."""
-    poly = SparseMultiPoly.constant(m, 1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = SparseMultiPoly.variable(m, i) - SparseMultiPoly.variable(m, j)
-            poly = poly * diff * diff
-    return poly
+def _vandermonde_square(m: int) -> dict[Partition, int]:
+    """Coefficients of prod_{i<j<=m} (z_i - z_j)^2 at the partitions of m(m-1).
+
+    The Vandermonde product is det(z_i^(m-j)) = sum over permutations a of
+    the staircase delta = (m-1, ..., 0) of sgn(a) z^a, so its square has
+    coefficient sum sgn(a) sgn(b) over the pairs with a + b = lambda.  The
+    pairs are counted by backtracking over positions; a value v placed after
+    the c smaller values already used adds c inversions.  Only nonzero
+    coefficients are kept, one per partition in P(2m-2, m, m(m-1)).
+    """
+    full = (1 << m) - 1
+
+    def signed_pairs(lam: Partition, i: int, free_a: int, free_b: int) -> int:
+        if i == m:
+            return 1
+        total = 0
+        part = lam[i]
+        for a in range(max(0, part - m + 1), min(part, m - 1) + 1):
+            b = part - a
+            if not (free_a >> a) & 1 or not (free_b >> b) & 1:
+                continue
+            # values below a (resp. b) already used sit left of position i
+            flips = (a - bin(free_a & ((1 << a) - 1)).count("1")
+                     + b - bin(free_b & ((1 << b) - 1)).count("1"))
+            sub = signed_pairs(lam, i + 1, free_a & ~(1 << a), free_b & ~(1 << b))
+            total += -sub if flips & 1 else sub
+        return total
+
+    out = {}
+    for lam in enumerate_partitions(2 * m - 2, m, m * (m - 1)):
+        c = signed_pairs(lam, 0, full, full)
+        if c:
+            out[lam] = c
+    return out
 
 
 def vandermonde_poly(r: int, d: int) -> SparseMultiPoly:
     """Sum over (r+1)-subsets I of the squared Vandermonde in the I variables.
 
-    The (r+1)-variable block is expanded once and re-embedded per subset.
+    A monomial z^alpha whose sorted exponent lambda has s <= r+1 nonzero
+    parts lies in the C(d-s, r+1-s) blocks I containing its support, each
+    with the (r+1)-variable coefficient at lambda[:r+1].
     """
     if not 1 <= r <= d - 1:
         raise ValueError(f"need 1 <= r <= d-1, got r={r}, d={d}")
     block = _vandermonde_square(r + 1)
-    total = SparseMultiPoly.zero(d)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for subset in combinations(range(d), r + 1):
-        for expo, coef in block.terms.items():
-            lifted = [0] * d
-            for pos, e in zip(subset, expo):
-                lifted[pos] = e
-            key = tuple(lifted)
-            s = terms.get(key, Fraction(0)) + coef
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    total = SparseMultiPoly.from_terms(d, terms)
-    return total
+    for lam in enumerate_partitions(2 * r, d, r * (r + 1)):
+        s = d - lam.count(0)
+        if s > r + 1 or lam[:r + 1] not in block:
+            continue
+        coef = Fraction(comb(d - s, r + 1 - s) * block[lam[:r + 1]])
+        for alpha in distinct_permutations(lam):
+            terms[alpha] = coef
+    return SparseMultiPoly(d, terms)
 
 
 def vandermonde_coeff_vector(r: int, d: int) -> CoeffVector:

@@ -6,7 +6,10 @@ permutations.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations
+
+from plovlab.exactmat import SparseMultiPoly
 
 
 def brute_force_partitions(k, d, n):
@@ -104,3 +107,39 @@ def mixed_determinant(mats):
          for phi in permutations(range(g))),
         Fraction(0),
     )
+
+
+@lru_cache(maxsize=None)
+def vandermonde_square_product(m):
+    """prod_{i<j<=m} (z_i - z_j)^2 in m variables, multiplied out factor by factor."""
+    poly = SparseMultiPoly.constant(m, 1)
+    for i in range(m):
+        for j in range(i + 1, m):
+            diff = SparseMultiPoly.variable(m, i) - SparseMultiPoly.variable(m, j)
+            poly = poly * diff * diff
+    return poly
+
+
+def vandermonde_subset_sum(r, d):
+    """Sum over (r+1)-subsets I of [d] of the squared Vandermonde in the I
+    variables, each subset's copy lifted into d variables and added up."""
+    terms = {}
+    for subset in combinations(range(d), r + 1):
+        for expo, coef in vandermonde_square_product(r + 1).terms.items():
+            lifted = [0] * d
+            for pos, e in zip(subset, expo):
+                lifted[pos] = e
+            key = tuple(lifted)
+            terms[key] = terms.get(key, Fraction(0)) + coef
+    return SparseMultiPoly.from_terms(d, terms)
+
+
+def is_symmetric_by_swaps(poly):
+    """True when every adjacent transposition of the variables fixes poly."""
+    for i in range(poly.arity - 1):
+        for expo, coef in poly.terms.items():
+            swapped = list(expo)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            if poly.coefficient(tuple(swapped)) != coef:
+                return False
+    return True

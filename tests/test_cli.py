@@ -72,6 +72,16 @@ def test_kernel(capsys):
     assert report["results"]["kernel"] == ["1", "-1"]
 
 
+def test_kernel_d6(capsys):
+    code, out = run_cli(capsys, "reproduce", "kernel", "--d", "6", "--deterministic")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["nullity"] == 1
+    assert results["kappa"] == "10,8,6,4,2,0"
+    # prod_{j=1..5} (2j)!
+    assert results["kappa_entry"] == "5056584744960000"
+
+
 def test_kernel_usage(capsys):
     assert main(["reproduce", "kernel", "--d", "99"]) == 2
 
@@ -132,6 +142,14 @@ def test_plov_malformed_model(capsys, tmp_path, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("blocks", ["7", "4,3", "2,2,2,1"])
+def test_plov_blocks_above_cap(capsys, blocks):
+    assert main(["plov", "--abelian-blocks", blocks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block sizes sum to 7, above the cap of 6\n"
 
 
 def test_plov_usage(capsys):

@@ -11,8 +11,9 @@ from plovlab.exactmat import (
     matrix_rank,
     nullspace_basis,
 )
+from plovlab.symfun import vandermonde_poly
 
-from oracles import dense_nullspace, dense_rank
+from oracles import dense_nullspace, dense_rank, vandermonde_square_product
 
 
 def random_matrix(rng, nrows, ncols, density=0.5):
@@ -106,14 +107,11 @@ def test_rank_invariance():
 
 
 def test_vandermonde_square_monomial_count():
-    # (z1-z2)^2 (z1-z3)^2 (z2-z3)^2 has 19 monomials in 3 variables
-    zs = [SparseMultiPoly.variable(3, i) for i in range(3)]
-    p = SparseMultiPoly.constant(3, 1)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            diff = zs[i] - zs[j]
-            p = p * diff * diff
-    assert len(p.terms) == 19
+    # (z1-z2)^2 (z1-z3)^2 (z2-z3)^2 has 19 monomials in 3 variables; the
+    # product of binomials and the permutation-pair count agree on every size
+    for m, expected in ((3, 19), (4, 201), (5, 2961)):
+        assert len(vandermonde_square_product(m).terms) == expected
+        assert len(vandermonde_poly(m - 1, m).terms) == expected
 
 
 def test_poly_product_commutative_associative():

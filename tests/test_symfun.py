@@ -9,6 +9,7 @@ from plovlab.incidence import build_incidence
 from plovlab.partitions import multiplicities, partition_set
 from plovlab.symfun import (
     CoeffVector,
+    _vandermonde_square,
     apply_derivation,
     coeff_vector_poly,
     coeff_vector_to_json,
@@ -19,6 +20,12 @@ from plovlab.symfun import (
     mhat_poly,
     vandermonde_coeff_vector,
     vandermonde_poly,
+)
+
+from oracles import (
+    is_symmetric_by_swaps,
+    vandermonde_square_product,
+    vandermonde_subset_sum,
 )
 
 
@@ -52,6 +59,45 @@ def test_mhat_expand_rejects_asymmetric():
     p = SparseMultiPoly.from_terms(2, {(2, 0): 1})
     with pytest.raises(ValueError):
         mhat_expand(p, 2, 2, 2)
+
+
+def test_mhat_expand_rejects_incomplete_orbit():
+    # drop one of the six rearrangements of (2,1,0)
+    p = mhat_poly((2, 1, 0)) + mhat_poly((1, 1, 1))
+    mhat_expand(p, 2, 3, 3)
+    terms = dict(p.terms)
+    del terms[(0, 1, 2)]
+    with pytest.raises(ValueError, match="polynomial is not symmetric"):
+        mhat_expand(SparseMultiPoly.from_terms(3, terms), 2, 3, 3)
+
+
+def test_mhat_expand_rejects_unequal_orbit_coefficient():
+    # every rearrangement present, one coefficient changed
+    p = vandermonde_poly(1, 3)
+    terms = dict(p.terms)
+    terms[(0, 2, 0)] += 1
+    with pytest.raises(ValueError, match="polynomial is not symmetric"):
+        mhat_expand(SparseMultiPoly.from_terms(3, terms), 2, 3, 2)
+
+
+def test_mhat_expand_symmetry_matches_swap_oracle():
+    # the orbit test accepts exactly what the adjacent-swap test accepts
+    rng = Random(41)
+    k, d, n = 3, 3, 4
+    index = partition_set(k, d, n)
+    for trial in range(60):
+        x = CoeffVector(index, tuple(
+            Fraction(rng.randint(-2, 2)) for _ in index))
+        terms = dict(coeff_vector_poly(x).terms)
+        for _ in range(trial % 3):
+            expo = tuple(rng.sample(index[rng.randrange(len(index))], d))
+            terms[expo] = terms.get(expo, Fraction(0)) + rng.choice((-1, 1))
+        p = SparseMultiPoly.from_terms(d, terms)
+        if is_symmetric_by_swaps(p):
+            mhat_expand(p, k, d, n)
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                mhat_expand(p, k, d, n)
 
 
 def test_mhat_expand_rejects_wrong_degree():
@@ -115,6 +161,21 @@ def test_vandermonde_kappa_entry():
         for j in range(1, d):
             expected *= factorial(2 * j)
         assert v[kappa] == expected
+
+
+def test_vandermonde_square_matches_product():
+    # the signed permutation-pair counts are the product's partition coefficients
+    for m in range(2, 6):
+        product = vandermonde_square_product(m)
+        expected = {lam: c for lam, c in product.terms.items()
+                    if list(lam) == sorted(lam, reverse=True)}
+        assert _vandermonde_square(m) == expected
+
+
+def test_vandermonde_poly_matches_subset_sum():
+    for d in range(2, 6):
+        for r in range(1, d):
+            assert vandermonde_poly(r, d) == vandermonde_subset_sum(r, d), (r, d)
 
 
 def test_vandermonde_poly_symmetric():
