@@ -35,7 +35,7 @@ from .partitions import count, format_partition
 
 USAGE_ERROR = 2
 MISMATCH = 1
-# largest model dimension g that plov --abelian-blocks and scan accept
+# largest model dimension g that plov and scan accept
 MAX_MODEL_DIM = 6
 
 
@@ -133,6 +133,8 @@ def _reproduce_table1(args, started):
 
 
 def _reproduce_table2(args, started):
+    # d = 8, 9 are long runs behind --extended; d > 9 does not finish
+    cap = 9 if args.extended else 7
     if args.truncate:
         # custom cell: nullity of the truncated matrix for a given tuple t
         try:
@@ -144,6 +146,14 @@ def _reproduce_table2(args, started):
             return USAGE_ERROR
         r = len(t) - 1
         d = sum(t)
+        if d > 9:
+            print(f"error: --truncate sums to d = {d}, above the cap of 9",
+                  file=sys.stderr)
+            return USAGE_ERROR
+        if d > cap:
+            print(f"error: --truncate sums to d = {d}, which requires "
+                  "--extended (d = 8, 9 are long runs)", file=sys.stderr)
+            return USAGE_ERROR
         e = (args.n - r * (r + 1)) if args.n is not None else 0
         if e < 0:
             print(f"error: --n must be at least r(r+1) = {r * (r + 1)}",
@@ -153,8 +163,10 @@ def _reproduce_table2(args, started):
         results = {"d": d, "r": r, "t": list(t), "n": r * (r + 1) + e,
                    "nullity": got}
         return _report(args, results, True, started)
+    if args.n is not None:
+        print("error: --n applies only with --truncate", file=sys.stderr)
+        return USAGE_ERROR
     dmax = args.dmax if args.dmax is not None else 7
-    cap = 9 if args.extended else 7
     if not 4 <= dmax <= 9:
         print("error: --dmax must be between 4 and 9", file=sys.stderr)
         return USAGE_ERROR
@@ -270,7 +282,7 @@ def cmd_plov(args):
     try:
         if args.model:
             with open(args.model) as fh:
-                model = model_from_json(fh.read())
+                model = model_from_json(fh.read(), max_g=MAX_MODEL_DIM)
         else:
             blocks = _parse_blocks(args.abelian_blocks)
             from .dynamics import jordan_matrix

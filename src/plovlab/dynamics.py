@@ -146,13 +146,20 @@ def power_sum_polynomial(i: int) -> UnivariatePoly:
 # ---------------------------------------------------------------------------
 # exact square-matrix helpers (lists of lists of Fraction or int)
 
-def mat_identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _exact(x):
+    """x as an exact rational: an int when it is integral, else a Fraction."""
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+def mat_identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
+    """Exact product; int inputs give int entries."""
     n, m, p = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * p for _ in range(n)]
+    out = [[0] * p for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -185,7 +192,7 @@ def mat_is_zero(a) -> bool:
 
 def mat_pow(a, e: int):
     out = mat_identity(len(a))
-    base = [[Fraction(x) for x in r] for r in a]
+    base = [[_exact(x) for x in r] for r in a]
     while e:
         if e & 1:
             out = mat_mul(out, base)
@@ -197,16 +204,17 @@ def mat_pow(a, e: int):
 def charpoly(a) -> list[Fraction]:
     """Characteristic polynomial det(xI - A), ascending coefficients.
 
-    Faddeev-LeVerrier: exact over the rationals.
+    Faddeev-LeVerrier: exact over the rationals, and in ints for an integer
+    matrix, whose c_k = -tr(M_k)/k are then integers.
     """
     n = len(a)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    am = [[Fraction(x) for x in r] for r in a]
+    am = [[_exact(x) for x in r] for r in a]
     mk = [row[:] for row in am]
     for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs[n - k] = ck
+        ck = _exact(Fraction(-sum(mk[i][i] for i in range(n)), k))
+        coeffs[n - k] = Fraction(ck)
         if k < n:
             shifted = [row[:] for row in mk]
             for i in range(n):
@@ -252,13 +260,14 @@ def _euler_phi(n: int) -> int:
     return sum(1 for i in range(1, n + 1) if gcd(i, n) == 1)
 
 
-def unipotent_power(f) -> tuple[int, list[list[Fraction]]]:
-    """Least m with F^m unipotent, plus U = F^m.
+def unipotent_power(f) -> tuple[int, list[list]]:
+    """Least m with F^m unipotent, plus U = F^m (with int entries for an
+    integer F).
 
     Checks that every irreducible factor of the characteristic polynomial is
     cyclotomic (all eigenvalues roots of unity); raises ModelError otherwise.
     """
-    f = [[Fraction(x) for x in r] for r in f]
+    f = [[_exact(x) for x in r] for r in f]
     g = len(f)
     poly = charpoly(f)
     orders = []
@@ -297,20 +306,26 @@ def unipotent_power(f) -> tuple[int, list[list[Fraction]]]:
 
 
 def nilpotent_log(u) -> list[list[Fraction]]:
-    """log U = sum (-1)^{i+1} (U - I)^i / i for unipotent U; exact and finite."""
+    """log U = sum (-1)^{i+1} (U - I)^i / i for unipotent U; exact and finite.
+
+    The powers N^i of N = U - I are summed with the integer weights
+    (-1)^{i+1} c/i, c = lcm(1..g), and the sum is divided by c once.
+    """
     g = len(u)
-    n = mat_sub([[Fraction(x) for x in r] for r in u], mat_identity(g))
-    out = [[Fraction(0)] * g for _ in range(g)]
+    c = lcm(*range(1, g + 1))
+    n = mat_sub([[_exact(x) for x in r] for r in u], mat_identity(g))
+    out = [[0] * g for _ in range(g)]
     power = mat_identity(g)
     for i in range(1, g + 1):
         power = mat_mul(power, n)
         if mat_is_zero(power):
             break
-        out = mat_add(out, mat_scale(power, Fraction((-1) ** (i + 1), i)))
+        weight = (-1) ** (i + 1) * (c // i)
+        out = mat_add(out, [[x * weight for x in r] for r in power])
     else:
         if not mat_is_zero(mat_mul(power, n)):
             raise ModelError("input is not unipotent")
-    return out
+    return [[Fraction(x, c) for x in r] for r in out]
 
 
 def nilpotent_exp(l) -> list[list[Fraction]]:
@@ -340,8 +355,8 @@ def _vec_to_sym(g: int, vec) -> list[list]:
     return s
 
 
-def _sym_to_vec(g: int, s) -> tuple[Fraction, ...]:
-    return tuple(Fraction(s[i][j]) for i, j in _sym_basis(g))
+def _sym_to_vec(g: int, s) -> tuple:
+    return tuple(s[i][j] for i, j in _sym_basis(g))
 
 
 def _int_det(m: list[list[int]]) -> int:
@@ -395,27 +410,23 @@ class AbelianSurrogate:
             b = [[0] * self.g for _ in range(self.g)]
             b[i][j] = 1
             b[j][i] = 1
-            image = mat_mul(
-                [[Fraction(x) for x in row] for row in at],
-                mat_mul([[Fraction(x) for x in row] for row in b],
-                        [[Fraction(x) for x in row] for row in self.a]),
-            )
+            image = mat_mul(at, mat_mul(b, self.a))
             cols.append(_sym_to_vec(self.g, image))
-        return [[int(cols[c][r]) for c in range(self.dim)]
-                for r in range(self.dim)]
+        return [[cols[c][r] for c in range(self.dim)] for r in range(self.dim)]
 
     def intersect(self, vecs) -> Fraction:
         """Polarization over the distinct classes S_j, of multiplicity e_j:
         the sum over 0 <= f_j <= e_j of
         (-1)^(g - sum f) * prod C(e_j, f_j) * det(sum f_j S_j)
-        (Bapat 1989).  Each class is scaled to integers first, which the
-        multilinear form turns into one overall factor."""
+        (Bapat 1989).  A class with a denominator is scaled to integers
+        first, which the multilinear form turns into one overall factor;
+        ints and Fractions of equal value group together."""
         g = self.g
         if len(vecs) != g:
             raise ValueError(f"need exactly {g} classes")
-        groups: dict[tuple[Fraction, ...], int] = {}
+        groups: dict[tuple, int] = {}
         for v in vecs:
-            key = tuple(Fraction(x) for x in v)
+            key = tuple(v)
             groups[key] = groups.get(key, 0) + 1
         scale = Fraction(1)
         cleared = []
@@ -440,27 +451,33 @@ class AbelianSurrogate:
 # the pipeline
 
 def _prepared(model):
-    """Cache (m, U, L, [L^i H], w-table) on the model instance.
+    """Cache (m, U, L, c, [(cL)^i H], w-table) on the model instance.
 
-    L^i H runs up to the last nonzero class, K = len(LH) - 1, and the w-table
-    maps each partition with d parts in [0, K] to w_lambda, the intersection
-    of (L^{lambda_1} H, ..., L^{lambda_d} H); every other w_lambda is zero.
+    c is the lcm of the denominators of L, so cL is an integer matrix and
+    (cL)^i H = c^i L^i H is an integer class for an integer H.  The classes
+    run up to the last nonzero one, K = len(LH) - 1, and the w-table maps
+    each partition with d parts in [0, K] to w_lambda, the intersection of
+    (L^{lambda_1} H, ..., L^{lambda_d} H): by multilinearity, the intersection
+    of the scaled classes divided by c^{|lambda|}.  Every other w_lambda is
+    zero.
     """
     cache = getattr(model, "_pipeline_cache", None)
     if cache is None:
         m, u = unipotent_power(model.F)
         l = nilpotent_log(u)
+        c = lcm(*(x.denominator for r in l for x in r))
+        l_int = [[int(x * c) for x in r] for r in l]
         lh = [list(model.H)]
         while True:
-            v = [sum(a * b for a, b in zip(row, lh[-1])) for row in l]
+            v = [sum(a * b for a, b in zip(row, lh[-1])) for row in l_int]
             if not any(v):
                 break
             lh.append(v)
         kmax = len(lh) - 1
-        w = {lam: model.intersect([lh[part] for part in lam])
+        w = {lam: Fraction(model.intersect([lh[part] for part in lam]), c ** n)
              for n in range(model.d * kmax + 1)
              for lam in enumerate_partitions(kmax, model.d, n)}
-        cache = {"m": m, "U": u, "L": l, "LH": lh, "w": w}
+        cache = {"m": m, "U": u, "L": l, "c": c, "LH": lh, "w": w}
         model._pipeline_cache = cache
     return cache
 
@@ -534,13 +551,19 @@ def delta_polynomial(model) -> DeltaExpansion:
 
     Multinomial expansion over restricted partitions, reusing the w-values:
     each lambda contributes d!/prod(e_i!) * prod (S_i(n-1)/i!)^{e_i} * w_lambda.
+    The powers (S_i/i!)^e are expanded once each, and the result is kept in
+    the per-model cache, so a second call reads it back.
     """
+    prep = _prepared(model)
+    if "delta" in prep:
+        return prep["delta"]
     d = model.d
     k = degree_growth_exponent(model)
     s_over_fact = [power_sum_polynomial(i).scale(Fraction(1, factorial(i)))
                    for i in range(k + 1)]
+    powers = [[s ** e for e in range(d + 1)] for s in s_over_fact]
     total = UnivariatePoly(())
-    for lam, w in _prepared(model)["w"].items():
+    for lam, w in prep["w"].items():
         if w == 0 or lam[0] > k:
             continue
         e = multiplicities(lam, k)
@@ -548,9 +571,10 @@ def delta_polynomial(model) -> DeltaExpansion:
         term = UnivariatePoly((Fraction(factorial(d), denom) * w,))
         for i, e_i in enumerate(e):
             if e_i:
-                term = term * (s_over_fact[i] ** e_i)
+                term = term * powers[i][e_i]
         total = total + term
-    return DeltaExpansion(total, total.degree)
+    prep["delta"] = DeltaExpansion(total, total.degree)
+    return prep["delta"]
 
 
 @dataclass(frozen=True)
@@ -692,18 +716,15 @@ def random_conjugate(blocks: tuple[int, ...], rng: Random) -> AbelianSurrogate:
     j = jordan_matrix(blocks)
     p = random_unimodular(sum(blocks), rng)
     p_inv = _int_inverse(p)
-    jf = [[Fraction(x) for x in r] for r in j]
-    pf = [[Fraction(x) for x in r] for r in p]
-    pif = [[Fraction(x) for x in r] for r in p_inv]
-    a = mat_mul(pif, mat_mul(jf, pf))
-    return AbelianSurrogate([[int(x) for x in r] for r in a], jordan=tuple(blocks))
+    return AbelianSurrogate(mat_mul(p_inv, mat_mul(j, p)), jordan=tuple(blocks))
 
 
-def model_from_json(text: str) -> AbelianSurrogate:
+def model_from_json(text: str, max_g: int | None = None) -> AbelianSurrogate:
     """Parse {"type": "abelian", "g": g, "A": [[...], ...]}; "g" is optional.
 
     Raises ValueError, with a one-line message, for anything that is not a
-    square matrix of JSON integers of the declared size.
+    square matrix of JSON integers of the declared size, or of a size above
+    max_g when that is given.
     """
     spec = json.loads(text)
     if not isinstance(spec, dict):
@@ -720,6 +741,8 @@ def model_from_json(text: str) -> AbelianSurrogate:
         raise ValueError('"A" entries must be integers')
     if spec.get("g", len(a)) != len(a):
         raise ValueError(f'"g" is {spec["g"]!r} but "A" is {len(a)} x {len(a)}')
+    if max_g is not None and len(a) > max_g:
+        raise ValueError(f"model has g = {len(a)}, above the cap of {max_g}")
     return AbelianSurrogate(a)
 
 

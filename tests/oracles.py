@@ -143,3 +143,45 @@ def is_symmetric_by_swaps(poly):
             if poly.coefficient(tuple(swapped)) != coef:
                 return False
     return True
+
+
+def dense_matmul(a, b):
+    """Product of two dense matrices, every entry a Fraction."""
+    return [[sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(len(b))),
+                 Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def charpoly_fraction(a):
+    """det(xI - A), ascending coefficients, by Faddeev-LeVerrier with every
+    intermediate a Fraction."""
+    n = len(a)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    am = [[Fraction(x) for x in r] for r in a]
+    mk = [row[:] for row in am]
+    for k in range(1, n + 1):
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        coeffs[n - k] = ck
+        if k < n:
+            shifted = [row[:] for row in mk]
+            for i in range(n):
+                shifted[i][i] += ck
+            mk = dense_matmul(am, shifted)
+    return coeffs
+
+
+def nilpotent_log_fraction(u):
+    """log U = sum_{i>=1} (-1)^(i+1) (U - I)^i / i, each term added as a
+    Fraction matrix; None when (U - I)^g is not zero."""
+    g = len(u)
+    n = [[Fraction(u[i][j]) - (i == j) for j in range(g)] for i in range(g)]
+    out = [[Fraction(0)] * g for _ in range(g)]
+    power = [[Fraction(int(i == j)) for j in range(g)] for i in range(g)]
+    for i in range(1, g + 1):
+        power = dense_matmul(power, n)
+        if all(x == 0 for r in power for x in r):
+            return out
+        coef = Fraction((-1) ** (i + 1), i)
+        out = [[o + coef * p for o, p in zip(ro, rp)] for ro, rp in zip(out, power)]
+    return None

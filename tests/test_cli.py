@@ -64,6 +64,40 @@ def test_table2_extended_gate(capsys):
     assert code == 2
 
 
+def usage_error_line(capsys, *argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("extended", [(), ("--extended",)])
+def test_table2_truncate_above_cap(capsys, extended):
+    err = usage_error_line(capsys, "reproduce", "table2",
+                           "--truncate", "1,1,1,1,1,1,1,1,1,1", *extended)
+    assert err == "error: --truncate sums to d = 10, above the cap of 9\n"
+
+
+@pytest.mark.parametrize("t", ["2,1,1,1,1,1,1", "3,2,2,2"])
+def test_table2_truncate_extended_gate(capsys, t):
+    err = usage_error_line(capsys, "reproduce", "table2", "--truncate", t)
+    assert "requires --extended" in err
+
+
+def test_table2_truncate_d7_allowed(capsys):
+    # the largest cell without --extended: Table 2 at d = 7, e = 5
+    code, out = run_cli(capsys, "reproduce", "table2",
+                        "--truncate", "2,1,1,1,1,1", "--n", "35")
+    assert code == 0
+    assert json.loads(out)["results"]["nullity"] == 0
+
+
+def test_table2_n_needs_truncate(capsys):
+    err = usage_error_line(capsys, "reproduce", "table2", "--n", "6")
+    assert err == "error: --n applies only with --truncate\n"
+
+
 def test_kernel(capsys):
     code, out = run_cli(capsys, "reproduce", "kernel", "--d", "2")
     assert code == 0
@@ -150,6 +184,16 @@ def test_plov_blocks_above_cap(capsys, blocks):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: block sizes sum to 7, above the cap of 6\n"
+
+
+def test_plov_model_above_cap(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    a = [[int(j in (i, i + 1)) for j in range(8)] for i in range(8)]
+    path.write_text(json.dumps({"type": "abelian", "A": a}))
+    assert main(["plov", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: model has g = 8, above the cap of 6\n"
 
 
 def test_plov_usage(capsys):

@@ -4,9 +4,16 @@ from random import Random
 
 import pytest
 
-from oracles import dense_det, mixed_determinant
+from oracles import (
+    charpoly_fraction,
+    dense_det,
+    mixed_determinant,
+    nilpotent_log_fraction,
+)
+from plovlab import dynamics
 from plovlab.dynamics import (
     AbelianSurrogate,
+    _prepared,
     _vec_to_sym,
     ModelError,
     charpoly,
@@ -43,6 +50,62 @@ def test_charpoly():
     # companion of x^2 - x - 1
     a = [[0, 1], [1, 1]]
     assert charpoly(a) == [Fraction(-1), Fraction(-1), Fraction(1)]
+
+
+def _jordan_types(total, cap):
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(cap, total), 0, -1):
+        for rest in _jordan_types(total - first, first):
+            yield (first,) + rest
+
+
+def test_integer_path_matches_fraction_oracles():
+    # charpoly and nilpotent_log against their all-Fraction forms on the
+    # integer action F of a seeded conjugate of every type with g <= 5
+    rng = Random(3)
+    for g in range(2, 6):
+        for blocks in _jordan_types(g, g):
+            m = random_conjugate(blocks, rng)
+            assert charpoly(m.F) == charpoly_fraction(m.F), blocks
+            _, u = unipotent_power(m.F)
+            assert nilpotent_log(u) == nilpotent_log_fraction(u), blocks
+
+
+def test_rational_matrix_matches_fraction_oracles():
+    a = [[Fraction(1, 2), Fraction(-2, 3), 1],
+         [Fraction(3, 4), 0, Fraction(5, 7)],
+         [2, Fraction(-1, 6), Fraction(7, 5)]]
+    assert charpoly(a) == charpoly_fraction(a)
+    assert all(type(c) is Fraction for c in charpoly(a))
+    # a unipotent matrix with non-integer entries: I + strictly upper part,
+    # conjugated by a rational shear
+    p = [[1, 0, 0], [Fraction(1, 3), 1, 0], [0, Fraction(-2, 5), 1]]
+    p_inv = [[1, 0, 0], [Fraction(-1, 3), 1, 0],
+             [Fraction(-2, 15), Fraction(2, 5), 1]]
+    assert mat_mul(p, p_inv) == mat_identity(3)
+    u = mat_mul(p_inv, mat_mul(
+        [[1, Fraction(1, 2), Fraction(-3, 4)], [0, 1, Fraction(2, 3)], [0, 0, 1]], p))
+    assert nilpotent_log(u) == nilpotent_log_fraction(u)
+    assert nilpotent_exp(nilpotent_log(u)) == u
+
+
+def test_w_table_matches_fraction_classes():
+    # every w-table entry against intersect of the classes L^i H built from
+    # the Fraction log, with no integer scaling
+    rng = Random(19)
+    for blocks in ((4,), (4, 1), (3, 2)):
+        m = random_conjugate(blocks, rng)
+        prep = _prepared(m)
+        l = nilpotent_log(unipotent_power(m.F)[1])
+        lh = [[Fraction(x) for x in m.H]]
+        while any(lh[-1]):
+            lh.append([sum(a * b for a, b in zip(row, lh[-1])) for row in l])
+        lh.pop()
+        assert len(lh) == len(prep["LH"]), blocks
+        for lam, w in prep["w"].items():
+            assert w == m.intersect([lh[part] for part in lam]), (blocks, lam)
 
 
 def test_unipotent_power_identity():
@@ -108,6 +171,23 @@ def test_pipeline_computes_each_w_once(monkeypatch):
         report = run_pipeline(AbelianSurrogate(jordan_matrix(blocks), jordan=blocks))
         assert report["pass"]
         assert len(calls) == expected, blocks
+
+
+def test_pipeline_expands_delta_once(monkeypatch):
+    # run_pipeline and the Hilbert check share one expansion of Delta, which
+    # takes one power sum S_i for each i <= k
+    calls = []
+    inner = dynamics.power_sum_polynomial
+
+    def counting(i):
+        calls.append(i)
+        return inner(i)
+
+    monkeypatch.setattr(dynamics, "power_sum_polynomial", counting)
+    report = run_pipeline(AbelianSurrogate(jordan_matrix((4,)), jordan=(4,)))
+    assert report["pass"] and report["checks"]["hilbert"]
+    assert report["k"] == 6
+    assert sorted(calls) == list(range(7))
 
 
 def test_delta_polynomial_equals_determinant():
@@ -252,16 +332,8 @@ def test_model_from_json_rejects(text):
 
 def test_abelian_plov_law():
     # plov = sum of squares of the Jordan block sizes, all types with g <= 5
-    def types(total, cap):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(cap, total), 0, -1):
-            for rest in types(total - first, first):
-                yield (first,) + rest
-
     for g in range(2, 6):
-        for blocks in types(g, g):
+        for blocks in _jordan_types(g, g):
             m = AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
             exp = delta_polynomial(m)
             assert exp.plov == sum(b * b for b in blocks), blocks

@@ -1,0 +1,74 @@
+"""Property tests: invariants checked on small inputs drawn by Hypothesis."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from plovlab.dynamics import AbelianSurrogate, model_from_json  # noqa: E402
+from plovlab.exactmat import ExactMatrix, matrix_rank  # noqa: E402
+from plovlab.partitions import count, enumerate_partitions  # noqa: E402
+
+SMALL = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def kdn(draw):
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(-1, k * d + 1))
+    return k, d, n
+
+
+@SMALL
+@given(kdn())
+def test_count_matches_enumeration(args):
+    assert count(*args) == len(enumerate_partitions(*args))
+
+
+@st.composite
+def matrix_and_permutations(draw):
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(0),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    )
+    dense = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    rows = draw(st.permutations(range(nrows)))
+    cols = draw(st.permutations(range(ncols)))
+    return dense, rows, cols
+
+
+@SMALL
+@given(matrix_and_permutations())
+def test_rank_invariant_under_permutations(case):
+    dense, rows, cols = case
+    permuted = [[dense[i][j] for j in cols] for i in rows]
+    assert (matrix_rank(ExactMatrix.from_dense(permuted))
+            == matrix_rank(ExactMatrix.from_dense(dense)))
+
+
+@st.composite
+def unimodular(draw):
+    """A product of integer shears: row i += c * row j."""
+    g = draw(st.integers(1, 4))
+    a = [[int(i == j) for j in range(g)] for i in range(g)]
+    if g > 1:
+        for _ in range(draw(st.integers(0, 3 * g))):
+            i, j = draw(st.permutations(range(g)))[:2]
+            c = draw(st.integers(-2, 2))
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+@SMALL
+@given(unimodular())
+def test_model_json_round_trip(a):
+    m = AbelianSurrogate(a)
+    back = model_from_json(m.to_json())
+    assert back.a == m.a == a
+    assert back.F == m.F
