@@ -16,6 +16,7 @@ from random import Random
 
 from . import golden
 from .dynamics import (
+    MAX_MODEL_DIM,
     AbelianSurrogate,
     ModelError,
     model_from_json,
@@ -35,8 +36,6 @@ from .partitions import count, format_partition
 
 USAGE_ERROR = 2
 MISMATCH = 1
-# largest model dimension g that plov and scan accept
-MAX_MODEL_DIM = 6
 
 
 def _emit(report: dict, args) -> None:
@@ -133,8 +132,6 @@ def _reproduce_table1(args, started):
 
 
 def _reproduce_table2(args, started):
-    # d = 8, 9 are long runs behind --extended; d > 9 does not finish
-    cap = 9 if args.extended else 7
     if args.truncate:
         # custom cell: nullity of the truncated matrix for a given tuple t
         try:
@@ -144,16 +141,27 @@ def _reproduce_table2(args, started):
         except ValueError as exc:
             print(f"error: bad --truncate tuple: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        r = len(t) - 1
         d = sum(t)
-        if d > 9:
-            print(f"error: --truncate sums to d = {d}, above the cap of 9",
-                  file=sys.stderr)
+        what = f"--truncate sums to d = {d}"
+    else:
+        if args.n is not None:
+            print("error: --n applies only with --truncate", file=sys.stderr)
             return USAGE_ERROR
-        if d > cap:
-            print(f"error: --truncate sums to d = {d}, which requires "
-                  "--extended (d = 8, 9 are long runs)", file=sys.stderr)
+        d = args.dmax if args.dmax is not None else 7
+        if d < 4:
+            print("error: --dmax must be between 4 and 9", file=sys.stderr)
             return USAGE_ERROR
+        what = f"--dmax {d}"
+    # d = 8, 9 are long runs behind --extended; d > 9 does not finish
+    if d > 9:
+        print(f"error: {what}, above the cap of 9", file=sys.stderr)
+        return USAGE_ERROR
+    if d > (9 if args.extended else 7):
+        print(f"error: {what} requires --extended (d = 8, 9 are long runs)",
+              file=sys.stderr)
+        return USAGE_ERROR
+    if args.truncate:
+        r = len(t) - 1
         e = (args.n - r * (r + 1)) if args.n is not None else 0
         if e < 0:
             print(f"error: --n must be at least r(r+1) = {r * (r + 1)}",
@@ -163,19 +171,7 @@ def _reproduce_table2(args, started):
         results = {"d": d, "r": r, "t": list(t), "n": r * (r + 1) + e,
                    "nullity": got}
         return _report(args, results, True, started)
-    if args.n is not None:
-        print("error: --n applies only with --truncate", file=sys.stderr)
-        return USAGE_ERROR
-    dmax = args.dmax if args.dmax is not None else 7
-    if not 4 <= dmax <= 9:
-        print("error: --dmax must be between 4 and 9", file=sys.stderr)
-        return USAGE_ERROR
-    if dmax > cap:
-        print(
-            f"error: --dmax {dmax} requires --extended (d = 8, 9 are long runs)",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+    dmax = d
     cells = {}
     csv_lines = ["d,e,nullity,expected,match"]
     ok = True
@@ -282,7 +278,7 @@ def cmd_plov(args):
     try:
         if args.model:
             with open(args.model) as fh:
-                model = model_from_json(fh.read(), max_g=MAX_MODEL_DIM)
+                model = model_from_json(fh.read())
         else:
             blocks = _parse_blocks(args.abelian_blocks)
             from .dynamics import jordan_matrix

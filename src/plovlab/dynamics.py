@@ -54,6 +54,9 @@ __all__ = [
     "run_pipeline",
 ]
 
+# largest model dimension g that plov and scan accept
+MAX_MODEL_DIM = 6
+
 
 class ModelError(ValueError):
     """A model violates an assumption of the pipeline."""
@@ -101,16 +104,6 @@ class UnivariatePoly:
 
     def scale(self, c) -> "UnivariatePoly":
         return UnivariatePoly.from_coeffs([v * Fraction(c) for v in self.coeffs])
-
-    def __pow__(self, e: int) -> "UnivariatePoly":
-        out = UnivariatePoly((Fraction(1),))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def __call__(self, n) -> Fraction:
         acc = Fraction(0)
@@ -451,11 +444,11 @@ class AbelianSurrogate:
 # the pipeline
 
 def _prepared(model):
-    """Cache (m, U, L, c, [(cL)^i H], w-table) on the model instance.
+    """Cache the classes (cL)^i H and the w-table on the model instance.
 
     c is the lcm of the denominators of L, so cL is an integer matrix and
     (cL)^i H = c^i L^i H is an integer class for an integer H.  The classes
-    run up to the last nonzero one, K = len(LH) - 1, and the w-table maps
+    run up to the last nonzero one, K = len(cLH) - 1, and the w-table maps
     each partition with d parts in [0, K] to w_lambda, the intersection of
     (L^{lambda_1} H, ..., L^{lambda_d} H): by multilinearity, the intersection
     of the scaled classes divided by c^{|lambda|}.  Every other w_lambda is
@@ -463,8 +456,7 @@ def _prepared(model):
     """
     cache = getattr(model, "_pipeline_cache", None)
     if cache is None:
-        m, u = unipotent_power(model.F)
-        l = nilpotent_log(u)
+        l = nilpotent_log(unipotent_power(model.F)[1])
         c = lcm(*(x.denominator for r in l for x in r))
         l_int = [[int(x * c) for x in r] for r in l]
         lh = [list(model.H)]
@@ -477,7 +469,7 @@ def _prepared(model):
         w = {lam: Fraction(model.intersect([lh[part] for part in lam]), c ** n)
              for n in range(model.d * kmax + 1)
              for lam in enumerate_partitions(kmax, model.d, n)}
-        cache = {"m": m, "U": u, "L": l, "c": c, "LH": lh, "w": w}
+        cache = {"cLH": lh, "w": w}
         model._pipeline_cache = cache
     return cache
 
@@ -486,7 +478,7 @@ def degree_growth_exponent(model) -> int:
     """max i with (L^i H) . H^{d-1} nonzero; must be even and at most 2d-2."""
     d = model.d
     prep = _prepared(model)
-    nilp_index = len(prep["LH"])  # L^nilp_index H = 0
+    nilp_index = len(prep["cLH"])  # L^nilp_index H = 0
     best = next((i for i in range(nilp_index - 1, -1, -1)
                  if prep["w"][(i,) + (0,) * (d - 1)] != 0), 0)
     if best % 2 != 0 or best > 2 * d - 2:
@@ -561,7 +553,12 @@ def delta_polynomial(model) -> DeltaExpansion:
     k = degree_growth_exponent(model)
     s_over_fact = [power_sum_polynomial(i).scale(Fraction(1, factorial(i)))
                    for i in range(k + 1)]
-    powers = [[s ** e for e in range(d + 1)] for s in s_over_fact]
+    powers = []
+    for s in s_over_fact:
+        row = [UnivariatePoly((Fraction(1),))]
+        for _ in range(d):
+            row.append(row[-1] * s)
+        powers.append(row)
     total = UnivariatePoly(())
     for lam, w in prep["w"].items():
         if w == 0 or lam[0] > k:
@@ -719,12 +716,12 @@ def random_conjugate(blocks: tuple[int, ...], rng: Random) -> AbelianSurrogate:
     return AbelianSurrogate(mat_mul(p_inv, mat_mul(j, p)), jordan=tuple(blocks))
 
 
-def model_from_json(text: str, max_g: int | None = None) -> AbelianSurrogate:
+def model_from_json(text: str) -> AbelianSurrogate:
     """Parse {"type": "abelian", "g": g, "A": [[...], ...]}; "g" is optional.
 
     Raises ValueError, with a one-line message, for anything that is not a
     square matrix of JSON integers of the declared size, or of a size above
-    max_g when that is given.
+    MAX_MODEL_DIM.
     """
     spec = json.loads(text)
     if not isinstance(spec, dict):
@@ -741,8 +738,9 @@ def model_from_json(text: str, max_g: int | None = None) -> AbelianSurrogate:
         raise ValueError('"A" entries must be integers')
     if spec.get("g", len(a)) != len(a):
         raise ValueError(f'"g" is {spec["g"]!r} but "A" is {len(a)} x {len(a)}')
-    if max_g is not None and len(a) > max_g:
-        raise ValueError(f"model has g = {len(a)}, above the cap of {max_g}")
+    if len(a) > MAX_MODEL_DIM:
+        raise ValueError(
+            f"model has g = {len(a)}, above the cap of {MAX_MODEL_DIM}")
     return AbelianSurrogate(a)
 
 

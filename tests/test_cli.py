@@ -79,6 +79,12 @@ def test_table2_truncate_above_cap(capsys, extended):
     assert err == "error: --truncate sums to d = 10, above the cap of 9\n"
 
 
+def test_table2_dmax_above_cap(capsys):
+    err = usage_error_line(capsys, "reproduce", "table2", "--dmax", "10",
+                           "--extended")
+    assert err == "error: --dmax 10, above the cap of 9\n"
+
+
 @pytest.mark.parametrize("t", ["2,1,1,1,1,1,1", "3,2,2,2"])
 def test_table2_truncate_extended_gate(capsys, t):
     err = usage_error_line(capsys, "reproduce", "table2", "--truncate", t)

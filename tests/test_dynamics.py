@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -103,7 +104,7 @@ def test_w_table_matches_fraction_classes():
         while any(lh[-1]):
             lh.append([sum(a * b for a, b in zip(row, lh[-1])) for row in l])
         lh.pop()
-        assert len(lh) == len(prep["LH"]), blocks
+        assert len(lh) == len(prep["cLH"]), blocks
         for lam, w in prep["w"].items():
             assert w == m.intersect([lh[part] for part in lam]), (blocks, lam)
 
@@ -324,6 +325,7 @@ def test_model_json_roundtrip():
     '{"type": "abelian", "A": []}',                       # empty
     '{"type": "abelian", "A": [1, 0]}',                   # rows are not lists
     '{"type": "abelian", "g": 3, "A": [[1, 0], [0, 1]]}',  # wrong g
+    json.dumps({"type": "abelian", "A": jordan_matrix((7,))}),  # g above cap
 ])
 def test_model_from_json_rejects(text):
     with pytest.raises(ValueError):
