@@ -72,17 +72,15 @@ def usage_error_line(capsys, *argv):
     return captured.err
 
 
-@pytest.mark.parametrize("extended", [(), ("--extended",)])
-def test_table2_truncate_above_cap(capsys, extended):
-    err = usage_error_line(capsys, "reproduce", "table2",
-                           "--truncate", "1,1,1,1,1,1,1,1,1,1", *extended)
-    assert err == "error: --truncate sums to d = 10, above the cap of 9\n"
-
-
-def test_table2_dmax_above_cap(capsys):
-    err = usage_error_line(capsys, "reproduce", "table2", "--dmax", "10",
-                           "--extended")
-    assert err == "error: --dmax 10, above the cap of 9\n"
+@pytest.mark.parametrize("argv, what", [
+    (("--truncate", "1,1,1,1,1,1,1,1,1,1"), "--truncate sums to d = 10"),
+    (("--truncate", "1,1,1,1,1,1,1,1,1,1", "--extended"),
+     "--truncate sums to d = 10"),
+    (("--dmax", "10", "--extended"), "--dmax 10"),
+])
+def test_table2_above_cap(capsys, argv, what):
+    err = usage_error_line(capsys, "reproduce", "table2", *argv)
+    assert err == f"error: {what}, above the cap of 9\n"
 
 
 @pytest.mark.parametrize("t", ["2,1,1,1,1,1,1", "3,2,2,2"])
