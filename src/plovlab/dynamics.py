@@ -268,6 +268,8 @@ def unipotent_power(f) -> tuple[int, list[list]]:
     # phi(n) <= g bounds the order of any root of unity among the eigenvalues
     n_cap = 2 * g * g + 2
     for n in range(1, n_cap + 1):
+        if len(residual) == 1:
+            break
         if _euler_phi(n) > g:
             continue
         cyc = list(_cyclotomic(n))

@@ -1,16 +1,26 @@
 """Exact sparse rational matrices with deterministic rank and nullspace.
 
-Elimination is fraction-free: rows are cleared to integers up front, pivoting
-uses the first nonzero in the leftmost unresolved column with ties broken by
-fewest nonzeros, and every updated row is divided by the gcd of its entries to
-keep growth under control.  Everything is exact; no floating point anywhere.
+Rank and nullspace share one elimination.  Rows are cleared to integers,
+reduced mod a prime p and eliminated column by column (the pivot of a column
+is the row with the fewest nonzeros, ties by arrival order).  The r pivots
+mod p never exceed the rank over Q, so the result is certified at once when r
+is the number of nonzero rows or of columns.  Otherwise, for each free column
+f, the kernel vector with x_f = 1 and every other free entry 0 is solved mod
+p, lifted to integers over one common denominator by Wang's rational
+reconstruction, and checked exactly against every row.  These vectors are
+independent, so the nullity over Q is the number of free columns and the
+pivot columns are the exact ones; the lifted vectors are the exact basis.  A
+failed certificate escalates through the primes of ``_PRIMES`` and then falls
+back to the fraction-free ``_row_reduce``, which divides every updated row by
+the gcd of its entries.  Everything is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 __all__ = ["ExactMatrix", "SparseMultiPoly", "matrix_rank", "nullspace_basis"]
 
@@ -177,9 +187,127 @@ def _row_reduce(m: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
     return pivots
 
 
+# Mersenne primes for the modular path.  Kernel entries lift when they and
+# their common denominator are at most sqrt(p/2): about 2^63, then 2^260.
+_PRIMES = (2**127 - 1, 2**521 - 1)
+
+
+def _modular_echelon(rows: list[dict[int, int]], ncols: int, p: int):
+    """Echelon form mod p of integer rows, by the bucket scheme of
+    ``_row_reduce``.  Returns pivots as (col, row_dict) in increasing column
+    order; each pivot row is scaled so its pivot entry is 1 and stored
+    without it."""
+    buckets: dict[int, list[tuple[int, int, dict[int, int]]]] = {}
+    seq = 0
+
+    def insert(row: dict[int, int]):
+        nonlocal seq
+        buckets.setdefault(min(row), []).append((len(row), seq, row))
+        seq += 1
+
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        if row:
+            insert(row)
+
+    pivots: list[tuple[int, dict[int, int]]] = []
+    for col in range(ncols):
+        group = buckets.pop(col, None)
+        if not group:
+            continue
+        group.sort(key=lambda t: (t[0], t[1]))
+        piv = group[0][2]
+        inv = pow(piv.pop(col), -1, p)
+        piv = {c: v * inv % p for c, v in piv.items()}
+        pivots.append((col, piv))
+        for _, _, r in group[1:]:
+            q = r.pop(col)
+            for c, v in piv.items():
+                w = (r.get(c, 0) - q * v) % p
+                if w:
+                    r[c] = w
+                else:
+                    r.pop(c, None)
+            if r:
+                insert(r)
+    return pivots
+
+
+def _wang_denominator(a: int, p: int, bound: int) -> int | None:
+    """Denominator d of the fraction n/d = a mod p with |n|, d <= bound
+    (Wang's rational reconstruction), or None if there is none."""
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        return None
+    return abs(t1)
+
+
+def _lift_kernel(rows, pivots, ncols: int, p: int):
+    """One integer kernel vector per free column mod p, or None.
+
+    The vector for free column f is solved mod p with x_f = 1 and every other
+    free entry 0, lifted over one common denominator, and checked exactly
+    against every row.  None as soon as a vector fails to lift or to check.
+    """
+    bound = isqrt(p // 2)
+    pivot_cols = [c for c, _ in pivots]
+    pivot_set = set(pivot_cols)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        x = [0] * ncols
+        x[f] = 1
+        # pivots right of f solve to 0
+        for c, row in reversed(pivots[:bisect_left(pivot_cols, f)]):
+            x[c] = -sum(v * x[j] for j, v in row.items()) % p
+        den = 1
+        for v in x:
+            a = den * v % p
+            if bound < a < p - bound:
+                d = _wang_denominator(a, p, bound)
+                if d is None or den * d > bound:
+                    return None
+                den *= d
+        y = []
+        for v in x:
+            a = den * v % p
+            if bound < a < p - bound:
+                return None
+            y.append(a if a <= bound else a - p)
+        if any(sum(v * y[c] for c, v in row.items()) for row in rows):
+            return None
+        basis.append(_primitive(y))
+    return basis
+
+
+def _eliminate(m: ExactMatrix, kernel: bool) -> tuple[int, list[list[Fraction]]]:
+    """Rank over Q and, when ``kernel`` is set, the nullspace basis.
+
+    Modular elimination gives r pivots with r <= rank.  r = ncols, or, for the
+    rank alone, r = the number of nonzero rows, certifies r at once;
+    otherwise exactly checked kernel vectors do.  A failed certificate tries
+    the next prime, and after the last one the fraction-free path.
+    """
+    rows = _integer_rows(m)
+    for p in _PRIMES:
+        pivots = _modular_echelon(rows, m.ncols, p)
+        if len(pivots) == m.ncols or (not kernel and len(pivots) == len(rows)):
+            return len(pivots), []
+        basis = _lift_kernel(rows, pivots, m.ncols, p)
+        if basis is not None:
+            return len(pivots), basis
+    pivots = _row_reduce(m)
+    return len(pivots), _exact_kernel(pivots, m.ncols) if kernel else []
+
+
 def matrix_rank(m: ExactMatrix) -> int:
     """Exact rank over the rationals; deterministic."""
-    return len(_row_reduce(m))
+    return _eliminate(m, kernel=False)[0]
 
 
 def nullspace_basis(m: ExactMatrix) -> list[list[Fraction]]:
@@ -190,13 +318,17 @@ def nullspace_basis(m: ExactMatrix) -> list[list[Fraction]]:
     Degenerate shapes: an m x 0 matrix has an empty nullspace; a 0 x m matrix
     has the full space (identity-style basis).
     """
-    pivots = _row_reduce(m)
-    pivot_cols = [c for c, _ in pivots]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
+    return _eliminate(m, kernel=True)[1]
+
+
+def _exact_kernel(pivots, ncols: int) -> list[list[Fraction]]:
+    """Kernel basis from the pivots of ``_row_reduce``, by back-substitution
+    over Q."""
+    pivot_set = {c for c, _ in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        x = [Fraction(0)] * m.ncols
+        x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
         # back-substitute pivot variables in reverse pivot order
         for c, row in reversed(pivots):
@@ -208,10 +340,12 @@ def nullspace_basis(m: ExactMatrix) -> list[list[Fraction]]:
 
 def _normalize(x: list[Fraction]) -> list[Fraction]:
     mult = lcm(*(v.denominator for v in x)) if x else 1
-    ints = [int(v * mult) for v in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    return _primitive([int(v * mult) for v in x])
+
+
+def _primitive(ints: list[int]) -> list[Fraction]:
+    """Divide by the gcd of the entries and make the first nonzero positive."""
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     first = next((v for v in ints if v), 0)

@@ -8,6 +8,7 @@ cache, not at all: the cold-process check skips names it cannot find.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 LAYERS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -37,3 +38,36 @@ def test_cold_caches_exist():
         assert cache is not None, (modname, attr)
         assert hasattr(cache, "cache_info") or hasattr(cache, "__len__"), (
             modname, attr)
+
+
+def count_calls(monkeypatch, attr):
+    """Count calls of ``plovlab.exactmat.<attr>`` under every name the
+    package binds it to, as the traced run patches it."""
+    import sys
+
+    original = getattr(importlib.import_module("plovlab.exactmat"), attr)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "plovlab" or name.startswith("plovlab."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_exactmat_spans_are_called(monkeypatch):
+    # layers.MOVES requires exactmat.rank_* on table2 and
+    # exactmat.nullspace_s on kernel
+    from plovlab.incidence import nullity_truncated, verify_kernel_dim_one
+
+    ranks = count_calls(monkeypatch, "matrix_rank")
+    kernels = count_calls(monkeypatch, "nullspace_basis")
+    assert nullity_truncated(5, 3, (2, 1, 1, 1), 0) == 3
+    assert (len(ranks), len(kernels)) == (1, 0)
+    assert verify_kernel_dim_one(4)["nullity"] == 1
+    assert (len(ranks), len(kernels)) == (1, 1)

@@ -113,6 +113,15 @@ def test_unipotent_power_identity():
     assert m == 1 and u == mat_identity(2)
 
 
+def test_unipotent_power_stops_at_constant_residual():
+    # (x - 1)^4 is used up by the first cyclotomic polynomial, so no later
+    # one is built
+    dynamics._cyclotomic.cache_clear()
+    m, u = unipotent_power(mat_identity(4))
+    assert m == 1 and u == mat_identity(4)
+    assert dynamics._cyclotomic.cache_info().misses == 1
+
+
 def test_unipotent_power_rotation():
     # order-4 rotation becomes the identity at the 4th power
     m, u = unipotent_power([[0, -1], [1, 0]])

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 
+from plovlab import exactmat
 from plovlab.exactmat import (
     ExactMatrix,
     SparseMultiPoly,
@@ -104,6 +106,46 @@ def test_rank_invariance():
         scaled = [
             [v * Fraction(rng.randint(1, 5)) for v in row] for row in dense]
         assert matrix_rank(ExactMatrix.from_dense(scaled)) == r
+
+
+def count_row_reduce(monkeypatch):
+    calls = []
+    original = exactmat._row_reduce
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(exactmat, "_row_reduce", counted)
+    return calls
+
+
+def test_fallback_when_every_prime_divides(monkeypatch):
+    # p1 * p2 vanishes mod both primes, so neither certifies rank 2
+    p1, p2 = exactmat._PRIMES
+    m = ExactMatrix.from_dense([[p1 * p2, 0], [0, 1]])
+    calls = count_row_reduce(monkeypatch)
+    assert matrix_rank(m) == 2
+    assert len(calls) == 1
+    assert nullspace_basis(m) == []
+    assert len(calls) == 2
+
+
+def test_escalation_to_the_second_prime(monkeypatch):
+    # the kernel of [a, -b] is (b, a); 80-bit entries do not lift mod
+    # 2^127 - 1 but do mod 2^521 - 1
+    rng = Random(3)
+    a, b = rng.getrandbits(80) | 1 << 79, rng.getrandbits(80) | 1 << 79
+    while gcd(a, b) != 1:
+        b += 1
+    m = ExactMatrix.from_dense([[a, -b]])
+    calls = count_row_reduce(monkeypatch)
+    assert matrix_rank(m) == 1
+    assert nullspace_basis(m) == [[Fraction(b), Fraction(a)]]
+    assert calls == []
+    monkeypatch.setattr(exactmat, "_PRIMES", exactmat._PRIMES[:1])
+    assert nullspace_basis(m) == [[Fraction(b), Fraction(a)]]
+    assert len(calls) == 1
 
 
 def test_vandermonde_square_monomial_count():

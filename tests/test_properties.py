@@ -9,7 +9,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from plovlab.dynamics import AbelianSurrogate, model_from_json  # noqa: E402
-from plovlab.exactmat import ExactMatrix, matrix_rank  # noqa: E402
+from plovlab.exactmat import (  # noqa: E402
+    ExactMatrix,
+    _exact_kernel,
+    _row_reduce,
+    matrix_rank,
+    nullspace_basis,
+)
 from plovlab.partitions import count, enumerate_partitions  # noqa: E402
 
 SMALL = settings(max_examples=40, deadline=None)
@@ -50,6 +56,30 @@ def test_rank_invariant_under_permutations(case):
     permuted = [[dense[i][j] for j in cols] for i in rows]
     assert (matrix_rank(ExactMatrix.from_dense(permuted))
             == matrix_rank(ExactMatrix.from_dense(dense)))
+
+
+@st.composite
+def sparse_integer_matrix(draw):
+    """Mostly zeros; some entries vanish mod 2^127 - 1, the first prime of
+    the modular path, so that it has to escalate."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    entry = st.one_of(
+        st.just(0),
+        st.just(0),
+        st.integers(-4, 4),
+        st.integers(-3, 3).map(lambda v: v * (2**127 - 1)),
+    )
+    rows = [{j: draw(entry) for j in range(ncols)} for _ in range(nrows)]
+    return ExactMatrix.from_rows(nrows, ncols, rows)
+
+
+@SMALL
+@given(sparse_integer_matrix())
+def test_modular_rank_matches_fraction_free(m):
+    pivots = _row_reduce(m)
+    assert matrix_rank(m) == len(pivots)
+    assert nullspace_basis(m) == _exact_kernel(pivots, m.ncols)
 
 
 @st.composite
