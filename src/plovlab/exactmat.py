@@ -246,7 +246,12 @@ def _wang_denominator(a: int, p: int, bound: int) -> int | None:
     return abs(t1)
 
 
-def _lift_kernel(rows, pivots, ncols: int, p: int):
+def _lift_kernel(
+    rows: list[dict[int, int]],
+    pivots: list[tuple[int, dict[int, int]]],
+    ncols: int,
+    p: int,
+) -> list[list[Fraction]] | None:
     """One integer kernel vector per free column mod p, or None.
 
     The vector for free column f is solved mod p with x_f = 1 and every other

@@ -43,8 +43,6 @@ def test_cold_caches_exist():
 def count_calls(monkeypatch, attr):
     """Count calls of ``plovlab.exactmat.<attr>`` under every name the
     package binds it to, as the traced run patches it."""
-    import sys
-
     original = getattr(importlib.import_module("plovlab.exactmat"), attr)
     calls = []
 
