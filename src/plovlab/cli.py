@@ -284,6 +284,8 @@ def cmd_plov(args):
             from .dynamics import jordan_matrix
 
             model = AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
+        if model.g < 2:
+            raise ValueError(f"model has g = {model.g}; the pipeline needs g >= 2")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -17,11 +17,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from random import Random
 
-from .exactmat import ExactMatrix
+from .exactmat import ExactMatrix, _exact
 from .incidence import build_incidence, kappa_of
 from .partitions import (
     Partition,
@@ -138,12 +137,6 @@ def power_sum_polynomial(i: int) -> UnivariatePoly:
 
 # ---------------------------------------------------------------------------
 # exact square-matrix helpers (lists of lists of Fraction or int)
-
-def _exact(x):
-    """x as an exact rational: an int when it is integral, else a Fraction."""
-    q = Fraction(x)
-    return q.numerator if q.denominator == 1 else q
-
 
 def mat_identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
@@ -415,7 +408,9 @@ class AbelianSurrogate:
         (-1)^(g - sum f) * prod C(e_j, f_j) * det(sum f_j S_j)
         (Bapat 1989).  A class with a denominator is scaled to integers
         first, which the multilinear form turns into one overall factor;
-        ints and Fractions of equal value group together."""
+        ints and Fractions of equal value group together.  The f run in
+        reflected odometer order: each step moves one f_j by one, so the
+        summed class changes by one S_j and the sign flips."""
         g = self.g
         if len(vecs) != g:
             raise ValueError(f"need exactly {g} classes")
@@ -430,13 +425,24 @@ class AbelianSurrogate:
             cleared.append([int(x * den) for x in vec])
             scale /= den ** e
         mults = list(groups.values())
+        f = [0] * len(mults)
+        steps = [1] * len(mults)
+        summed = [0] * self.dim
+        sign = (-1) ** g
         total = 0
-        for f in product(*(range(e + 1) for e in mults)):
-            summed = [sum(fj * c[t] for fj, c in zip(f, cleared))
-                      for t in range(self.dim)]
+        while True:
             weight = prod(comb(e, fj) for e, fj in zip(mults, f))
-            total += (-1) ** (g - sum(f)) * weight * _int_det(_vec_to_sym(g, summed))
-        return total * scale
+            total += sign * weight * _int_det(_vec_to_sym(g, summed))
+            j = len(f) - 1
+            while j >= 0 and not 0 <= f[j] + steps[j] <= mults[j]:
+                steps[j] = -steps[j]
+                j -= 1
+            if j < 0:
+                return total * scale
+            step = steps[j]
+            f[j] += step
+            summed = [s + step * c for s, c in zip(summed, cleared[j])]
+            sign = -sign
 
     def to_json(self) -> str:
         return json.dumps({"type": "abelian", "g": self.g, "A": self.a})

@@ -1,18 +1,27 @@
 """Exact sparse rational matrices with deterministic rank and nullspace.
 
-Rank and nullspace share one elimination.  Rows are cleared to integers,
-reduced mod a prime p and eliminated column by column (the pivot of a column
-is the row with the fewest nonzeros, ties by arrival order).  The r pivots
-mod p never exceed the rank over Q, so the result is certified at once when r
-is the number of nonzero rows or of columns.  Otherwise, for each free column
-f, the kernel vector with x_f = 1 and every other free entry 0 is solved mod
-p, lifted to integers over one common denominator by Wang's rational
-reconstruction, and checked exactly against every row.  These vectors are
-independent, so the nullity over Q is the number of free columns and the
-pivot columns are the exact ones; the lifted vectors are the exact basis.  A
-failed certificate escalates through the primes of ``_PRIMES`` and then falls
-back to the fraction-free ``_row_reduce``, which divides every updated row by
-the gcd of its entries.  Everything is exact; no floating point anywhere.
+Integral entries are kept as Python ints and other entries as Fractions.
+The rank and the nullspace each come from one modular elimination.  Rows are
+cleared to integers, reduced mod a prime p and eliminated column by column
+(the pivot of a column is the row with the fewest nonzeros, ties by arrival
+order).  The r pivots mod p never exceed the rank over Q, so the result is
+certified at once when r is the number of nonzero rows or of columns.
+Otherwise, for each free column f, the kernel vector with x_f = 1 and every
+other free entry 0 is solved mod p, lifted to integers over one common
+denominator by Wang's rational reconstruction, and checked exactly against
+every row.  These vectors are independent, so the nullity over Q is the
+number of free columns and the pivot columns are the exact ones; the lifted
+vectors are the exact basis.  A failed certificate escalates through the
+primes of ``_PRIMES`` and then falls back to the fraction-free
+``_row_reduce``, which divides every updated row by the gcd of its entries.
+
+The nullspace eliminates the rows in increasing column order, because its
+basis is defined by that order.  The rank eliminates the transpose instead
+(rank A = rank A^T): the columns of A become the rows, with one column per
+nonzero row of A, so its certificate is an exactly checked left kernel.  On
+the truncated Table 2 matrices at d = 7, 8 this is two to three times as
+fast as eliminating the rows.  Everything is exact; no floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -24,14 +33,15 @@ from math import gcd, isqrt, lcm
 
 __all__ = ["ExactMatrix", "SparseMultiPoly", "matrix_rank", "nullspace_basis"]
 
-Entry = tuple[int, Fraction]
+Entry = tuple[int, int | Fraction]
 
 
 @dataclass(frozen=True)
 class ExactMatrix:
     """Sparse matrix of rationals; rows hold (col, value) pairs with strictly
-    increasing column indices and no explicit zeros.  Degenerate 0 x m and
-    m x 0 shapes are legal."""
+    increasing column indices and no explicit zeros.  An integral value is an
+    int, any other a Fraction.  Degenerate 0 x m and m x 0 shapes are
+    legal."""
 
     nrows: int
     ncols: int
@@ -49,7 +59,7 @@ class ExactMatrix:
         rows = []
         for rd in row_dicts:
             row = tuple(
-                (c, Fraction(v)) for c, v in sorted(rd.items()) if v != 0
+                (c, _exact(v)) for c, v in sorted(rd.items()) if v != 0
             )
             if row and (row[0][0] < 0 or row[-1][0] >= ncols):
                 raise ValueError("column index out of range")
@@ -94,6 +104,14 @@ class ExactMatrix:
         return ExactMatrix.from_rows(self.nrows, len(cols), rows)
 
 
+def _exact(v) -> int | Fraction:
+    """v as an exact rational: an int when it is integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
+
+
 def assemble_block_lower(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
     """M = [[A, 0], [B, C]]; shapes must compose."""
     if a.ncols != b.ncols or b.nrows != c.nrows:
@@ -123,14 +141,24 @@ def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def _integer_rows(m: ExactMatrix) -> list[dict[int, int]]:
-    """Clear denominators row by row (row scaling preserves rank and kernel)."""
+    """Clear denominators row by row (row scaling preserves rank and kernel),
+    in int arithmetic.  Empty rows are dropped."""
     out = []
     for row in m.rows:
         if not row:
             continue
-        mult = lcm(*(v.denominator for _, v in row)) if row else 1
-        out.append({c: int(v * mult) for c, v in row})
+        mult = lcm(*(v.denominator for _, v in row))
+        out.append({c: v.numerator * (mult // v.denominator) for c, v in row})
     return out
+
+
+def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    """The nonzero columns of the given rows, as rows indexed by row position."""
+    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][i] = v
+    return [col for col in cols if col]
 
 
 def _row_reduce(m: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
@@ -293,19 +321,24 @@ def _lift_kernel(
 def _eliminate(m: ExactMatrix, kernel: bool) -> tuple[int, list[list[Fraction]]]:
     """Rank over Q and, when ``kernel`` is set, the nullspace basis.
 
-    Modular elimination gives r pivots with r <= rank.  r = ncols, or, for the
-    rank alone, r = the number of nonzero rows, certifies r at once;
-    otherwise exactly checked kernel vectors do.  A failed certificate tries
-    the next prime, and after the last one the fraction-free path.
+    The nullspace eliminates the integer rows of m; the rank alone eliminates
+    their transpose.  Modular elimination gives r pivots with r <= rank.
+    r = the number of columns eliminated, or, for the rank alone, of rows,
+    certifies r at once; otherwise exactly checked kernel vectors do (of the
+    transpose: left kernel vectors of m).  A failed certificate tries the
+    next prime, and after the last one the fraction-free path on m.
     """
     rows = _integer_rows(m)
+    ncols = m.ncols
+    if not kernel:
+        rows, ncols = _transpose(rows, ncols), len(rows)
     for p in _PRIMES:
-        pivots = _modular_echelon(rows, m.ncols, p)
-        if len(pivots) == m.ncols or (not kernel and len(pivots) == len(rows)):
+        pivots = _modular_echelon(rows, ncols, p)
+        if len(pivots) == ncols or (not kernel and len(pivots) == len(rows)):
             return len(pivots), []
-        basis = _lift_kernel(rows, pivots, m.ncols, p)
+        basis = _lift_kernel(rows, pivots, ncols, p)
         if basis is not None:
-            return len(pivots), basis
+            return len(pivots), basis if kernel else []
     pivots = _row_reduce(m)
     return len(pivots), _exact_kernel(pivots, m.ncols) if kernel else []
 

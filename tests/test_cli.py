@@ -200,6 +200,19 @@ def test_plov_model_above_cap(capsys, tmp_path):
     assert captured.err == "error: model has g = 8, above the cap of 6\n"
 
 
+@pytest.mark.parametrize("source", ["blocks", "model"])
+def test_plov_g1_rejected(capsys, tmp_path, source):
+    argv = ["plov", "--abelian-blocks", "1"]
+    if source == "model":
+        path = tmp_path / "model.json"
+        path.write_text('{"type": "abelian", "A": [[1]]}')
+        argv = ["plov", "--model", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: model has g = 1; the pipeline needs g >= 2\n"
+
+
 def test_plov_usage(capsys):
     assert main(["plov"]) == 2
     assert main(["plov", "--abelian-blocks", "2", "--model", "x.json"]) == 2

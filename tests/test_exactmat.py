@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from random import Random
 
 import pytest
@@ -13,6 +13,7 @@ from plovlab.exactmat import (
     matrix_rank,
     nullspace_basis,
 )
+from plovlab.incidence import nullity_truncated
 from plovlab.symfun import vandermonde_poly
 
 from oracles import dense_nullspace, dense_rank, vandermonde_square_product
@@ -108,15 +109,16 @@ def test_rank_invariance():
         assert matrix_rank(ExactMatrix.from_dense(scaled)) == r
 
 
-def count_row_reduce(monkeypatch):
+def count_calls(monkeypatch, name):
+    """Record the arguments of every call of ``exactmat.<name>``."""
     calls = []
-    original = exactmat._row_reduce
+    original = getattr(exactmat, name)
 
-    def counted(m):
-        calls.append(m)
-        return original(m)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(exactmat, "_row_reduce", counted)
+    monkeypatch.setattr(exactmat, name, counted)
     return calls
 
 
@@ -124,7 +126,7 @@ def test_fallback_when_every_prime_divides(monkeypatch):
     # p1 * p2 vanishes mod both primes, so neither certifies rank 2
     p1, p2 = exactmat._PRIMES
     m = ExactMatrix.from_dense([[p1 * p2, 0], [0, 1]])
-    calls = count_row_reduce(monkeypatch)
+    calls = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 2
     assert len(calls) == 1
     assert nullspace_basis(m) == []
@@ -139,13 +141,51 @@ def test_escalation_to_the_second_prime(monkeypatch):
     while gcd(a, b) != 1:
         b += 1
     m = ExactMatrix.from_dense([[a, -b]])
-    calls = count_row_reduce(monkeypatch)
+    calls = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 1
     assert nullspace_basis(m) == [[Fraction(b), Fraction(a)]]
     assert calls == []
     monkeypatch.setattr(exactmat, "_PRIMES", exactmat._PRIMES[:1])
     assert nullspace_basis(m) == [[Fraction(b), Fraction(a)]]
     assert len(calls) == 1
+
+
+def test_rank_escalates_on_the_left_kernel(monkeypatch):
+    # [[b, b], [a, a]] has rank 1 with two nonzero rows and columns, so the
+    # rank needs its left kernel (a, -b).  Mod 2^127 - 1 a smaller fraction
+    # matches -a/b and only the exact check against the columns rejects it;
+    # the 80-bit entries lift mod 2^521 - 1
+    rng = Random(3)
+    a, b = rng.getrandbits(80) | 1 << 79, rng.getrandbits(80) | 1 << 79
+    while gcd(a, b) != 1:
+        b += 1
+    p1, p2 = exactmat._PRIMES
+    assert exactmat._wang_denominator(-a * pow(b, -1, p1) % p1, p1, isqrt(p1 // 2))
+    m = ExactMatrix.from_dense([[b, b], [a, a]])
+    echelons = count_calls(monkeypatch, "_modular_echelon")
+    fallbacks = count_calls(monkeypatch, "_row_reduce")
+    assert matrix_rank(m) == 1
+    assert [args[2] for args in echelons] == [p1, p2]
+    assert fallbacks == []
+    monkeypatch.setattr(exactmat, "_PRIMES", (p1,))
+    assert matrix_rank(m) == 1
+    assert len(fallbacks) == 1
+
+
+def test_table2_rank_lifts_one_left_kernel_vector(monkeypatch):
+    # Table 2 at d = 7, e = 1: rank 583 of the 584 x 587 truncated matrix,
+    # certified by one elimination mod 2^127 - 1 and one lifted vector
+    echelons = count_calls(monkeypatch, "_modular_echelon")
+    fallbacks = count_calls(monkeypatch, "_row_reduce")
+    assert nullity_truncated(7, 5, (2, 1, 1, 1, 1, 1), 1) == 4
+    assert [args[2] for args in echelons] == [exactmat._PRIMES[0]]
+    assert fallbacks == []
+
+
+def test_integral_entries_are_ints():
+    m = ExactMatrix.from_dense([[Fraction(4, 2), 3, Fraction(1, 2)]])
+    assert [type(v) for _, v in m.rows[0]] == [int, int, Fraction]
+    assert exactmat._integer_rows(m) == [{0: 4, 1: 6, 2: 1}]
 
 
 def test_vandermonde_square_monomial_count():

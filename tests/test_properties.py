@@ -83,6 +83,38 @@ def test_modular_rank_matches_fraction_free(m):
 
 
 @st.composite
+def shaped_integer_matrix(draw):
+    """Wide, tall or empty, with whole zero rows and zero columns; some
+    entries vanish mod 2^127 - 1."""
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(0, 8))
+    zero_rows = draw(st.sets(st.integers(0, 7)))
+    zero_cols = draw(st.sets(st.integers(0, 7)))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-4, 4),
+        st.integers(-3, 3).map(lambda v: v * (2**127 - 1)),
+    )
+    rows = [{j: 0 if i in zero_rows or j in zero_cols else draw(entry)
+             for j in range(ncols)} for i in range(nrows)]
+    return ExactMatrix.from_rows(nrows, ncols, rows)
+
+
+def transpose(m):
+    cols = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(m.rows):
+        for c, v in row:
+            cols[c][i] = v
+    return ExactMatrix.from_rows(m.ncols, m.nrows, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shaped_integer_matrix())
+def test_rank_of_transpose_matches_fraction_free(m):
+    assert matrix_rank(m) == matrix_rank(transpose(m)) == len(_row_reduce(m))
+
+
+@st.composite
 def unimodular(draw):
     """A product of integer shears: row i += c * row j."""
     g = draw(st.integers(1, 4))
