@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
+from operator import add, sub
 from random import Random
 
 from .exactmat import ExactMatrix, _exact
@@ -83,23 +84,6 @@ class UnivariatePoly:
 
     def coeff(self, m: int) -> Fraction:
         return self.coeffs[m] if 0 <= m < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly.from_coeffs(
-            [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
-
-    def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        if not self.coeffs or not other.coeffs:
-            return UnivariatePoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UnivariatePoly.from_coeffs(out)
 
     def scale(self, c) -> "UnivariatePoly":
         return UnivariatePoly.from_coeffs([v * Fraction(c) for v in self.coeffs])
@@ -389,6 +373,7 @@ class AbelianSurrogate:
         self.dim = g * (g + 1) // 2
         self.H = _sym_to_vec(g, mat_identity(g))
         self.F = self._action_matrix()
+        self._dets: dict[tuple[int, ...], int] = {}
 
     def _action_matrix(self) -> list[list[int]]:
         basis = _sym_basis(self.g)
@@ -410,7 +395,15 @@ class AbelianSurrogate:
         first, which the multilinear form turns into one overall factor;
         ints and Fractions of equal value group together.  The f run in
         reflected odometer order: each step moves one f_j by one, so the
-        summed class changes by one S_j and the sign flips."""
+        summed class changes by one S_j, the sign flips and the weight
+        changes by one exact ratio.
+
+        The determinant of each integer summed class is memoised on the
+        surrogate, keyed by the class itself, so a class that recurs within
+        a call or across calls is eliminated once.  For the w-table of a
+        model with classes (cL)^i H, i <= K, every summed class is a
+        sub-multiset of size <= g of those K + 1 classes, so the memo holds
+        at most C(K + 1 + g, g) entries: 12,376 for the Jordan block (6,)."""
         g = self.g
         if len(vecs) != g:
             raise ValueError(f"need exactly {g} classes")
@@ -418,30 +411,39 @@ class AbelianSurrogate:
         for v in vecs:
             key = tuple(v)
             groups[key] = groups.get(key, 0) + 1
-        scale = Fraction(1)
+        scale = 1
         cleared = []
         for vec, e in groups.items():
             den = lcm(*(x.denominator for x in vec))
             cleared.append([int(x * den) for x in vec])
-            scale /= den ** e
+            scale *= den ** e
         mults = list(groups.values())
+        dets = self._dets
         f = [0] * len(mults)
         steps = [1] * len(mults)
-        summed = [0] * self.dim
+        summed = (0,) * self.dim
         sign = (-1) ** g
+        weight = 1
         total = 0
         while True:
-            weight = prod(comb(e, fj) for e, fj in zip(mults, f))
-            total += sign * weight * _int_det(_vec_to_sym(g, summed))
+            det = dets.get(summed)
+            if det is None:
+                det = dets[summed] = _int_det(_vec_to_sym(g, summed))
+            total += sign * weight * det
             j = len(f) - 1
             while j >= 0 and not 0 <= f[j] + steps[j] <= mults[j]:
                 steps[j] = -steps[j]
                 j -= 1
             if j < 0:
-                return total * scale
-            step = steps[j]
-            f[j] += step
-            summed = [s + step * c for s, c in zip(summed, cleared[j])]
+                return Fraction(total, scale)
+            e, fj = mults[j], f[j]
+            if steps[j] > 0:
+                weight = weight * (e - fj) // (fj + 1)
+                summed = tuple(map(add, summed, cleared[j]))
+            else:
+                weight = weight * fj // (e - fj + 1)
+                summed = tuple(map(sub, summed, cleared[j]))
+            f[j] += steps[j]
             sign = -sign
 
     def to_json(self) -> str:
@@ -546,39 +548,63 @@ class DeltaExpansion:
     plov: int
 
 
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def delta_polynomial(model) -> DeltaExpansion:
     """Expand the d-th power of the pullback sum as an exact polynomial in n.
 
     Multinomial expansion over restricted partitions, reusing the w-values:
     each lambda contributes d!/prod(e_i!) * prod (S_i(n-1)/i!)^{e_i} * w_lambda.
-    The powers (S_i/i!)^e are expanded once each, and the result is kept in
-    the per-model cache, so a second call reads it back.
+    The expansion runs over ints: S_i/i! = q_i/D_i with q_i an integer
+    polynomial, each power q_i^e is built once, every term is brought to the
+    common denominator of all terms, and each coefficient is divided by it
+    once at the end.  The w-values are read from the w-table, whose
+    intersections share one determinant memo per model (see
+    `AbelianSurrogate.intersect`).  The result is kept in the per-model
+    cache, so a second call reads it back.
     """
     prep = _prepared(model)
     if "delta" in prep:
         return prep["delta"]
     d = model.d
     k = degree_growth_exponent(model)
-    s_over_fact = [power_sum_polynomial(i).scale(Fraction(1, factorial(i)))
-                   for i in range(k + 1)]
+    dens = []
     powers = []
-    for s in s_over_fact:
-        row = [UnivariatePoly((Fraction(1),))]
+    for i in range(k + 1):
+        s = [c / factorial(i) for c in power_sum_polynomial(i).coeffs]
+        den = lcm(*(c.denominator for c in s))
+        q = [c.numerator * (den // c.denominator) for c in s]
+        row = [[1]]
         for _ in range(d):
-            row.append(row[-1] * s)
+            row.append(_int_poly_mul(row[-1], q))
+        dens.append(den)
         powers.append(row)
-    total = UnivariatePoly(())
+    terms = []
     for lam, w in prep["w"].items():
         if w == 0 or lam[0] > k:
             continue
         e = multiplicities(lam, k)
-        denom = prod(factorial(e_i) for e_i in e)
-        term = UnivariatePoly((Fraction(factorial(d), denom) * w,))
+        num = factorial(d) // prod(factorial(e_i) for e_i in e) * w.numerator
+        den = w.denominator * prod(dens[i] ** e_i for i, e_i in enumerate(e))
+        terms.append((num, den, e))
+    common = lcm(*(den for _, den, _ in terms))
+    total = [0] * (d * (k + 1) + 1)
+    for num, den, e in terms:
+        poly = [num * (common // den)]
         for i, e_i in enumerate(e):
             if e_i:
-                term = term * powers[i][e_i]
-        total = total + term
-    prep["delta"] = DeltaExpansion(total, total.degree)
+                poly = _int_poly_mul(poly, powers[i][e_i])
+        for m, c in enumerate(poly):
+            total[m] += c
+    poly = UnivariatePoly.from_coeffs([Fraction(c, common) for c in total])
+    prep["delta"] = DeltaExpansion(poly, poly.degree)
     return prep["delta"]
 
 
@@ -729,7 +755,7 @@ def model_from_json(text: str) -> AbelianSurrogate:
 
     Raises ValueError, with a one-line message, for anything that is not a
     square matrix of JSON integers of the declared size, or of a size above
-    MAX_MODEL_DIM.
+    MAX_MODEL_DIM, and for a "g" that is not a JSON integer.
     """
     spec = json.loads(text)
     if not isinstance(spec, dict):
@@ -744,8 +770,11 @@ def model_from_json(text: str) -> AbelianSurrogate:
         raise ValueError('"A" must be a nonempty square list of rows')
     if not all(type(x) is int for r in a for x in r):
         raise ValueError('"A" entries must be integers')
-    if spec.get("g", len(a)) != len(a):
-        raise ValueError(f'"g" is {spec["g"]!r} but "A" is {len(a)} x {len(a)}')
+    g = spec.get("g", len(a))
+    if type(g) is not int:
+        raise ValueError(f'"g" must be an integer, not {json.dumps(g)}')
+    if g != len(a):
+        raise ValueError(f'"g" is {g!r} but "A" is {len(a)} x {len(a)}')
     if len(a) > MAX_MODEL_DIM:
         raise ValueError(
             f"model has g = {len(a)}, above the cap of {MAX_MODEL_DIM}")

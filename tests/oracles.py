@@ -8,8 +8,15 @@ permutations.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
+from math import factorial
 
+from plovlab.dynamics import (
+    _prepared,
+    degree_growth_exponent,
+    power_sum_polynomial,
+)
 from plovlab.exactmat import SparseMultiPoly
+from plovlab.partitions import multiplicities
 
 
 def brute_force_partitions(k, d, n):
@@ -185,3 +192,40 @@ def nilpotent_log_fraction(u):
         coef = Fraction((-1) ** (i + 1), i)
         out = [[o + coef * p for o, p in zip(ro, rp)] for ro, rp in zip(out, power)]
     return None
+
+
+def fraction_poly_mul(a, b):
+    """Product of two ascending coefficient lists, every entry a Fraction."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def delta_multinomial_fraction(model):
+    """Coefficients of the volume polynomial, ascending, trailing zeros
+    dropped: the sum over the w-table of d!/prod(e_i!) * w_lambda *
+    prod (S_i/i!)^{e_i}, with every product and sum taken in Fractions."""
+    d = model.d
+    k = degree_growth_exponent(model)
+    s_over_fact = [[Fraction(c) / factorial(i) for c in power_sum_polynomial(i).coeffs]
+                   for i in range(k + 1)]
+    total = []
+    for lam, w in _prepared(model)["w"].items():
+        if w == 0 or lam[0] > k:
+            continue
+        e = multiplicities(lam, k)
+        term = [Fraction(factorial(d)) * w]
+        for i, e_i in enumerate(e):
+            for _ in range(e_i):
+                term = fraction_poly_mul(term, s_over_fact[i])
+            term = [c / factorial(e_i) for c in term]
+        total += [Fraction(0)] * (len(term) - len(total))
+        for m, c in enumerate(term):
+            total[m] += c
+    while total and total[-1] == 0:
+        total.pop()
+    return total

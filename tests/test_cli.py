@@ -172,6 +172,7 @@ def test_plov_entropy_rejected(capsys, tmp_path):
     '[[1, 0], [0, 1]]',
     '{"type": "abelian", "g": 2, "A": [[1, 0.5], [0, 1]]}',
     '{"type": "abelian", "g": 2, "A": [[1, 0], [0]]}',
+    '{"type": "abelian", "g": 2.0, "A": [[1, 0], [0, 1]]}',
 ])
 def test_plov_malformed_model(capsys, tmp_path, text):
     path = tmp_path / "model.json"

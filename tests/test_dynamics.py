@@ -1,11 +1,14 @@
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, lcm
 from random import Random
 
 import pytest
 
 from oracles import (
     charpoly_fraction,
+    delta_multinomial_fraction,
     dense_det,
     mixed_determinant,
     nilpotent_log_fraction,
@@ -182,6 +185,33 @@ def test_pipeline_computes_each_w_once(monkeypatch):
         assert len(calls) == expected, blocks
 
 
+def test_intersect_memo_eliminates_each_summed_class_once(monkeypatch):
+    # the w-table of a (4,1) conjugate takes one determinant per distinct
+    # summed class sum f_j c_j over the sub-multisets f of every partition,
+    # counted here from the classes, and fewer than the polarization terms
+    m = random_conjugate((4, 1), Random(31))
+    calls = []
+    inner = dynamics._int_det
+
+    def counting(a):
+        calls.append(1)
+        return inner(a)
+
+    monkeypatch.setattr(dynamics, "_int_det", counting)
+    prep = _prepared(m)
+    lh = prep["cLH"]
+    summed_classes = set()
+    terms = 0
+    for lam in prep["w"]:
+        groups = Counter(lam)
+        for f in product(*(range(e + 1) for e in groups.values())):
+            summed_classes.add(tuple(
+                sum(fj * lh[part][t] for fj, part in zip(f, groups))
+                for t in range(m.dim)))
+            terms += 1
+    assert len(calls) == len(summed_classes) < terms
+
+
 def test_pipeline_expands_delta_once(monkeypatch):
     # run_pipeline and the Hilbert check share one expansion of Delta, which
     # takes one power sum S_i for each i <= k
@@ -216,6 +246,27 @@ def test_delta_polynomial_equals_determinant():
                          for i, v in enumerate(lh)) for t in range(m.dim)]
             assert poly(n) == factorial(g) * dense_det(_vec_to_sym(g, total)), (
                 blocks, n)
+
+
+def test_delta_polynomial_matches_fraction_oracle():
+    # the integer expansion against the Fraction multinomial one, coefficient
+    # by coefficient, on the Jordan form and two seeded conjugates of every
+    # type with g <= 5; among them the k = 0 model (1,1,1,1) and models whose
+    # L has denominators, c > 1
+    rng = Random(29)
+    dens = set()
+    for g in range(2, 6):
+        for blocks in _jordan_types(g, g):
+            jordan = AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
+            for m in (jordan, random_conjugate(blocks, rng),
+                      random_conjugate(blocks, rng)):
+                assert list(delta_polynomial(m).poly.coeffs) == (
+                    delta_multinomial_fraction(m)), (blocks, m.a)
+                l = nilpotent_log(unipotent_power(m.F)[1])
+                dens.add(lcm(*(x.denominator for r in l for x in r)))
+            if blocks == (1, 1, 1, 1):
+                assert degree_growth_exponent(jordan) == 0
+    assert dens == {1, 2, 6, 12}
 
 
 def test_intersection_form_invariance():
@@ -333,6 +384,8 @@ def test_model_json_roundtrip():
     '{"type": "abelian", "A": []}',                       # empty
     '{"type": "abelian", "A": [1, 0]}',                   # rows are not lists
     '{"type": "abelian", "g": 3, "A": [[1, 0], [0, 1]]}',  # wrong g
+    '{"type": "abelian", "g": 2.0, "A": [[1, 0], [0, 1]]}',  # float g
+    '{"type": "abelian", "g": true, "A": [[1]]}',          # boolean g
 ])
 def test_model_from_json_rejects(text):
     with pytest.raises(ValueError):

@@ -8,7 +8,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from plovlab.dynamics import AbelianSurrogate, model_from_json  # noqa: E402
+from oracles import mixed_determinant  # noqa: E402
+from plovlab.dynamics import (  # noqa: E402
+    AbelianSurrogate,
+    _vec_to_sym,
+    jordan_matrix,
+    model_from_json,
+)
 from plovlab.exactmat import (  # noqa: E402
     ExactMatrix,
     _exact_kernel,
@@ -134,3 +140,45 @@ def test_model_json_round_trip(a):
     back = model_from_json(m.to_json())
     assert back.a == m.a == a
     assert back.F == m.F
+
+
+@st.composite
+def intersect_calls(draw):
+    """g and a sequence of intersect calls.  Each class is num * v / den, for
+    v the ample class H or a primitive integer vector, num in {1, -1, 2} and
+    den in {1, 2, 3}, given as ints when integral or, at random, as
+    Fractions.  Each drawn call comes with a twin that redraws every den:
+    the twin has the same integer-cleared classes and another scale, and the
+    summed classes of the two calls coincide before clearing while they
+    differ after it.  Every call is made twice, the sequence is shuffled,
+    and each call's classes are permuted."""
+    g = draw(st.integers(2, 4))
+    dim = g * (g + 1) // 2
+    h = [int(i == j) for i in range(g) for j in range(i, g)]
+    v = [1] + [draw(st.integers(-2, 2)) for _ in range(dim - 1)]
+    dens = st.sampled_from((1, 2, 3))
+
+    def as_class(base, num, den):
+        vec = [Fraction(num * x, den) for x in base]
+        if all(x.denominator == 1 for x in vec) and draw(st.booleans()):
+            return [int(x) for x in vec]
+        return vec
+
+    specs = st.tuples(st.sampled_from((h, v)), st.sampled_from((1, -1, 2)))
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        call = [draw(specs) for _ in range(g)]
+        calls.append([as_class(base, num, draw(dens)) for base, num in call])
+        calls.append([as_class(base, num, draw(dens)) for base, num in call])
+    return g, [draw(st.permutations(c)) for c in draw(st.permutations(calls * 2))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(intersect_calls())
+def test_shared_surrogate_intersect_matches_oracle(case):
+    # one surrogate, and so one determinant memo, answers the whole sequence
+    g, calls = case
+    m = AbelianSurrogate(jordan_matrix((1,) * g))
+    for vecs in calls:
+        expected = mixed_determinant([_vec_to_sym(g, v) for v in vecs])
+        assert m.intersect(vecs) == expected, vecs
