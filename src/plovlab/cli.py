@@ -38,7 +38,7 @@ USAGE_ERROR = 2
 MISMATCH = 1
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args) -> int:
     if getattr(args, "deterministic", False):
         report.pop("duration_seconds", None)
     if getattr(args, "format", "json") == "csv" and "csv" in report:
@@ -47,11 +47,16 @@ def _emit(report: dict, args) -> None:
         report.pop("csv", None)
         text = json.dumps(report, indent=2, default=str) + "\n"
     out = getattr(args, "out", None)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out {out}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
+    return 0
 
 
 def _report(args, results: dict, ok: bool, started: float) -> int:
@@ -68,7 +73,8 @@ def _report(args, results: dict, ok: bool, started: float) -> int:
     }
     if "csv" in results:
         report["csv"] = results.pop("csv")
-    _emit(report, args)
+    if _emit(report, args):
+        return USAGE_ERROR
     return 0 if ok else MISMATCH
 
 
@@ -138,6 +144,9 @@ def _reproduce_table2(args, started):
             t = tuple(int(x) for x in args.truncate.split(","))
             if any(x <= 0 for x in t):
                 raise ValueError("t entries must be positive")
+            # r = len(t) - 1 must be positive: the cell's k = 2r
+            if len(t) < 2:
+                raise ValueError("t needs at least two entries")
         except ValueError as exc:
             print(f"error: bad --truncate tuple: {exc}", file=sys.stderr)
             return USAGE_ERROR

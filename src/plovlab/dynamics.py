@@ -14,14 +14,13 @@ symmetric matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, sub
 from random import Random
 
-from .exactmat import ExactMatrix, _exact
+from .exactmat import ExactMatrix, Record, _exact
 from .incidence import build_incidence, kappa_of
 from .partitions import (
     Partition,
@@ -65,11 +64,13 @@ class ModelError(ValueError):
 # ---------------------------------------------------------------------------
 # exact univariate polynomials in n
 
-@dataclass(frozen=True)
-class UnivariatePoly:
+class UnivariatePoly(Record):
     """Polynomial in n with rational coefficients, ascending by power."""
 
-    coeffs: tuple[Fraction, ...] = field(default=())
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...] = ()):
+        self._set(coeffs)
 
     @staticmethod
     def from_coeffs(coeffs) -> "UnivariatePoly":
@@ -504,13 +505,12 @@ def degree_growth_exponent(model) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class WVector:
-    k: int
-    d: int
-    n: int
-    index: object
-    values: tuple[Fraction, ...]
+class WVector(Record):
+    __slots__ = _fields = ("k", "d", "n", "index", "values")
+
+    def __init__(self, k: int, d: int, n: int, index,
+                 values: tuple[Fraction, ...]):
+        self._set(k, d, n, index, values)
 
     def __getitem__(self, lam: Partition) -> Fraction:
         return self.values[self.index.index_of(lam)]
@@ -542,10 +542,11 @@ def verify_linear_system(model, n: int, k: int | None = None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DeltaExpansion:
-    poly: UnivariatePoly
-    plov: int
+class DeltaExpansion(Record):
+    __slots__ = _fields = ("poly", "plov")
+
+    def __init__(self, poly: UnivariatePoly, plov: int):
+        self._set(poly, plov)
 
 
 def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -608,11 +609,11 @@ def delta_polynomial(model) -> DeltaExpansion:
     return prep["delta"]
 
 
-@dataclass(frozen=True)
-class DistinguishedPartition:
-    r: int
-    t: tuple[int, ...]
-    kappa: Partition
+class DistinguishedPartition(Record):
+    __slots__ = _fields = ("r", "t", "kappa")
+
+    def __init__(self, r: int, t: tuple[int, ...], kappa: Partition):
+        self._set(r, t, kappa)
 
 
 def find_distinguished_kappa(model) -> DistinguishedPartition:

@@ -27,7 +27,6 @@ anywhere.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -36,22 +35,59 @@ __all__ = ["ExactMatrix", "SparseMultiPoly", "matrix_rank", "nullspace_basis"]
 Entry = tuple[int, int | Fraction]
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields``, lists them in ``__slots__``
+    and stores them with ``_set`` from its ``__init__``.  Two records of the
+    same class are equal, and hash alike, when their fields are equal.
+    Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ExactMatrix(Record):
     """Sparse matrix of rationals; rows hold (col, value) pairs with strictly
     increasing column indices and no explicit zeros.  An integral value is an
     int, any other a Fraction.  Degenerate 0 x m and m x 0 shapes are
     legal."""
 
-    nrows: int
-    ncols: int
-    rows: tuple[tuple[Entry, ...], ...] = field(repr=False)
+    __slots__ = _fields = ("nrows", "ncols", "rows")
 
-    def __post_init__(self):
-        if self.nrows < 0 or self.ncols < 0:
+    def __init__(self, nrows: int, ncols: int,
+                 rows: tuple[tuple[Entry, ...], ...]):
+        if nrows < 0 or ncols < 0:
             raise ValueError("negative shape")
-        if len(self.rows) != self.nrows:
+        if len(rows) != nrows:
             raise ValueError("row count mismatch")
+        self._set(nrows, ncols, rows)
 
     @staticmethod
     def from_rows(nrows: int, ncols: int, row_dicts) -> "ExactMatrix":
@@ -392,12 +428,13 @@ def _primitive(ints: list[int]) -> list[Fraction]:
     return [Fraction(v) for v in ints]
 
 
-@dataclass(frozen=True)
-class SparseMultiPoly:
+class SparseMultiPoly(Record):
     """Multivariate polynomial with fixed arity: {exponent tuple: coefficient}."""
 
-    arity: int
-    terms: dict[tuple[int, ...], Fraction] = field(repr=False)
+    __slots__ = _fields = ("arity", "terms")
+
+    def __init__(self, arity: int, terms: dict[tuple[int, ...], Fraction]):
+        self._set(arity, terms)
 
     @staticmethod
     def from_terms(arity: int, terms) -> "SparseMultiPoly":

@@ -10,12 +10,12 @@ and the rank/nullity verification reports.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .exactmat import (
     ExactMatrix,
+    Record,
     assemble_block_lower,
     hstack,
     matrix_rank,
@@ -48,14 +48,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    k: int
-    d: int
-    n: int
-    row_set: PartitionSet
-    col_set: PartitionSet
-    data: ExactMatrix
+class IncidenceMatrix(Record):
+    __slots__ = _fields = ("k", "d", "n", "row_set", "col_set", "data")
+
+    def __init__(self, k: int, d: int, n: int, row_set: PartitionSet,
+                 col_set: PartitionSet, data: ExactMatrix):
+        self._set(k, d, n, row_set, col_set, data)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -97,13 +95,16 @@ def truncate_columns(
     return m.data.submatrix_columns(keep), kept
 
 
-@dataclass(frozen=True)
-class BlockForm:
-    top_left: IncidenceMatrix      # A_{k, d-1, n-k}
-    bottom_right: IncidenceMatrix  # A_{k-1, d, n}
-    bottom_left: ExactMatrix
-    top_right_is_zero: bool
-    reassembles: bool
+class BlockForm(Record):
+    __slots__ = _fields = ("top_left", "bottom_right", "bottom_left",
+                           "top_right_is_zero", "reassembles")
+
+    def __init__(self, top_left: IncidenceMatrix, bottom_right: IncidenceMatrix,
+                 bottom_left: ExactMatrix, top_right_is_zero: bool,
+                 reassembles: bool):
+        # top_left is A_{k, d-1, n-k}, bottom_right is A_{k-1, d, n}
+        self._set(top_left, bottom_right, bottom_left, top_right_is_zero,
+                  reassembles)
 
 
 def block_form(k: int, d: int, n: int) -> BlockForm:

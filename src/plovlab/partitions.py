@@ -7,8 +7,9 @@ lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+
+from .exactmat import Record
 
 __all__ = [
     "Partition",
@@ -80,14 +81,14 @@ def enumerate_partitions(k: int, d: int, n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PartitionSet:
+class PartitionSet(Record):
     """P(k, d, n) with members in decreasing lexicographic order."""
 
-    k: int
-    d: int
-    n: int
-    members: tuple[Partition, ...] = field(repr=False)
+    _fields = ("k", "d", "n", "members")
+    __slots__ = _fields + ("_idx",)
+
+    def __init__(self, k: int, d: int, n: int, members: tuple[Partition, ...]):
+        self._set(k, d, n, members)
 
     def __len__(self) -> int:
         return len(self.members)

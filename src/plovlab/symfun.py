@@ -10,12 +10,11 @@ the combinatorics and the intersection-number computations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exactmat import SparseMultiPoly
+from .exactmat import Record, SparseMultiPoly
 from .partitions import (
     Partition,
     PartitionSet,
@@ -38,16 +37,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoeffVector:
+class CoeffVector(Record):
     """Rational coefficients indexed by a partition set in decreasing lex order."""
 
-    index: PartitionSet
-    entries: tuple[Fraction, ...] = field(repr=False)
+    __slots__ = _fields = ("index", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != len(self.index):
+    def __init__(self, index: PartitionSet, entries: tuple[Fraction, ...]):
+        if len(entries) != len(index):
             raise ValueError("entry count must match the index set")
+        self._set(index, entries)
 
     def __getitem__(self, lam: Partition) -> Fraction:
         return self.entries[self.index.index_of(lam)]

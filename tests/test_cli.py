@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -83,10 +86,16 @@ def test_table2_above_cap(capsys, argv, what):
     assert err == f"error: {what}, above the cap of 9\n"
 
 
-@pytest.mark.parametrize("t", ["2,1,1,1,1,1,1", "3,2,2,2"])
-def test_table2_truncate_extended_gate(capsys, t):
-    err = usage_error_line(capsys, "reproduce", "table2", "--truncate", t)
-    assert "requires --extended" in err
+@pytest.mark.parametrize("argv, message", [
+    (("2,1,1,1,1,1,1",), "requires --extended"),
+    (("3,2,2,2",), "requires --extended"),
+    (("1",), "t needs at least two entries"),
+    (("3",), "t needs at least two entries"),
+    (("2", "--n", "0"), "t needs at least two entries"),
+])
+def test_table2_truncate_usage(capsys, argv, message):
+    err = usage_error_line(capsys, "reproduce", "table2", "--truncate", *argv)
+    assert message in err
 
 
 def test_table2_truncate_d7_allowed(capsys):
@@ -251,3 +260,26 @@ def test_out_file(capsys, tmp_path):
     code = main(["reproduce", "matrix-examples", "--out", str(path)])
     assert code == 0
     assert json.loads(path.read_text())["pass"]
+
+
+def test_out_unwritable(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    err = usage_error_line(capsys, "plov", "--abelian-blocks", "2",
+                           "--out", str(path))
+    assert err.startswith(f"error: cannot write --out {path}: ")
+
+
+def test_import_loads_no_dataclasses():
+    # in a fresh interpreter, because pytest itself imports both modules
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def loaded(code):
+        out = subprocess.run(
+            [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        return set(out.split())
+
+    added = loaded("import plovlab.cli") - loaded("pass")
+    assert "plovlab.cli" in added
+    assert not added & {"dataclasses", "inspect"}

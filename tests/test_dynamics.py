@@ -16,6 +16,7 @@ from oracles import (
 from plovlab import dynamics
 from plovlab.dynamics import (
     AbelianSurrogate,
+    UnivariatePoly,
     _prepared,
     _vec_to_sym,
     ModelError,
@@ -47,6 +48,12 @@ def test_power_sum_polynomials():
         s = power_sum_polynomial(i)
         for n in range(0, 8):
             assert s(n) == sum(Fraction(m) ** i for m in range(n))
+
+
+def test_univariate_poly_defaults_to_zero():
+    zero = UnivariatePoly()
+    assert zero == UnivariatePoly.from_coeffs([0, 0])
+    assert zero.degree == -1 and zero(5) == 0
 
 
 def test_charpoly():

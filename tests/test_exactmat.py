@@ -68,6 +68,19 @@ def test_degenerate_shapes():
     assert nullspace_basis(tall) == []
 
 
+@pytest.mark.parametrize("nrows, ncols, rows", [(-1, 0, ()), (2, 1, ((),))])
+def test_exact_matrix_rejects_bad_shape(nrows, ncols, rows):
+    with pytest.raises(ValueError):
+        ExactMatrix(nrows, ncols, rows)
+
+
+def test_exact_matrix_fields_are_read_only():
+    m = ExactMatrix(1, 1, (((0, 1),),))
+    with pytest.raises(AttributeError):
+        m.nrows = 2
+    assert m == ExactMatrix(1, 1, (((0, 1),),)) and m.nrows == 1
+
+
 def test_entry_and_submatrix():
     m = ExactMatrix.from_dense([[1, 0, 2], [0, 3, 0]])
     assert m.entry(0, 2) == 2

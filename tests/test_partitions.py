@@ -93,6 +93,16 @@ def test_format_parse_roundtrip():
         parse_partition("1,2,3")
 
 
+def test_partition_set_is_a_value():
+    a, b = partition_set(5, 3, 6), partition_set(5, 3, 6)
+    assert a == b and hash(a) == hash(b)
+    assert a.index_of((2, 2, 2)) == b.index_of((2, 2, 2))  # fills one lazy index
+    assert a == b and hash(a) == hash(b)
+    assert a != partition_set(5, 3, 7)
+    with pytest.raises(AttributeError):
+        a.members = ()
+
+
 def test_index_of():
     ps = partition_set(5, 3, 6)
     for i, p in enumerate(ps):

@@ -208,6 +208,12 @@ def test_hilbert_product_values():
         hilbert_product(1)
 
 
+def test_coeff_vector_rejects_wrong_entry_count():
+    index = partition_set(2, 2, 2)
+    with pytest.raises(ValueError):
+        CoeffVector(index, (Fraction(1),) * (len(index) + 1))
+
+
 def test_coeff_vector_json():
     v = vandermonde_coeff_vector(1, 2)
     text = coeff_vector_to_json(v)
