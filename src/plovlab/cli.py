@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from random import Random
@@ -38,6 +39,24 @@ USAGE_ERROR = 2
 MISMATCH = 1
 
 
+def _out_error(path: str, exc: OSError) -> int:
+    print(f"error: cannot write --out {path}: {exc.strerror}", file=sys.stderr)
+    return USAGE_ERROR
+
+
+def _check_out(path: str) -> int:
+    """Open --out for appending before any work starts, so that an
+    unwritable path exits 2 at once; a file the check creates is removed."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        return _out_error(path, exc)
+    if not existed:
+        os.remove(path)
+    return 0
+
+
 def _emit(report: dict, args) -> int:
     if getattr(args, "deterministic", False):
         report.pop("duration_seconds", None)
@@ -54,8 +73,7 @@ def _emit(report: dict, args) -> int:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write --out {out}: {exc.strerror}", file=sys.stderr)
-        return USAGE_ERROR
+        return _out_error(out, exc)
     return 0
 
 
@@ -404,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.out and _check_out(args.out):
+        return USAGE_ERROR
     return args.func(args)
 
 

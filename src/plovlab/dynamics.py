@@ -24,7 +24,6 @@ from .exactmat import ExactMatrix, Record, _exact
 from .incidence import build_incidence, kappa_of
 from .partitions import (
     Partition,
-    enumerate_partitions,
     format_partition,
     multiplicities,
     partition_set,
@@ -37,7 +36,6 @@ __all__ = [
     "AbelianSurrogate",
     "unipotent_power",
     "nilpotent_log",
-    "nilpotent_exp",
     "degree_growth_exponent",
     "w_vector",
     "verify_linear_system",
@@ -150,11 +148,6 @@ def mat_add(a, b):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    c = Fraction(c)
-    return [[x * c for x in r] for r in a]
 
 
 def mat_is_zero(a) -> bool:
@@ -301,19 +294,6 @@ def nilpotent_log(u) -> list[list[Fraction]]:
     return [[Fraction(x, c) for x in r] for r in out]
 
 
-def nilpotent_exp(l) -> list[list[Fraction]]:
-    """exp of a nilpotent matrix via the terminating series."""
-    g = len(l)
-    out = mat_identity(g)
-    power = mat_identity(g)
-    for i in range(1, g + 1):
-        power = mat_mul(power, l)
-        if mat_is_zero(power):
-            break
-        out = mat_add(out, mat_scale(power, Fraction(1, factorial(i))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # abelian surrogates
 
@@ -401,10 +381,11 @@ class AbelianSurrogate:
 
         The determinant of each integer summed class is memoised on the
         surrogate, keyed by the class itself, so a class that recurs within
-        a call or across calls is eliminated once.  For the w-table of a
-        model with classes (cL)^i H, i <= K, every summed class is a
-        sub-multiset of size <= g of those K + 1 classes, so the memo holds
-        at most C(K + 1 + g, g) entries: 12,376 for the Jordan block (6,)."""
+        a call or across calls is eliminated once.  The pipeline reads its
+        w-table from one polynomial determinant (`_det_table`) and calls
+        this once per k >= 2 model, to certify w_kappa: the g classes
+        (cL)^{kappa_j} H of the distinguished partition, 2^g summed classes
+        when they are distinct."""
         g = self.g
         if len(vecs) != g:
             raise ValueError(f"need exactly {g} classes")
@@ -454,16 +435,63 @@ class AbelianSurrogate:
 # ---------------------------------------------------------------------------
 # the pipeline
 
+def _det_table(g: int, clh) -> dict[Partition, int]:
+    """Every nonzero intersection of the integer classes clh[i], at once.
+
+    det(sum_i s_i M_i), M_i the g x g form of clh[i], is expanded row by row:
+    after r rows, each set of used columns (a bitmask) holds the signed sum,
+    as a polynomial in s, of the products of the chosen entries, and a new
+    column j adds the sign (-1)^(used columns right of j).  The monomial s^e
+    is the int sum e_i (g+1)^i (every e_i <= g), so multiplying by s_i adds
+    (g+1)^i.  The polarized determinant is symmetric and multilinear, so
+    [s^e] det = (intersection with clh[i] taken e_i times) / prod e_i!
+    (Bapat 1989); each nonzero coefficient is decoded into the partition
+    lambda with multiplicities e and scaled by prod e_i!.
+    """
+    base = g + 1
+    mats = [_vec_to_sym(g, v) for v in clh]
+    # entries[r][j]: the terms (code of s_i, M_i[r][j]) with M_i[r][j] != 0
+    entries = [[[(base ** i, m[r][j]) for i, m in enumerate(mats) if m[r][j]]
+                for j in range(g)] for r in range(g)]
+    layer = {0: {0: 1}}
+    for row in entries:
+        nxt: dict[int, dict[int, int]] = {}
+        for mask, poly in layer.items():
+            for j, terms in enumerate(row):
+                if mask >> j & 1 or not terms:
+                    continue
+                sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
+                out = nxt.setdefault(mask | 1 << j, {})
+                for step, v in terms:
+                    v *= sign
+                    for code, coef in poly.items():
+                        key = code + step
+                        out[key] = out.get(key, 0) + v * coef
+        layer = {mask: {code: coef for code, coef in poly.items() if coef}
+                 for mask, poly in nxt.items()}
+    table = {}
+    for code, coef in layer.get((1 << g) - 1, {}).items():
+        lam = []
+        weight = coef
+        for i in range(len(clh)):
+            code, e = divmod(code, base)
+            lam[:0] = [i] * e
+            weight *= factorial(e)
+        table[tuple(lam)] = weight
+    return table
+
+
 def _prepared(model):
-    """Cache the classes (cL)^i H and the w-table on the model instance.
+    """Cache c, the classes (cL)^i H and the w-table on the model instance.
 
     c is the lcm of the denominators of L, so cL is an integer matrix and
     (cL)^i H = c^i L^i H is an integer class for an integer H.  The classes
     run up to the last nonzero one, K = len(cLH) - 1, and the w-table maps
     each partition with d parts in [0, K] to w_lambda, the intersection of
     (L^{lambda_1} H, ..., L^{lambda_d} H): by multilinearity, the intersection
-    of the scaled classes divided by c^{|lambda|}.  Every other w_lambda is
-    zero.
+    of the scaled classes, read from one determinant by `_det_table`, divided
+    by c^{|lambda|}.  Only the nonzero w_lambda are stored; every other
+    w_lambda is zero.
     """
     cache = getattr(model, "_pipeline_cache", None)
     if cache is None:
@@ -476,11 +504,9 @@ def _prepared(model):
             if not any(v):
                 break
             lh.append(v)
-        kmax = len(lh) - 1
-        w = {lam: Fraction(model.intersect([lh[part] for part in lam]), c ** n)
-             for n in range(model.d * kmax + 1)
-             for lam in enumerate_partitions(kmax, model.d, n)}
-        cache = {"cLH": lh, "w": w}
+        w = {lam: Fraction(v, c ** sum(lam))
+             for lam, v in _det_table(model.g, lh).items()}
+        cache = {"cLH": lh, "c": c, "w": w}
         model._pipeline_cache = cache
     return cache
 
@@ -491,7 +517,7 @@ def degree_growth_exponent(model) -> int:
     prep = _prepared(model)
     nilp_index = len(prep["cLH"])  # L^nilp_index H = 0
     best = next((i for i in range(nilp_index - 1, -1, -1)
-                 if prep["w"][(i,) + (0,) * (d - 1)] != 0), 0)
+                 if prep["w"].get((i,) + (0,) * (d - 1), 0) != 0), 0)
     if best % 2 != 0 or best > 2 * d - 2:
         raise ModelError(f"degree growth exponent {best} is odd or above 2d-2")
     if best != nilp_index - 1:
@@ -527,16 +553,22 @@ def w_vector(model, n: int, k: int | None = None) -> WVector:
         raise ValueError(f"n={n} outside [1, {d * k}]")
     index = partition_set(k, d, n)
     w = _prepared(model)["w"]
-    return WVector(k, d, n, index, tuple(w[lam] for lam in index))
+    return WVector(k, d, n, index, tuple(w.get(lam, 0) for lam in index))
 
 
 def verify_linear_system(model, n: int, k: int | None = None) -> bool:
-    """A_{k,d,n} . w = 0, exactly."""
+    """A_{k,d,n} . w = 0, exactly.
+
+    Every lambda in P(k, d, n) has |lambda| = n, so c^n clears each
+    denominator of w, and the system is checked on the integer numerators.
+    """
     if k is None:
         k = degree_growth_exponent(model)
     w = w_vector(model, n, k)
+    scale = _prepared(model)["c"] ** n
     mat = build_incidence(k, model.d, n)
-    residual = mat.data.matvec(list(w.values))
+    residual = mat.data.matvec(
+        [v.numerator * (scale // v.denominator) for v in w.values])
     if any(v != 0 for v in residual):
         raise ModelError(f"linear system violated at (k={k}, d={model.d}, n={n})")
     return True
@@ -566,10 +598,9 @@ def delta_polynomial(model) -> DeltaExpansion:
     The expansion runs over ints: S_i/i! = q_i/D_i with q_i an integer
     polynomial, each power q_i^e is built once, every term is brought to the
     common denominator of all terms, and each coefficient is divided by it
-    once at the end.  The w-values are read from the w-table, whose
-    intersections share one determinant memo per model (see
-    `AbelianSurrogate.intersect`).  The result is kept in the per-model
-    cache, so a second call reads it back.
+    once at the end.  The w-values are the nonzero entries of the w-table
+    (see `_prepared`).  The result is kept in the per-model cache, so a
+    second call reads it back.
     """
     prep = _prepared(model)
     if "delta" in prep:
@@ -589,21 +620,28 @@ def delta_polynomial(model) -> DeltaExpansion:
         powers.append(row)
     terms = []
     for lam, w in prep["w"].items():
-        if w == 0 or lam[0] > k:
+        if lam[0] > k:
             continue
         e = multiplicities(lam, k)
         num = factorial(d) // prod(factorial(e_i) for e_i in e) * w.numerator
         den = w.denominator * prod(dens[i] ** e_i for i, e_i in enumerate(e))
         terms.append((num, den, e))
     common = lcm(*(den for _, den, _ in terms))
-    total = [0] * (d * (k + 1) + 1)
-    for num, den, e in terms:
-        poly = [num * (common // den)]
-        for i, e_i in enumerate(e):
-            if e_i:
-                poly = _int_poly_mul(poly, powers[i][e_i])
-        for m, c in enumerate(poly):
-            total[m] += c
+    # Horner over the multiplicities, last index first: the terms that agree
+    # on e_0 .. e_{i-1} are added up before they are multiplied by the
+    # powers of q_{i-1} .. q_0 that they share
+    level = {tuple(e): [num * (common // den)] for num, den, e in terms}
+    for i in range(k, -1, -1):
+        summed: dict[tuple, list[int]] = {}
+        for e, poly in level.items():
+            if e[i]:
+                poly = _int_poly_mul(poly, powers[i][e[i]])
+            acc = summed.setdefault(e[:i], [])
+            acc += [0] * (len(poly) - len(acc))
+            for m, c in enumerate(poly):
+                acc[m] += c
+        level = summed
+    total = level.get((), [])
     poly = UnivariatePoly.from_coeffs([Fraction(c, common) for c in total])
     prep["delta"] = DeltaExpansion(poly, poly.degree)
     return prep["delta"]
@@ -617,14 +655,21 @@ class DistinguishedPartition(Record):
 
 
 def find_distinguished_kappa(model) -> DistinguishedPartition:
-    """The unique positive tuple t with w positive at kappa(t) and vanishing above it."""
+    """The unique positive tuple t with w positive at kappa(t) and vanishing
+    above it.
+
+    w_kappa is then certified by a second, independent route: one
+    `intersect` of the classes (cL)^{kappa_j} H, a polarization sum of at
+    most 2^d determinants, divided by c^|kappa|.
+    """
     d = model.d
     k = degree_growth_exponent(model)
     if k < 2:
         raise ModelError("distinguished partition requires k = 2r >= 2")
     r = k // 2
-    w = _prepared(model)["w"]
-    nonzero = [lam for lam, v in w.items() if v != 0 and lam[0] <= k]
+    prep = _prepared(model)
+    w = prep["w"]
+    nonzero = [lam for lam in w if lam[0] <= k]
 
     def compositions(total: int, parts: int):
         if parts == 1:
@@ -639,12 +684,18 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
     for t in compositions(d, r + 1):
         kappa = kappa_of(t)
         # tuples of equal length compare in lexicographic order
-        if w[kappa] > 0 and all(lam <= kappa for lam in nonzero):
+        if w.get(kappa, 0) > 0 and all(lam <= kappa for lam in nonzero):
             matches.append(t)
     if len(matches) != 1:
         raise ModelError(f"distinguished tuple not unique: {matches}")
     t = matches[0]
     kappa = kappa_of(t)
+    certified = Fraction(model.intersect([prep["cLH"][p] for p in kappa]),
+                         prep["c"] ** sum(kappa))
+    if certified != w[kappa]:
+        raise ModelError(
+            f"w_kappa mismatch at kappa = {format_partition(kappa)}: "
+            f"determinant table {w[kappa]}, intersect {certified}")
     weighted = sum(2 * j * t[j] for j in range(1, r + 1))
     if not r * (r + 1) <= weighted <= r * d:
         raise ModelError(f"boundedness violated: {weighted}")
@@ -685,7 +736,9 @@ def hilbert_top_coefficient_check(model) -> dict:
         raise ValueError("requires maximal degree growth k = 2d-2")
     expansion = delta_polynomial(model)
     top = expansion.poly.coeff(d * d)
-    w_kappa = _prepared(model)["w"][kappa_of(tuple([1] * d))]
+    # kappa is the distinguished partition, whose w-value
+    # find_distinguished_kappa certifies against intersect
+    w_kappa = _prepared(model)["w"].get(kappa_of(tuple([1] * d)), 0)
     expected = w_kappa * hilbert_product(d)
     report = {"coefficient": top, "expected": expected, "w_kappa": w_kappa,
               "pass": top == expected}
@@ -807,11 +860,13 @@ def run_pipeline(model: AbelianSurrogate) -> dict:
         "conjecture_lb": checks["conjecture_lb"],
     }
     if k >= 2:
-        for n in range(1, d * k + 1):
-            verify_linear_system(model, n, k)
+        # kappa first: its intersect certificate names a wrong w_kappa
+        # before the linear systems that read it
         dist = find_distinguished_kappa(model)
         report["kappa"] = format_partition(dist.kappa)
         report["t"] = list(dist.t)
+        for n in range(1, d * k + 1):
+            verify_linear_system(model, n, k)
     if k == 2 * d - 2:
         hil = hilbert_top_coefficient_check(model)
         report["checks"]["hilbert"] = hil["pass"]

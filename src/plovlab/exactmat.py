@@ -126,10 +126,11 @@ class ExactMatrix(Record):
                 out[i][c] = v
         return out
 
-    def matvec(self, x) -> list[Fraction]:
+    def matvec(self, x) -> list:
+        """A x; integral entries and an int x give ints."""
         if len(x) != self.ncols:
             raise ValueError("dimension mismatch")
-        return [sum((v * x[c] for c, v in row), Fraction(0)) for row in self.rows]
+        return [sum(v * x[c] for c, v in row) for row in self.rows]
 
     def submatrix_columns(self, cols: list[int]) -> "ExactMatrix":
         """Keep the given columns (in the given order), renumbering from 0."""

@@ -27,7 +27,6 @@ from .partitions import (
     bump,
     count,
     enumerate_partitions,
-    format_partition,
     lex_compare,
     partition_set,
 )
@@ -268,11 +267,3 @@ def matrix_to_csv(m: IncidenceMatrix) -> str:
     for row in m.data.to_dense():
         buf.write(",".join(str(int(v)) for v in row) + "\n")
     return buf.getvalue()
-
-
-def row_labels(m: IncidenceMatrix) -> list[str]:
-    return [format_partition(p) for p in m.row_set]
-
-
-def col_labels(m: IncidenceMatrix) -> list[str]:
-    return [format_partition(p) for p in m.col_set]

@@ -149,20 +149,20 @@ def _count(k: int, d: int, n: int) -> int:
 
 
 def bump(mu: Partition, i: int, k: int) -> tuple[Partition, int] | None:
-    """Replace one part equal to i with i+1 and re-sort.
+    """Replace one part equal to i with i+1.
 
     Returns (mu(i), weight e_i), or None when mu has no part equal to i
-    (which maps to a zero matrix entry).  Requires 0 <= i <= k-1.
+    (which maps to a zero matrix entry).  Requires 0 <= i <= k-1.  The
+    first part equal to i is raised: every part before it is at least
+    i+1, so mu(i) is weakly decreasing as mu is.
     """
     if not 0 <= i <= k - 1:
         raise ValueError(f"bump index {i} outside [0, {k - 1}]")
-    e_i = sum(1 for part in mu if part == i)
+    e_i = mu.count(i)
     if e_i == 0:
         return None
-    out = list(mu)
-    out[out.index(i)] = i + 1
-    out.sort(reverse=True)
-    return tuple(out), e_i
+    p = mu.index(i)
+    return mu[:p] + (i + 1,) + mu[p + 1:], e_i
 
 
 def decompose(k: int, d: int, n: int) -> tuple[tuple[Partition, ...], PartitionSet]:

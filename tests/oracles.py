@@ -13,10 +13,14 @@ from math import factorial
 from plovlab.dynamics import (
     _prepared,
     degree_growth_exponent,
+    mat_add,
+    mat_identity,
+    mat_is_zero,
+    mat_mul,
     power_sum_polynomial,
 )
 from plovlab.exactmat import SparseMultiPoly
-from plovlab.partitions import multiplicities
+from plovlab.partitions import enumerate_partitions, multiplicities
 
 
 def brute_force_partitions(k, d, n):
@@ -194,6 +198,24 @@ def nilpotent_log_fraction(u):
     return None
 
 
+def mat_scale(a, c):
+    c = Fraction(c)
+    return [[x * c for x in r] for r in a]
+
+
+def nilpotent_exp(l):
+    """exp of a nilpotent matrix via the terminating series."""
+    g = len(l)
+    out = mat_identity(g)
+    power = mat_identity(g)
+    for i in range(1, g + 1):
+        power = mat_mul(power, l)
+        if mat_is_zero(power):
+            break
+        out = mat_add(out, mat_scale(power, Fraction(1, factorial(i))))
+    return out
+
+
 def fraction_poly_mul(a, b):
     """Product of two ascending coefficient lists, every entry a Fraction."""
     if not a or not b:
@@ -229,3 +251,19 @@ def delta_multinomial_fraction(model):
     while total and total[-1] == 0:
         total.pop()
     return total
+
+
+def w_table_by_polarization(model):
+    """The nonzero w_lambda, one `intersect` polarization sum per partition:
+    the intersection of the integer classes (cL)^{lambda_j} H divided by
+    c^|lambda|, over every partition with d parts in [0, K]."""
+    prep = _prepared(model)
+    lh, c = prep["cLH"], prep["c"]
+    kmax = len(lh) - 1
+    table = {}
+    for n in range(model.d * kmax + 1):
+        for lam in enumerate_partitions(kmax, model.d, n):
+            w = model.intersect([lh[part] for part in lam]) / c ** n
+            if w:
+                table[lam] = w
+    return table

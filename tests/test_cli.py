@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from plovlab import cli
 from plovlab.cli import main
 
 
@@ -267,6 +268,27 @@ def test_out_unwritable(capsys, tmp_path):
     err = usage_error_line(capsys, "plov", "--abelian-blocks", "2",
                            "--out", str(path))
     assert err.startswith(f"error: cannot write --out {path}: ")
+
+
+def test_out_unwritable_fails_before_work(capsys, tmp_path, monkeypatch):
+    # the --out check runs before the pipeline, so no finished work is lost
+    def no_work(model):
+        raise AssertionError("the pipeline ran before the --out check")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_work)
+    path = tmp_path / "missing" / "report.json"
+    err = usage_error_line(capsys, "plov", "--abelian-blocks", "2",
+                           "--out", str(path))
+    assert err == (f"error: cannot write --out {path}: "
+                   "No such file or directory\n")
+    # a writable path is left as it was: absent, or with its old contents
+    fresh = tmp_path / "fresh.json"
+    kept = tmp_path / "kept.json"
+    kept.write_text("old")
+    for target in (fresh, kept):
+        with pytest.raises(AssertionError):
+            main(["plov", "--abelian-blocks", "2", "--out", str(target)])
+    assert not fresh.exists() and kept.read_text() == "old"
 
 
 def test_import_loads_no_dataclasses():

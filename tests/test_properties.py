@@ -1,6 +1,7 @@
 """Property tests: invariants checked on small inputs drawn by Hypothesis."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -8,12 +9,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oracles import mixed_determinant  # noqa: E402
+from oracles import mixed_determinant, w_table_by_polarization  # noqa: E402
 from plovlab.dynamics import (  # noqa: E402
     AbelianSurrogate,
+    _prepared,
     _vec_to_sym,
     jordan_matrix,
     model_from_json,
+    random_conjugate,
 )
 from plovlab.exactmat import (  # noqa: E402
     ExactMatrix,
@@ -182,3 +185,21 @@ def test_shared_surrogate_intersect_matches_oracle(case):
     for vecs in calls:
         expected = mixed_determinant([_vec_to_sym(g, v) for v in vecs])
         assert m.intersect(vecs) == expected, vecs
+
+
+@st.composite
+def jordan_type(draw):
+    """Weakly decreasing block sizes summing to g in [2, 5]."""
+    rest = draw(st.integers(2, 5))
+    blocks = []
+    while rest:
+        blocks.append(draw(st.integers(1, min(rest, blocks[-1] if blocks else rest))))
+        rest -= blocks[-1]
+    return tuple(blocks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(jordan_type(), st.integers(0, 2**32 - 1))
+def test_det_table_matches_polarization(blocks, seed):
+    m = random_conjugate(blocks, Random(seed))
+    assert _prepared(m)["w"] == w_table_by_polarization(m), (blocks, m.a)
