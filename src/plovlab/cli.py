@@ -37,6 +37,8 @@ from .partitions import count, format_partition
 
 USAGE_ERROR = 2
 MISMATCH = 1
+# largest k and d of reproduce fullrank, one instance or the sweep
+FULLRANK_MAX = 6
 
 
 def _out_error(path: str, exc: OSError) -> int:
@@ -245,13 +247,19 @@ def _reproduce_fullrank(args, started):
         if not (args.k >= 1 and args.d >= 1 and 1 <= args.n <= args.d * args.k):
             print("error: need 1 <= n <= d*k", file=sys.stderr)
             return USAGE_ERROR
+        for flag, v in (("--k", args.k), ("--d", args.d)):
+            if v > FULLRANK_MAX:
+                print(f"error: {flag} {v}, above the cap of {FULLRANK_MAX}",
+                      file=sys.stderr)
+                return USAGE_ERROR
         cases.append((args.k, args.d, args.n))
     else:
         dmax = args.d if args.d is not None else 5
-        if not 2 <= dmax <= 6:
-            print("error: --d must be between 2 and 6", file=sys.stderr)
+        if not 2 <= dmax <= FULLRANK_MAX:
+            print(f"error: --d must be between 2 and {FULLRANK_MAX}",
+                  file=sys.stderr)
             return USAGE_ERROR
-        for k in range(1, 7):
+        for k in range(1, FULLRANK_MAX + 1):
             for d in range(2, dmax + 1):
                 for n in range(1, d * k + 1):
                     cases.append((k, d, n))

@@ -144,6 +144,15 @@ def test_fullrank_single(capsys):
 def test_fullrank_usage(capsys):
     assert main(["reproduce", "fullrank", "--k", "5", "--d", "3", "--n", "99"]) == 2
     assert main(["reproduce", "fullrank", "--k", "5"]) == 2
+    # one instance is capped at k, d <= 6, as the sweep is
+    capsys.readouterr()
+    assert main(["reproduce", "fullrank", "--k", "12", "--d", "12", "--n", "70"]) == 2
+    assert main(["reproduce", "fullrank", "--k", "2", "--d", "7", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --k 12, above the cap of 6\n"
+                            "error: --d 7, above the cap of 6\n")
+    assert main(["reproduce", "fullrank", "--k", "6", "--d", "6", "--n", "3"]) == 0
 
 
 def test_plov_blocks(capsys):
@@ -183,6 +192,7 @@ def test_plov_entropy_rejected(capsys, tmp_path):
     '{"type": "abelian", "g": 2, "A": [[1, 0.5], [0, 1]]}',
     '{"type": "abelian", "g": 2, "A": [[1, 0], [0]]}',
     '{"type": "abelian", "g": 2.0, "A": [[1, 0], [0, 1]]}',
+    pytest.param('[' * 100000, id="nested-100000"),
 ])
 def test_plov_malformed_model(capsys, tmp_path, text):
     path = tmp_path / "model.json"

@@ -268,20 +268,59 @@ def test_kappa_certificate_catches_a_corrupt_table(monkeypatch):
 
 
 def test_pipeline_expands_delta_once(monkeypatch):
-    # run_pipeline and the Hilbert check share one expansion of Delta, which
-    # takes one power sum S_i for each i <= k
+    # run_pipeline and the Hilbert check share one evaluation of Delta: the
+    # first call takes one determinant of an orbit sum at each of the
+    # N = g len(cLH) + 1 points, and the Hilbert check's call reads it back
+    dets = []
     calls = []
-    inner = dynamics.power_sum_polynomial
+    inner_det = dynamics._int_det
+    inner = dynamics.delta_polynomial
 
-    def counting(i):
-        calls.append(i)
-        return inner(i)
+    def counting_det(a):
+        dets.append(1)
+        return inner_det(a)
 
-    monkeypatch.setattr(dynamics, "power_sum_polynomial", counting)
-    report = run_pipeline(AbelianSurrogate(jordan_matrix((4,)), jordan=(4,)))
-    assert report["pass"] and report["checks"]["hilbert"]
-    assert report["k"] == 6
-    assert sorted(calls) == list(range(7))
+    def counting(model):
+        before = len(dets)
+        result = inner(model)
+        calls.append(len(dets) - before)
+        return result
+
+    monkeypatch.setattr(dynamics, "_int_det", counting_det)
+    monkeypatch.setattr(dynamics, "delta_polynomial", counting)
+    for blocks, k in (((4,), 6), ((3, 1), 4)):
+        calls.clear()
+        m = AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
+        report = run_pipeline(m)
+        assert report["pass"] and report["k"] == k
+        points = m.g * len(_prepared(m)["cLH"]) + 1
+        assert points == m.g * (k + 1) + 1
+        if report["checks"]["hilbert"]:
+            assert calls == [points, 0], blocks
+        else:
+            assert calls == [points], blocks
+
+
+def test_delta_polynomial_reads_no_w_table(monkeypatch):
+    # Delta comes from the orbit of U alone: doubling every entry of the
+    # determinant table leaves it unchanged, and the Hilbert check, whose
+    # w_kappa the table gives, then fails
+    rng = Random(43)
+    mats = [random_conjugate(blocks, rng).a for blocks in ((4,), (3, 1), (2, 2, 1))]
+    expected = [delta_polynomial(AbelianSurrogate(a)) for a in mats]
+    tables = [_prepared(AbelianSurrogate(a))["w"] for a in mats]
+    inner = dynamics._det_table
+
+    def doubled(g, clh):
+        return {lam: 2 * v for lam, v in inner(g, clh).items()}
+
+    monkeypatch.setattr(dynamics, "_det_table", doubled)
+    for a, want, table in zip(mats, expected, tables):
+        m = AbelianSurrogate(a)
+        assert _prepared(m)["w"] == {lam: 2 * v for lam, v in table.items()}
+        assert delta_polynomial(m) == want, a
+    with pytest.raises(ModelError, match="Hilbert closed form mismatch"):
+        hilbert_top_coefficient_check(AbelianSurrogate(mats[0]))
 
 
 def test_delta_polynomial_equals_determinant():
@@ -322,6 +361,40 @@ def test_delta_polynomial_matches_fraction_oracle():
             if blocks == (1, 1, 1, 1):
                 assert degree_growth_exponent(jordan) == 0
     assert dens == {1, 2, 6, 12}
+    # quasi-unipotent actions, rotation (+) Jordan block, where the orbit of
+    # U = F^m and the orbit of F differ
+    for a, power, plov in (([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 4, 6),
+                           ([[-1, 1, 0], [0, -1, 0], [0, 0, 1]], 2, 5)):
+        m = AbelianSurrogate(a)
+        assert unipotent_power(m.F)[0] == power
+        expansion = delta_polynomial(m)
+        assert expansion.plov == plov
+        assert list(expansion.poly.coeffs) == delta_multinomial_fraction(m), a
+
+
+# plov and the top coefficient of Delta for the Jordan form of every g = 6
+# type, where the Fraction oracle takes about 10 s
+G6_DELTA = {
+    (6,): (36, "1/309071606732292096000000"),
+    (5, 1): (26, "1/30725775360000"),
+    (4, 2): (20, "1/14515200"),
+    (4, 1, 1): (18, "1/1209600"),
+    (3, 3): (18, "1/103680"),
+    (3, 2, 1): (14, "1/144"),
+    (3, 1, 1, 1): (12, "1/12"),
+    (2, 2, 2): (12, "5/12"),
+    (2, 2, 1, 1): (10, "5"),
+    (2, 1, 1, 1, 1): (8, "60"),
+    (1, 1, 1, 1, 1, 1): (6, "720"),
+}
+
+
+def test_delta_polynomial_pins_g6_jordan_forms():
+    assert set(G6_DELTA) == set(_jordan_types(6, 6))
+    for blocks, (plov, top) in G6_DELTA.items():
+        expansion = delta_polynomial(
+            AbelianSurrogate(jordan_matrix(blocks), jordan=blocks))
+        assert (expansion.plov, str(expansion.poly.coeffs[-1])) == (plov, top), blocks
 
 
 def test_intersection_form_invariance():
@@ -441,6 +514,7 @@ def test_model_json_roundtrip():
     '{"type": "abelian", "g": 3, "A": [[1, 0], [0, 1]]}',  # wrong g
     '{"type": "abelian", "g": 2.0, "A": [[1, 0], [0, 1]]}',  # float g
     '{"type": "abelian", "g": true, "A": [[1]]}',          # boolean g
+    pytest.param('[' * 100000, id="nested-100000"),       # nested too deeply
 ])
 def test_model_from_json_rejects(text):
     with pytest.raises(ValueError):
