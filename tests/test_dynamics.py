@@ -288,17 +288,15 @@ def test_pipeline_expands_delta_once(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_int_det", counting_det)
     monkeypatch.setattr(dynamics, "delta_polynomial", counting)
-    for blocks, k in (((4,), 6), ((3, 1), 4)):
+    for blocks, k, hilbert in (((4,), 6, True), ((3, 1), 4, None)):
         calls.clear()
         m = AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
         report = run_pipeline(m)
         assert report["pass"] and report["k"] == k
+        assert report["checks"]["hilbert"] is hilbert, blocks
         points = m.g * len(_prepared(m)["cLH"]) + 1
         assert points == m.g * (k + 1) + 1
-        if report["checks"]["hilbert"]:
-            assert calls == [points, 0], blocks
-        else:
-            assert calls == [points], blocks
+        assert calls == ([points, 0] if hilbert else [points]), blocks
 
 
 def test_delta_polynomial_reads_no_w_table(monkeypatch):
