@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import itemgetter
 
 from .exactmat import Record, SparseMultiPoly
 from .partitions import (
@@ -54,40 +55,92 @@ class CoeffVector(Record):
         return all(v == 0 for v in self.entries)
 
 
-def distinct_permutations(items: tuple[int, ...]):
-    """All distinct rearrangements, in decreasing lexicographic order.
+def _rearranger(first: tuple[int, ...]) -> itemgetter:
+    """A getter that lists, flat, the distinct rearrangements of every
+    decreasing tuple lam with lam[i] == lam[first[i]], first[i] being the
+    first position of lam[i]'s value.
 
-    Each step goes to the previous permutation: take the last descent
-    a[i] > a[i+1], swap a[i] with the last entry below it, and reverse the
-    (now increasing) suffix.
+    Lam's rearrangements are those of `first` read through lam, and since
+    lam's runs decrease, increasing lex order on `first` gives decreasing
+    lex order on lam.  Each step goes to the next one: take the last ascent
+    a[i] < a[i+1], swap a[i] with the last entry above it, and reverse the
+    (now decreasing) suffix.
     """
-    a = sorted(items, reverse=True)
+    a = list(first)
     n = len(a)
+    flat = []
     while True:
-        yield tuple(a)
+        flat += a
         i = n - 2
-        while i >= 0 and a[i] <= a[i + 1]:
+        while i >= 0 and a[i] >= a[i + 1]:
             i -= 1
         if i < 0:
-            return
+            return itemgetter(*flat)
         j = n - 1
-        while a[j] >= a[i]:
+        while a[j] <= a[i]:
             j -= 1
         a[i], a[j] = a[j], a[i]
         a[i + 1:] = a[:i:-1]
 
 
+# The orbit of a decreasing tuple depends only on its run lengths, so one
+# getter serves each run-length shape, keyed by every entry's first position:
+# (5,4,4,2,1,0) -> (0,1,1,3,4,5).
+_rearrangers: dict[tuple[int, ...], itemgetter] = {}
+
+
+def _orbit(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct rearrangements of a decreasing tuple, in decreasing lex order."""
+    d = len(lam)
+    if d < 2:
+        return [lam]
+    first = tuple(map(lam.index, lam))
+    getter = _rearrangers.get(first)
+    if getter is None:
+        getter = _rearrangers[first] = _rearranger(first)
+    return list(zip(*[iter(getter(lam))] * d))
+
+
+def distinct_permutations(items: tuple[int, ...]):
+    """All distinct rearrangements, in decreasing lexicographic order."""
+    yield from _orbit(tuple(sorted(items, reverse=True)))
+
+
 @lru_cache(maxsize=None)
 def mhat_poly(lam: Partition) -> SparseMultiPoly:
     """Sum of z^alpha / alpha! over distinct rearrangements alpha of lam."""
-    d = len(lam)
-    terms = {}
-    for alpha in distinct_permutations(lam):
-        denom = 1
-        for a in alpha:
-            denom *= factorial(a)
-        terms[alpha] = Fraction(1, denom)
-    return SparseMultiPoly.from_terms(d, terms)
+    coef = Fraction(1, prod(map(factorial, lam)))
+    return SparseMultiPoly(len(lam), dict.fromkeys(_orbit(lam), coef))
+
+
+_ZERO = Fraction(0)
+
+
+def _orbit_pass(terms: dict, index: PartitionSet) -> CoeffVector | None:
+    """The expansion of a polynomial with these terms, or None if it is not
+    a sum of whole orbits of index with one coefficient each.
+
+    Orbits of distinct partitions are disjoint, so when every present
+    partition's orbit is present with its coefficient and the orbits cover
+    len(terms) exponents, no other term exists: the polynomial is symmetric
+    and all its terms lie in orbits of index.
+    """
+    get = terms.get
+    covered = 0
+    entries = []
+    for lam in index:
+        c = get(lam)
+        if c is None:
+            entries.append(_ZERO)
+            continue
+        orbit = _orbit(lam)
+        if list(map(get, orbit)).count(c) != len(orbit):
+            return None
+        covered += len(orbit)
+        entries.append(c * Fraction(prod(map(factorial, lam))))
+    if covered != len(terms):
+        return None
+    return CoeffVector(index, tuple(entries))
 
 
 def mhat_expand(p: SparseMultiPoly, k: int, d: int, n: int) -> CoeffVector:
@@ -95,50 +148,38 @@ def mhat_expand(p: SparseMultiPoly, k: int, d: int, n: int) -> CoeffVector:
 
     Validates that p is homogeneous of degree n, has per-variable degree at
     most k, and is symmetric: the nonzero terms sharing a sorted exponent
-    lambda (an orbit) have one coefficient and number d!/prod_i e_i!, with
-    e the multiplicities of lambda.  The lambda coefficient is the z^lambda
-    coefficient of p times lambda!.
+    lambda (an orbit) have one coefficient and make up the whole orbit.  The
+    lambda coefficient is the z^lambda coefficient of p times lambda!.
+
+    One pass over the orbits of P(k,d,n) certifies the usual input.  Any
+    other input is checked term by term, so a term of the wrong degree is
+    reported first and zero coefficients may form partial orbits.
     """
     if p.arity != d:
         raise ValueError(f"arity {p.arity} != d = {d}")
-    orbits: dict[Partition, list] = {}  # sorted exponent -> [coefficient, members]
-    symmetric = True
-    for expo, coef in p.terms.items():
+    index = partition_set(k, d, n)
+    out = _orbit_pass(p.terms, index)
+    if out is not None:
+        return out
+    for expo in p.terms:
         if sum(expo) != n:
             raise ValueError(f"term {expo} is not of degree {n}")
         if max(expo, default=0) > k:
             raise ValueError(f"term {expo} has variable degree above {k}")
-        if not coef:
-            continue
-        orbit = orbits.setdefault(tuple(sorted(expo, reverse=True)), [coef, 0])
-        orbit[1] += 1
-        # an orbit often shares one Fraction object; skip comparing it to itself
-        if orbit[0] is not coef and orbit[0] != coef:
-            symmetric = False
-    for lam, (_, members) in orbits.items():
-        size = factorial(d)
-        for e_i in multiplicities(lam, k):
-            size //= factorial(e_i)
-        symmetric = symmetric and members == size
-    if not symmetric:
+    out = _orbit_pass({e: c for e, c in p.terms.items() if c}, index)
+    if out is None:
         raise ValueError("polynomial is not symmetric")
-    index = partition_set(k, d, n)
-    entries = []
-    for lam in index:
-        mult = Fraction(1)
-        for a in lam:
-            mult *= factorial(a)
-        entries.append(p.coefficient(lam) * mult)
-    return CoeffVector(index, tuple(entries))
+    return out
 
 
 def coeff_vector_poly(x: CoeffVector) -> SparseMultiPoly:
     """The symmetric polynomial sum_lambda x_lambda mhat_lambda."""
-    total = SparseMultiPoly.zero(x.index.d)
+    terms = {}
     for lam, c in zip(x.index, x.entries):
         if c:
-            total = total + mhat_poly(lam).scale(c)
-    return total
+            terms.update(dict.fromkeys(
+                _orbit(lam), Fraction(c) / prod(map(factorial, lam))))
+    return SparseMultiPoly(x.index.d, terms)
 
 
 def apply_derivation(x: CoeffVector) -> CoeffVector:
@@ -165,30 +206,39 @@ def _vandermonde_square(m: int) -> dict[Partition, int]:
     the staircase delta = (m-1, ..., 0) of sgn(a) z^a, so its square has
     coefficient sum sgn(a) sgn(b) over the pairs with a + b = lambda.  The
     pairs are counted by backtracking over positions; a value v placed after
-    the c smaller values already used adds c inversions.  Only nonzero
-    coefficients are kept, one per partition in P(2m-2, m, m(m-1)).
+    the c smaller values already used adds c inversions.  The signed count
+    of completions depends only on the parts still to place and the values
+    still free, so it is memoised on them, across all lambda of one call.
+    Only nonzero coefficients are kept, one per partition in
+    P(2m-2, m, m(m-1)).
     """
     full = (1 << m) - 1
+    memo: dict[tuple[Partition, int, int], int] = {}
 
-    def signed_pairs(lam: Partition, i: int, free_a: int, free_b: int) -> int:
-        if i == m:
+    def signed_pairs(rest: Partition, free_a: int, free_b: int) -> int:
+        if not rest:
             return 1
+        key = (rest, free_a, free_b)
+        total = memo.get(key)
+        if total is not None:
+            return total
         total = 0
-        part = lam[i]
+        part = rest[0]
         for a in range(max(0, part - m + 1), min(part, m - 1) + 1):
             b = part - a
             if not (free_a >> a) & 1 or not (free_b >> b) & 1:
                 continue
-            # values below a (resp. b) already used sit left of position i
+            # values below a (resp. b) already used sit left of this position
             flips = (a - bin(free_a & ((1 << a) - 1)).count("1")
                      + b - bin(free_b & ((1 << b) - 1)).count("1"))
-            sub = signed_pairs(lam, i + 1, free_a & ~(1 << a), free_b & ~(1 << b))
+            sub = signed_pairs(rest[1:], free_a & ~(1 << a), free_b & ~(1 << b))
             total += -sub if flips & 1 else sub
+        memo[key] = total
         return total
 
     out = {}
     for lam in enumerate_partitions(2 * m - 2, m, m * (m - 1)):
-        c = signed_pairs(lam, 0, full, full)
+        c = signed_pairs(lam, full, full)
         if c:
             out[lam] = c
     return out
@@ -210,8 +260,7 @@ def vandermonde_poly(r: int, d: int) -> SparseMultiPoly:
         if s > r + 1 or lam[:r + 1] not in block:
             continue
         coef = Fraction(comb(d - s, r + 1 - s) * block[lam[:r + 1]])
-        for alpha in distinct_permutations(lam):
-            terms[alpha] = coef
+        terms.update(dict.fromkeys(_orbit(lam), coef))
     return SparseMultiPoly(d, terms)
 
 

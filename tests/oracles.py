@@ -20,7 +20,8 @@ from plovlab.dynamics import (
     power_sum_polynomial,
 )
 from plovlab.exactmat import SparseMultiPoly
-from plovlab.partitions import enumerate_partitions, multiplicities
+from plovlab.partitions import enumerate_partitions, multiplicities, partition_set
+from plovlab.symfun import CoeffVector
 
 
 def brute_force_partitions(k, d, n):
@@ -154,6 +155,77 @@ def is_symmetric_by_swaps(poly):
             if poly.coefficient(tuple(swapped)) != coef:
                 return False
     return True
+
+
+def distinct_permutations_by_sorting(items):
+    """Every distinct rearrangement of items, from all d! permutations,
+    in decreasing lex order."""
+    return sorted(set(permutations(items)), reverse=True)
+
+
+def vandermonde_square_by_backtracking(m):
+    """The partition coefficients of prod_{i<j<=m} (z_i - z_j)^2, each the
+    signed count of staircase permutation pairs (a, b) with a + b = lambda,
+    backtracking afresh over the positions of every lambda."""
+    full = (1 << m) - 1
+
+    def signed_pairs(lam, i, free_a, free_b):
+        if i == m:
+            return 1
+        total = 0
+        for a in range(m):
+            b = lam[i] - a
+            if not 0 <= b < m or not (free_a >> a) & 1 or not (free_b >> b) & 1:
+                continue
+            # each used value above a (resp. b) sits left of position i
+            flips = (bin(~free_a & full & ~((2 << a) - 1)).count("1")
+                     + bin(~free_b & full & ~((2 << b) - 1)).count("1"))
+            sub = signed_pairs(lam, i + 1, free_a & ~(1 << a), free_b & ~(1 << b))
+            total += -sub if flips & 1 else sub
+        return total
+
+    out = {}
+    for lam in enumerate_partitions(2 * m - 2, m, m * (m - 1)):
+        c = signed_pairs(lam, 0, full, full)
+        if c:
+            out[lam] = c
+    return out
+
+
+def mhat_expand_by_sorting(p, k, d, n):
+    """mhat_expand term by term: check each term's degrees, group the nonzero
+    terms by their sorted exponent and compare each group with its orbit
+    size d!/prod e_i! and first coefficient."""
+    if p.arity != d:
+        raise ValueError(f"arity {p.arity} != d = {d}")
+    orbits = {}  # sorted exponent -> [coefficient, members]
+    symmetric = True
+    for expo, coef in p.terms.items():
+        if sum(expo) != n:
+            raise ValueError(f"term {expo} is not of degree {n}")
+        if max(expo, default=0) > k:
+            raise ValueError(f"term {expo} has variable degree above {k}")
+        if not coef:
+            continue
+        orbit = orbits.setdefault(tuple(sorted(expo, reverse=True)), [coef, 0])
+        orbit[1] += 1
+        if orbit[0] != coef:
+            symmetric = False
+    for lam, (_, members) in orbits.items():
+        size = factorial(d)
+        for e_i in multiplicities(lam, k):
+            size //= factorial(e_i)
+        symmetric = symmetric and members == size
+    if not symmetric:
+        raise ValueError("polynomial is not symmetric")
+    index = partition_set(k, d, n)
+    entries = []
+    for lam in index:
+        mult = Fraction(1)
+        for a in lam:
+            mult *= factorial(a)
+        entries.append(p.coefficient(lam) * mult)
+    return CoeffVector(index, tuple(entries))
 
 
 def dense_matmul(a, b):

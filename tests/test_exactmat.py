@@ -207,6 +207,7 @@ def test_vandermonde_square_monomial_count():
     for m, expected in ((3, 19), (4, 201), (5, 2961)):
         assert len(vandermonde_square_product(m).terms) == expected
         assert len(vandermonde_poly(m - 1, m).terms) == expected
+    assert len(vandermonde_poly(5, 6).terms) == 56183
 
 
 def test_poly_product_commutative_associative():

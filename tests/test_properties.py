@@ -9,7 +9,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oracles import mixed_determinant, w_table_by_polarization  # noqa: E402
+from oracles import (  # noqa: E402
+    distinct_permutations_by_sorting,
+    mhat_expand_by_sorting,
+    mixed_determinant,
+    w_table_by_polarization,
+)
 from plovlab.dynamics import (  # noqa: E402
     AbelianSurrogate,
     _prepared,
@@ -20,12 +25,14 @@ from plovlab.dynamics import (  # noqa: E402
 )
 from plovlab.exactmat import (  # noqa: E402
     ExactMatrix,
+    SparseMultiPoly,
     _exact_kernel,
     _row_reduce,
     matrix_rank,
     nullspace_basis,
 )
-from plovlab.partitions import count, enumerate_partitions  # noqa: E402
+from plovlab.partitions import count, enumerate_partitions, partition_set  # noqa: E402
+from plovlab.symfun import CoeffVector, coeff_vector_poly, mhat_expand  # noqa: E402
 
 SMALL = settings(max_examples=40, deadline=None)
 
@@ -203,3 +210,56 @@ def jordan_type(draw):
 def test_det_table_matches_polarization(blocks, seed):
     m = random_conjugate(blocks, Random(seed))
     assert _prepared(m)["w"] == w_table_by_polarization(m), (blocks, m.a)
+
+
+PERTURBATIONS = ("none", "drop", "change", "zero", "zero_orbit", "off_degree", "above_k")
+
+
+@st.composite
+def perturbed_symmetric_poly(draw):
+    """A random symmetric polynomial over P(k, d, n), with at most one change
+    that may break its symmetry, degree or variable-degree bound; new terms
+    go first or last in the term order."""
+    k, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(0, k * d))
+    index = partition_set(k, d, n)
+    coef = st.sampled_from((0, 0, 1, -1, Fraction(1, 2), 3))
+    x = CoeffVector(index, tuple(Fraction(draw(coef)) for _ in index))
+    terms = dict(coeff_vector_poly(x).terms)
+    change = draw(st.sampled_from(PERTURBATIONS))
+    lam = draw(st.sampled_from(index.members))
+    alpha = [draw(st.integers(0, k)) for _ in range(d)]
+    new = {}
+    if change == "drop" and terms:
+        del terms[draw(st.sampled_from(list(terms)))]
+    elif change == "change" and terms:
+        terms[draw(st.sampled_from(list(terms)))] += draw(
+            st.sampled_from((-1, 1, Fraction(1, 3))))
+    elif change == "zero":
+        # a zero on one rearrangement of lam: a partial orbit unless lam's
+        # orbit is present or has one member
+        new = {tuple(draw(st.permutations(lam))): Fraction(0)}
+    elif change == "zero_orbit":
+        new = dict.fromkeys((a for a in distinct_permutations_by_sorting(lam)
+                             if a not in terms), Fraction(0))
+    elif change == "off_degree" and sum(alpha) != n:
+        new = {tuple(alpha): Fraction(draw(coef))}
+    elif change == "above_k":
+        alpha[draw(st.integers(0, d - 1))] = k + 1
+        new = {tuple(alpha): Fraction(draw(coef))}
+    terms = {**new, **terms} if draw(st.booleans()) else {**terms, **new}
+    return SparseMultiPoly(d, terms), k, d, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_symmetric_poly())
+def test_mhat_expand_matches_sorting_oracle(case):
+    p, k, d, n = case
+    try:
+        expected = mhat_expand_by_sorting(p, k, d, n)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            mhat_expand(p, k, d, n)
+        assert str(got.value) == str(err)
+    else:
+        assert mhat_expand(p, k, d, n) == expected

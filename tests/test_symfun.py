@@ -4,9 +4,10 @@ from random import Random
 
 import pytest
 
+from plovlab import symfun
 from plovlab.exactmat import SparseMultiPoly
 from plovlab.incidence import build_incidence
-from plovlab.partitions import multiplicities, partition_set
+from plovlab.partitions import enumerate_partitions, partition_set
 from plovlab.symfun import (
     CoeffVector,
     _vandermonde_square,
@@ -23,7 +24,10 @@ from plovlab.symfun import (
 )
 
 from oracles import (
+    distinct_permutations_by_sorting,
     is_symmetric_by_swaps,
+    mhat_expand_by_sorting,
+    vandermonde_square_by_backtracking,
     vandermonde_square_product,
     vandermonde_subset_sum,
 )
@@ -34,6 +38,17 @@ def test_distinct_permutations():
     assert len(perms) == 3
     assert len(set(perms)) == 3
     assert all(sorted(p, reverse=True) == [2, 1, 1] for p in perms)
+    assert list(distinct_permutations([1, 2, 1])) == perms
+
+
+def test_distinct_permutations_order_matches_sorting():
+    # k = d - 1 gives every run-length shape of d parts
+    for d in range(1, 7):
+        k = max(d - 1, 1)
+        for n in range(d * k + 1):
+            for lam in enumerate_partitions(k, d, n):
+                assert (list(distinct_permutations(lam))
+                        == distinct_permutations_by_sorting(lam)), lam
 
 
 def test_mhat_poly_small():
@@ -106,6 +121,35 @@ def test_mhat_expand_rejects_wrong_degree():
         mhat_expand(p, 2, 2, 3)
 
 
+def test_mhat_expand_orbit_count_must_match_term_count():
+    # an orbit short of one member and one term outside every orbit leave
+    # the term count equal to the orbit's size; the term is still reported
+    terms = dict(mhat_poly((2, 1, 0)).terms)
+    del terms[(0, 1, 2)]
+    terms[(1, 0, 0)] = Fraction(1)
+    p = SparseMultiPoly.from_terms(3, terms)
+    with pytest.raises(ValueError, match=r"term \(1, 0, 0\) is not of degree 3"):
+        mhat_expand(p, 2, 3, 3)
+
+
+def test_mhat_expand_certifies_symmetric_input_in_one_pass(monkeypatch):
+    passes = []
+    orbit_pass = symfun._orbit_pass
+
+    def counted(terms, index):
+        passes.append(len(terms))
+        return orbit_pass(terms, index)
+
+    monkeypatch.setattr(symfun, "_orbit_pass", counted)
+    p = vandermonde_poly(3, 4)
+    assert mhat_expand(p, 6, 4, 12) == mhat_expand_by_sorting(p, 6, 4, 12)
+    assert passes == [len(p.terms)]
+    # a zero coefficient in a partial orbit needs the term-by-term check
+    q = SparseMultiPoly(4, {**p.terms, (6, 6, 0, 0): Fraction(0)})
+    assert mhat_expand(q, 6, 4, 12) == mhat_expand_by_sorting(q, 6, 4, 12)
+    assert passes[-2:] == [len(q.terms), len(p.terms)]
+
+
 def test_derivation_matches_incidence():
     # the analytic derivation and the combinatorial bump matrix agree
     rng = Random(29)
@@ -170,6 +214,11 @@ def test_vandermonde_square_matches_product():
         expected = {lam: c for lam, c in product.terms.items()
                     if list(lam) == sorted(lam, reverse=True)}
         assert _vandermonde_square(m) == expected
+
+
+def test_vandermonde_square_matches_backtracking():
+    for m in range(1, 7):
+        assert _vandermonde_square(m) == vandermonde_square_by_backtracking(m), m
 
 
 def test_vandermonde_poly_matches_subset_sum():
