@@ -127,20 +127,9 @@ def mat_identity(n: int) -> list[list[int]]:
 
 def mat_mul(a, b):
     """Exact product; int inputs give int entries."""
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(m):
-            v = ai[t]
-            if v == 0:
-                continue
-            bt = b[t]
-            for j in range(p):
-                if bt[j]:
-                    oi[j] += v * bt[j]
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -200,7 +189,8 @@ def _cyclotomic(n: int) -> tuple[Fraction, ...]:
     return tuple(poly)
 
 
-def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
+def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction] | None:
+    """The quotient num / den, or None when the remainder is nonzero."""
     num = list(num)
     out = [Fraction(0)] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
@@ -209,15 +199,8 @@ def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
         for j, dj in enumerate(den):
             num[i + j] -= q * dj
     if any(v != 0 for v in num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-def _try_polydiv(num: list[Fraction], den: list[Fraction]):
-    try:
-        return _polydiv_exact(num, den)
-    except ArithmeticError:
         return None
+    return out
 
 
 def _euler_phi(n: int) -> int:
@@ -245,7 +228,7 @@ def unipotent_power(f) -> tuple[int, list[list]]:
             continue
         cyc = list(_cyclotomic(n))
         while len(residual) >= len(cyc):
-            quo = _try_polydiv(residual, cyc)
+            quo = _polydiv_exact(residual, cyc)
             if quo is None:
                 break
             residual = quo
@@ -313,7 +296,8 @@ def _sym_to_vec(g: int, s) -> tuple:
 
 
 def _int_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of a small integer matrix."""
+    """Fraction-free determinant of a small integer matrix; 1 for the empty
+    matrix."""
     a = [row[:] for row in m]
     n = len(a)
     sign = 1
@@ -330,7 +314,7 @@ def _int_det(m: list[list[int]]) -> int:
                 a[r][j] = (a[c][c] * a[r][j] - a[r][c] * a[c][j]) // prev
             a[r][c] = 0
         prev = a[c][c]
-    return sign * a[-1][-1]
+    return sign * prev
 
 
 class AbelianSurrogate:
@@ -338,23 +322,24 @@ class AbelianSurrogate:
     rational matrices, the action is S -> A^T S A for an integer unimodular A,
     H is the identity, and the intersection form is the polarized determinant
     (the coefficient of t_1...t_g in det(sum t_i S_i), computed by
-    polarization over the distinct classes)."""
+    polarization over the subsets of the g classes: exactly 2^g
+    determinants per call)."""
 
     def __init__(self, a: list[list[int]], jordan: tuple[int, ...] | None = None):
         g = len(a)
         if any(len(r) != g for r in a):
             raise ValueError("A must be square")
-        det = _int_det([[int(x) for x in r] for r in a])
+        a = [[int(x) for x in r] for r in a]
+        det = _int_det(a)
         if det not in (1, -1):
             raise ModelError(f"A must be unimodular, det = {det}")
         self.g = g
         self.d = g
-        self.a = [[int(x) for x in r] for r in a]
+        self.a = a
         self.jordan = jordan
         self.dim = g * (g + 1) // 2
         self.H = _sym_to_vec(g, mat_identity(g))
         self.F = self._action_matrix()
-        self._dets: dict[tuple[int, ...], int] = {}
 
     def _action_matrix(self) -> list[list[int]]:
         basis = _sym_basis(self.g)
@@ -369,64 +354,27 @@ class AbelianSurrogate:
         return [[cols[c][r] for c in range(self.dim)] for r in range(self.dim)]
 
     def intersect(self, vecs) -> Fraction:
-        """Polarization over the distinct classes S_j, of multiplicity e_j:
-        the sum over 0 <= f_j <= e_j of
-        (-1)^(g - sum f) * prod C(e_j, f_j) * det(sum f_j S_j)
-        (Bapat 1989).  A class with a denominator is scaled to integers
-        first, which the multilinear form turns into one overall factor;
-        ints and Fractions of equal value group together.  The f run in
-        reflected odometer order: each step moves one f_j by one, so the
-        summed class changes by one S_j, the sign flips and the weight
-        changes by one exact ratio.
-
-        The determinant of each integer summed class is memoised on the
-        surrogate, keyed by the class itself, so a class that recurs within
-        a call or across calls is eliminated once.  The pipeline reads its
+        """Polarization over the subsets T of the g classes S_j: the sum of
+        (-1)^(g - |T|) det(sum_{j in T} S_j) (Bapat 1989), exactly 2^g
+        determinants.  Each class is scaled to integers by its own
+        denominators first, which the multilinear form turns into one
+        overall factor, divided once at the end.  The pipeline reads its
         w-table from one polynomial determinant (`_det_table`) and calls
-        this once per k >= 2 model, to certify w_kappa: the g classes
-        (cL)^{kappa_j} H of the distinguished partition, 2^g summed classes
-        when they are distinct."""
+        this once per k >= 2 model, to certify w_kappa."""
         g = self.g
         if len(vecs) != g:
             raise ValueError(f"need exactly {g} classes")
-        groups: dict[tuple, int] = {}
-        for v in vecs:
-            key = tuple(v)
-            groups[key] = groups.get(key, 0) + 1
         scale = 1
-        cleared = []
-        for vec, e in groups.items():
+        sums = [[0] * self.dim]
+        for vec in vecs:
             den = lcm(*(x.denominator for x in vec))
-            cleared.append([int(x * den) for x in vec])
-            scale *= den ** e
-        mults = list(groups.values())
-        dets = self._dets
-        f = [0] * len(mults)
-        steps = [1] * len(mults)
-        summed = (0,) * self.dim
-        sign = (-1) ** g
-        weight = 1
-        total = 0
-        while True:
-            det = dets.get(summed)
-            if det is None:
-                det = dets[summed] = _int_det(_vec_to_sym(g, summed))
-            total += sign * weight * det
-            j = len(f) - 1
-            while j >= 0 and not 0 <= f[j] + steps[j] <= mults[j]:
-                steps[j] = -steps[j]
-                j -= 1
-            if j < 0:
-                return Fraction(total, scale)
-            e, fj = mults[j], f[j]
-            if steps[j] > 0:
-                weight = weight * (e - fj) // (fj + 1)
-                summed = tuple(map(add, summed, cleared[j]))
-            else:
-                weight = weight * fj // (e - fj + 1)
-                summed = tuple(map(sub, summed, cleared[j]))
-            f[j] += steps[j]
-            sign = -sign
+            scale *= den
+            cleared = [int(x * den) for x in vec]
+            sums += [list(map(add, s, cleared)) for s in sums]
+        # bit j of the index t is set when S_j is in the subset
+        total = sum((-1) ** (g - t.bit_count()) * _int_det(_vec_to_sym(g, s))
+                    for t, s in enumerate(sums))
+        return Fraction(total, scale)
 
     def to_json(self) -> str:
         return json.dumps({"type": "abelian", "g": self.g, "A": self.a})
@@ -639,8 +587,8 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
     above it.
 
     w_kappa is then certified by a second, independent route: one
-    `intersect` of the classes (cL)^{kappa_j} H, a polarization sum of at
-    most 2^d determinants, divided by c^|kappa|.
+    `intersect` of the classes (cL)^{kappa_j} H, a polarization sum over
+    their subsets of exactly 2^d determinants, divided by c^|kappa|.
     """
     d = model.d
     k = degree_growth_exponent(model)
@@ -760,22 +708,15 @@ def random_unimodular(g: int, rng: Random, steps: int | None = None) -> list[lis
 
 
 def _int_inverse(p: list[list[int]]) -> list[list[int]]:
-    g = len(p)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(g)]
-           for i, row in enumerate(p)]
-    for c in range(g):
-        piv = next(r for r in range(c, g) if aug[r][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        scale = aug[c][c]
-        aug[c] = [v / scale for v in aug[c]]
-        for r in range(g):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-    inv = [[row[g + j] for j in range(g)] for row in aug]
-    if any(v.denominator != 1 for row in inv for v in row):
+    """Inverse of an integer matrix of determinant +-1: det times the
+    adjugate, whose (i, j) entry is the signed minor of p without row j and
+    column i."""
+    det = _int_det(p)
+    if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return [[int(v) for v in row] for row in inv]
+    return [[(-1) ** (i + j) * det
+             * _int_det([r[:i] + r[i + 1:] for k, r in enumerate(p) if k != j])
+             for j in range(len(p))] for i in range(len(p))]
 
 
 def random_conjugate(blocks: tuple[int, ...], rng: Random) -> AbelianSurrogate:

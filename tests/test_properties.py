@@ -186,7 +186,8 @@ def intersect_calls(draw):
 @settings(max_examples=80, deadline=None)
 @given(intersect_calls())
 def test_shared_surrogate_intersect_matches_oracle(case):
-    # one surrogate, and so one determinant memo, answers the whole sequence
+    # one surrogate answers the whole sequence, so no call may depend on an
+    # earlier one
     g, calls = case
     m = AbelianSurrogate(jordan_matrix((1,) * g))
     for vecs in calls:
