@@ -8,7 +8,6 @@ from .partitions import (
     count,
     decompose,
     enumerate_partitions,
-    lex_compare,
     partition_set,
 )
 from .incidence import (

@@ -20,7 +20,7 @@ from math import comb, factorial, gcd, lcm
 from operator import add, mul, sub
 from random import Random
 
-from .exactmat import ExactMatrix, Record, _exact
+from .exactmat import Record, _exact
 from .incidence import build_incidence, kappa_of
 from .partitions import Partition, format_partition, partition_set
 
@@ -583,9 +583,12 @@ class DistinguishedPartition(Record):
 
 
 def find_distinguished_kappa(model) -> DistinguishedPartition:
-    """The unique positive tuple t with w positive at kappa(t) and vanishing
-    above it.
+    """The positive tuple t with w positive at kappa(t) and vanishing above
+    it.
 
+    Such a kappa(t) is the lex-largest partition with parts at most k in the
+    support of w, so it is read off the top of the table: t_j counts the
+    parts 2j of the top partition, which must be kappa(t) with w positive.
     w_kappa is then certified by a second, independent route: one
     `intersect` of the classes (cL)^{kappa_j} H, a polarization sum over
     their subsets of exactly 2^d determinants, divided by c^|kappa|.
@@ -597,27 +600,13 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
     r = k // 2
     prep = _prepared(model)
     w = prep["w"]
-    nonzero = [lam for lam in w if lam[0] <= k]
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            if total >= 1:
-                yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    matches = []
-    for t in compositions(d, r + 1):
-        kappa = kappa_of(t)
-        # tuples of equal length compare in lexicographic order
-        if w.get(kappa, 0) > 0 and all(lam <= kappa for lam in nonzero):
-            matches.append(t)
-    if len(matches) != 1:
-        raise ModelError(f"distinguished tuple not unique: {matches}")
-    t = matches[0]
-    kappa = kappa_of(t)
+    # w at (k, 0, ..., 0) is nonzero, so the support below k is not empty
+    kappa = max(lam for lam in w if lam[0] <= k)
+    t = tuple(kappa.count(2 * j) for j in range(r + 1))
+    if sum(t) != d or 0 in t or w[kappa] <= 0:
+        raise ModelError(
+            f"no distinguished tuple: the top of the w-table, "
+            f"{format_partition(kappa)}, is not kappa(t) with w positive")
     certified = Fraction(model.intersect([prep["cLH"][p] for p in kappa]),
                          prep["c"] ** sum(kappa))
     if certified != w[kappa]:

@@ -132,13 +132,21 @@ class ExactMatrix(Record):
             raise ValueError("dimension mismatch")
         return [sum(v * x[c] for c, v in row) for row in self.rows]
 
-    def submatrix_columns(self, cols: list[int]) -> "ExactMatrix":
-        """Keep the given columns (in the given order), renumbering from 0."""
-        remap = {c: j for j, c in enumerate(cols)}
-        rows = []
+    def blocks(self, i: int, j: int) -> tuple["ExactMatrix", ...]:
+        """Cut above row i and left of column j into the blocks (top left,
+        top right, bottom left, bottom right), each renumbered from 0.  Each
+        row splits at one bisection; a cut outside the matrix raises
+        ValueError."""
+        left, right = [], []
         for row in self.rows:
-            rows.append({remap[c]: v for c, v in row if c in remap})
-        return ExactMatrix.from_rows(self.nrows, len(cols), rows)
+            s = bisect_left(row, (j,))
+            left.append(row[:s])
+            right.append(tuple([(c - j, v) for c, v in row[s:]]))
+        w, h = self.ncols - j, self.nrows - i
+        return (ExactMatrix(i, j, tuple(left[:i])),
+                ExactMatrix(i, w, tuple(right[:i])),
+                ExactMatrix(h, j, tuple(left[i:])),
+                ExactMatrix(h, w, tuple(right[i:])))
 
 
 def _exact(v) -> int | Fraction:

@@ -21,15 +21,7 @@ from .exactmat import (
     matrix_rank,
     nullspace_basis,
 )
-from .partitions import (
-    Partition,
-    PartitionSet,
-    bump,
-    count,
-    enumerate_partitions,
-    lex_compare,
-    partition_set,
-)
+from .partitions import Partition, PartitionSet, bump, count, partition_set
 
 __all__ = [
     "IncidenceMatrix",
@@ -60,9 +52,10 @@ class IncidenceMatrix(Record):
 
 
 def build_incidence(k: int, d: int, n: int) -> IncidenceMatrix:
-    """Shape p(k,d,n-1) x p(k,d,n); degenerate shapes for n out of range."""
-    if k < 1 or d < 1:
-        raise ValueError("k and d must be positive")
+    """Shape p(k,d,n-1) x p(k,d,n); degenerate shapes for n out of range.
+    At k = 0 no part can be raised, so the matrix is zero."""
+    if k < 0 or d < 1:
+        raise ValueError("k must be nonnegative and d positive")
     row_set = partition_set(k, d, n - 1)
     col_set = partition_set(k, d, n)
     rows = []
@@ -82,16 +75,15 @@ def build_incidence(k: int, d: int, n: int) -> IncidenceMatrix:
 def truncate_columns(
     m: IncidenceMatrix, kappa: Partition
 ) -> tuple[ExactMatrix, list[Partition]]:
-    """Keep exactly the columns lambda with lambda <= kappa in lex order."""
+    """Keep exactly the columns lambda with lambda <= kappa in lex order.
+    The columns decrease, so these are the suffix from the first such lambda."""
     if len(kappa) != m.d:
         raise ValueError("kappa must have d parts")
     if any(part > m.k for part in kappa):
         raise ValueError("kappa parts must be at most k")
-    keep = [
-        j for j, lam in enumerate(m.col_set) if lex_compare(lam, kappa) <= 0
-    ]
-    kept = [m.col_set[j] for j in keep]
-    return m.data.submatrix_columns(keep), kept
+    cols = m.col_set.members
+    start = next((j for j, lam in enumerate(cols) if lam <= kappa), len(cols))
+    return m.data.blocks(0, start)[3], list(cols[start:])
 
 
 class BlockForm(Record):
@@ -109,47 +101,25 @@ class BlockForm(Record):
 def block_form(k: int, d: int, n: int) -> BlockForm:
     """Group rows/columns of A_{k,d,n} by first part = k versus first part < k.
 
-    In decreasing lex order the prepend-k partitions come first, so the
-    grouping is an index split.  Verifies the top-right block is identically
-    zero and that the diagonal blocks equal the smaller incidence matrices.
+    In decreasing lex order the prepend-k partitions come first, and they
+    are P(k,d-1,n-1-k) and P(k,d-1,n-k) with k prepended, so the grouping is
+    one cut of A_{k,d,n} at the shape of A_{k,d-1,n-k}.  Verifies the
+    top-right block is identically zero and that the diagonal blocks equal
+    A_{k,d-1,n-k} and A_{k-1,d,n}.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    full = build_incidence(k, d, n)
-    row_split = count(k, d - 1, n - 1 - k) if n - 1 - k >= 0 else 0
-    col_split = count(k, d - 1, n - k) if n - k >= 0 else 0
-
     top_left = build_incidence(k, d - 1, n - k)
-    if k >= 2:
-        bottom_right = build_incidence(k - 1, d, n)
-    else:
-        # k-1 = 0: the only partition is all-zeros (degree 0), no bumps allowed
-        rs = PartitionSet(0, d, n - 1, enumerate_partitions(0, d, n - 1))
-        cs = PartitionSet(0, d, n, enumerate_partitions(0, d, n))
-        zero = ExactMatrix.from_rows(len(rs), len(cs), [{} for _ in rs])
-        bottom_right = IncidenceMatrix(0, d, n, rs, cs, zero)
-
-    dense = full.data.to_dense()
-    tr_zero = all(
-        dense[i][j] == 0
-        for i in range(row_split)
-        for j in range(col_split, full.data.ncols)
-    )
-    if not tr_zero:
+    bottom_right = build_incidence(k - 1, d, n)
+    tl, tr, bl, br = build_incidence(k, d, n).data.blocks(*top_left.shape)
+    if any(tr.rows):
         raise AssertionError(f"nonzero top-right block in A_{{{k},{d},{n}}}")
-
-    tl_ok = [r[:col_split] for r in dense[:row_split]] == top_left.data.to_dense()
-    br_ok = [r[col_split:] for r in dense[row_split:]] == bottom_right.data.to_dense()
-    bottom_left = ExactMatrix.from_dense(
-        [r[:col_split] for r in dense[row_split:]]
-    ) if full.data.nrows - row_split > 0 else ExactMatrix.from_rows(0, col_split, [])
-
     return BlockForm(
         top_left=top_left,
         bottom_right=bottom_right,
-        bottom_left=bottom_left,
-        top_right_is_zero=tr_zero,
-        reassembles=tl_ok and br_ok,
+        bottom_left=bl,
+        top_right_is_zero=True,
+        reassembles=tl == top_left.data and br == bottom_right.data,
     )
 
 

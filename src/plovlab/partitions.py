@@ -2,7 +2,7 @@
 
 A restricted partition is a weakly decreasing d-tuple of integers in [0, k]
 (trailing zeros explicit).  Partition sets are always listed in decreasing
-lexicographic order.
+lexicographic order, which is Python's tuple comparison on d-tuples.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "enumerate_partitions",
     "partition_set",
     "count",
-    "lex_compare",
     "bump",
     "decompose",
     "multiplicities",
@@ -40,16 +39,6 @@ def parse_partition(s: str) -> Partition:
     if parts and parts[-1] < 0:
         raise ValueError(f"parts must be nonnegative: {s!r}")
     return parts
-
-
-def lex_compare(lam: Partition, mu: Partition) -> int:
-    """-1, 0, or 1: lam precedes mu iff the leftmost nonzero entry of lam-mu is negative."""
-    if len(lam) != len(mu):
-        raise ValueError(f"length mismatch: {len(lam)} vs {len(mu)}")
-    for a, b in zip(lam, mu):
-        if a != b:
-            return -1 if a < b else 1
-    return 0
 
 
 def multiplicities(p: Partition, k: int) -> list[int]:
@@ -115,8 +104,9 @@ class PartitionSet(Record):
 
 
 def partition_set(k: int, d: int, n: int) -> PartitionSet:
-    if k < 1 or d < 1:
-        raise ValueError("k and d must be positive")
+    """P(k, d, n); P(0, d, n) is {0^d} at n = 0 and empty otherwise."""
+    if k < 0 or d < 1:
+        raise ValueError("k must be nonnegative and d positive")
     return PartitionSet(k, d, n, enumerate_partitions(k, d, n))
 
 

@@ -186,15 +186,18 @@ def apply_derivation(x: CoeffVector) -> CoeffVector:
     """Expand sum_i d/dz_i of the polynomial attached to x, one degree down.
 
     Computed by direct differentiation of monomials, independently of the
-    incidence matrices.
+    incidence matrices: each term adds its d partial derivatives to one sum.
     """
     k, d, n = x.index.k, x.index.d, x.index.n
     if n < 1:
         raise ValueError("n must be at least 1")
-    poly = coeff_vector_poly(x)
-    deriv = SparseMultiPoly.zero(d)
-    for i in range(d):
-        deriv = deriv + poly.differentiate(i)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for expo, c in coeff_vector_poly(x).terms.items():
+        for i, e in enumerate(expo):
+            if e:
+                lower = expo[:i] + (e - 1,) + expo[i + 1:]
+                out[lower] = out.get(lower, _ZERO) + c * e
+    deriv = SparseMultiPoly(d, {e: v for e, v in out.items() if v})
     return mhat_expand(deriv, k, d, n - 1)
 
 

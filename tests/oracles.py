@@ -11,7 +11,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 from plovlab.dynamics import (
+    _int_det,
     _prepared,
+    _vec_to_sym,
     degree_growth_exponent,
     mat_add,
     mat_identity,
@@ -326,16 +328,29 @@ def delta_multinomial_fraction(model):
 
 
 def w_table_by_polarization(model):
-    """The nonzero w_lambda, one `intersect` polarization sum per partition:
-    the intersection of the integer classes (cL)^{lambda_j} H divided by
-    c^|lambda|, over every partition with d parts in [0, K]."""
+    """The nonzero w_lambda by polarization, over every partition with g
+    parts in [0, K]: the intersection of the integer classes (cL)^{lambda_j}
+    H is the sum over the subsets T of the parts of (-1)^(g - |T|) det(sum
+    of the classes of T) (Bapat 1989), divided by c^|lambda|.  The summed
+    class depends only on the parts in T, so each one's determinant is
+    taken once per call."""
     prep = _prepared(model)
-    lh, c = prep["cLH"], prep["c"]
+    lh, c, g = prep["cLH"], prep["c"], model.g
     kmax = len(lh) - 1
+    dets = {}
+
+    def det(parts):
+        if parts not in dets:
+            total = [sum(col) for col in zip([0] * model.dim, *(lh[p] for p in parts))]
+            dets[parts] = _int_det(_vec_to_sym(g, total))
+        return dets[parts]
+
     table = {}
-    for n in range(model.d * kmax + 1):
-        for lam in enumerate_partitions(kmax, model.d, n):
-            w = model.intersect([lh[part] for part in lam]) / c ** n
-            if w:
-                table[lam] = w
+    for n in range(g * kmax + 1):
+        for lam in enumerate_partitions(kmax, g, n):
+            total = sum((-1) ** (g - size) * det(parts)
+                        for size in range(g + 1)
+                        for parts in combinations(lam, size))
+            if total:
+                table[lam] = Fraction(total, c ** n)
     return table

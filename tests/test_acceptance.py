@@ -225,10 +225,8 @@ def test_acceptance_11_vanishing_suite():
         ok = ok and all(v == 0 for lam, v in all_w if sum(lam) > d * k // 2)
         # geometric vanishing and positivity around the distinguished partition
         dist = find_distinguished_kappa(m)
-        from plovlab.partitions import lex_compare
-
         w_kappa = next(v for lam, v in all_w if lam == dist.kappa)
         ok = ok and w_kappa > 0
         ok = ok and all(
-            v == 0 for lam, v in all_w if lex_compare(lam, dist.kappa) > 0)
+            v == 0 for lam, v in all_w if lam > dist.kappa)
     report(11, "combinatorial and geometric vanishing on 50 seeded models", ok)

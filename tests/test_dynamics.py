@@ -258,6 +258,24 @@ def test_kappa_certificate_catches_a_corrupt_table(monkeypatch):
         run_pipeline(m)
 
 
+@pytest.mark.parametrize("top, value", [((6, 5, 1, 0), lambda v: 1),
+                                        ((6, 4, 2, 0), lambda v: -v)])
+def test_kappa_is_the_top_of_the_table(monkeypatch, top, value):
+    # an entry above kappa, or a w_kappa that is not positive, leaves no
+    # distinguished tuple, and the error names the top of the table
+    inner = dynamics._det_table
+
+    def corrupt(g, clh):
+        table = inner(g, clh)
+        table[top] = value(table.get(top, 0))
+        return table
+
+    monkeypatch.setattr(dynamics, "_det_table", corrupt)
+    m = AbelianSurrogate(jordan_matrix((4,)), jordan=(4,))
+    with pytest.raises(ModelError, match=f"top of the w-table, {','.join(map(str, top))},"):
+        find_distinguished_kappa(m)
+
+
 def test_pipeline_expands_delta_once(monkeypatch):
     # run_pipeline and the Hilbert check share one evaluation of Delta: the
     # first call takes one determinant of an orbit sum at each of the

@@ -85,8 +85,34 @@ def test_entry_and_submatrix():
     m = ExactMatrix.from_dense([[1, 0, 2], [0, 3, 0]])
     assert m.entry(0, 2) == 2
     assert m.entry(1, 0) == 0
-    sub = m.submatrix_columns([2, 0])
-    assert sub.to_dense() == [[2, 1], [0, 0]]
+    tl, tr, bl, br = m.blocks(1, 2)
+    assert tl.to_dense() == [[1, 0]] and tr.to_dense() == [[2]]
+    assert bl.to_dense() == [[0, 3]] and br.to_dense() == [[0]]
+    with pytest.raises(ValueError):
+        m.blocks(3, 0)
+    with pytest.raises(ValueError):
+        m.blocks(0, -1)
+
+
+def test_blocks_match_dense_slicing():
+    # every cut, both ends included, of seeded sparse matrices with zero rows
+    rng = Random(19)
+    zero_rows = 0
+    for _ in range(30):
+        nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+        m = random_matrix(rng, nrows, ncols, density=0.3)
+        dense = m.to_dense()
+        zero_rows += m.rows.count(())
+        for i in range(nrows + 1):
+            for j in range(ncols + 1):
+                tl, tr, bl, br = m.blocks(i, j)
+                assert (tl.nrows, tl.ncols, br.nrows, br.ncols) == (
+                    i, j, nrows - i, ncols - j)
+                assert tl.to_dense() == [r[:j] for r in dense[:i]]
+                assert tr.to_dense() == [r[j:] for r in dense[:i]]
+                assert bl.to_dense() == [r[:j] for r in dense[i:]]
+                assert br.to_dense() == [r[j:] for r in dense[i:]]
+    assert zero_rows
 
 
 def test_block_assembly():

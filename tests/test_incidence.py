@@ -7,6 +7,7 @@ import pytest
 from plovlab import golden
 from plovlab.exactmat import ExactMatrix, matrix_rank, nullspace_basis
 from plovlab.incidence import (
+    IncidenceMatrix,
     block_form,
     block_nullity_formula,
     build_incidence,
@@ -18,7 +19,7 @@ from plovlab.incidence import (
     verify_full_rank,
     verify_kernel_dim_one,
 )
-from plovlab.partitions import count
+from plovlab.partitions import PartitionSet, count, enumerate_partitions
 
 from oracles import dense_nullity, dense_rank
 
@@ -84,6 +85,42 @@ def test_truncate_columns():
         truncate_columns(m, (4, 2))
     with pytest.raises(ValueError):
         truncate_columns(m, (6, 0, 0))
+
+
+def test_truncate_columns_matches_per_column_definition():
+    # every kappa with d parts in [0, k], of any size, against every n
+    for k in range(0, 6):
+        for d in range(1, 5):
+            kappas = [lam for size in range(d * k + 1)
+                      for lam in enumerate_partitions(k, d, size)]
+            for n in range(0, d * k + 2):
+                m = build_incidence(k, d, n)
+                dense = m.data.to_dense()
+                for kappa in kappas:
+                    sub, kept = truncate_columns(m, kappa)
+                    cols = [j for j, lam in enumerate(m.col_set) if lam <= kappa]
+                    assert kept == [m.col_set[j] for j in cols]
+                    assert (sub.nrows, sub.ncols) == (m.data.nrows, len(cols))
+                    assert sub.to_dense() == [[row[j] for j in cols]
+                                              for row in dense]
+
+
+def test_build_incidence_k0_is_the_zero_block():
+    # no part of a partition in [0, 0] can be raised
+    for d in range(1, 5):
+        for n in range(-1, 3):
+            rs = PartitionSet(0, d, n - 1, enumerate_partitions(0, d, n - 1))
+            cs = PartitionSet(0, d, n, enumerate_partitions(0, d, n))
+            zero = ExactMatrix.from_rows(len(rs), len(cs), [{} for _ in rs])
+            assert build_incidence(0, d, n) == IncidenceMatrix(
+                0, d, n, rs, cs, zero)
+    assert build_incidence(0, 3, 0).shape == (0, 1)
+    assert build_incidence(0, 3, 1).shape == (1, 0)
+    for k, d in ((-1, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            build_incidence(k, d, 1)
+    with pytest.raises(ValueError):
+        block_form(0, 2, 1)
 
 
 def test_kappa_of():
