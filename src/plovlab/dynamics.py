@@ -1,14 +1,15 @@
 """Zero-entropy dynamics pipeline on concrete intersection models.
 
 A model bundles a dimension d, a rational intersection form (symmetric
-d-linear), an ample class H, and an integer matrix F acting on divisor
-classes.  The pipeline replaces F by a unipotent power, takes the nilpotent
-logarithm L, evaluates the intersection numbers w_lambda of the log-twisted
-classes L^i H, interpolates the top self-intersection of the sum of
-pullbacks as an exact polynomial in n, and reads off the polynomial volume
-growth as its degree.  The concrete models are abelian surrogates: the
-lattice Z^g with an integer unimodular action and the polarized-determinant
-intersection form on symmetric matrices.
+d-linear), an ample class H, and an integer matrix A whose action on
+divisor classes is the automorphism.  The pipeline replaces the action by a
+unipotent power, takes the nilpotent logarithm L, evaluates the
+intersection numbers w_lambda of the log-twisted classes L^i H,
+interpolates the top self-intersection of the sum of pullbacks as an exact
+polynomial in n, and reads off the polynomial volume growth as its degree.
+The concrete models are abelian surrogates: the lattice Z^g with an integer
+unimodular A acting by S -> A^T S A on symmetric g x g matrices, which are
+the classes and carry the polarized-determinant intersection form.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ __all__ = [
 
 # largest model dimension g that plov and scan accept
 MAX_MODEL_DIM = 6
+# largest bit length of an entry of a model's A that model_from_json accepts
+MAX_ENTRY_BITS = 64
 
 
 class ModelError(ValueError):
@@ -207,18 +210,17 @@ def _euler_phi(n: int) -> int:
     return sum(1 for i in range(1, n + 1) if gcd(i, n) == 1)
 
 
-def unipotent_power(f) -> tuple[int, list[list]]:
-    """Least m with F^m unipotent, plus U = F^m (with int entries for an
-    integer F).
+def unipotent_power(a) -> tuple[int, list[list]]:
+    """Least m with A^m unipotent, plus U = A^m (with int entries for an
+    integer A).
 
     Checks that every irreducible factor of the characteristic polynomial is
     cyclotomic (all eigenvalues roots of unity); raises ModelError otherwise.
     """
-    f = [[_exact(x) for x in r] for r in f]
-    g = len(f)
-    poly = charpoly(f)
-    orders = []
-    residual = list(poly)
+    a = [[_exact(x) for x in r] for r in a]
+    g = len(a)
+    orders = set()
+    residual = charpoly(a)
     # phi(n) <= g bounds the order of any root of unity among the eigenvalues
     n_cap = 2 * g * g + 2
     for n in range(1, n_cap + 1):
@@ -232,25 +234,16 @@ def unipotent_power(f) -> tuple[int, list[list]]:
             if quo is None:
                 break
             residual = quo
-            if n not in orders:
-                orders.append(n)
+            orders.add(n)
     if len(residual) > 1:
         raise ModelError(
             "action is not quasi-unipotent (positive entropy or "
             "non-root-of-unity eigenvalues)"
         )
-    m = 1
-    for n in orders:
-        m = m * n // gcd(m, n)
-    u = mat_pow(f, m)
-    nilp = mat_sub(u, mat_identity(g))
-    power = [row[:] for row in nilp]
-    for _ in range(g):
-        if mat_is_zero(power):
-            break
-        power = mat_mul(power, nilp)
-    if not mat_is_zero(power):
-        raise ModelError("F^m is not unipotent")
+    m = lcm(*orders)
+    u = mat_pow(a, m)
+    if not mat_is_zero(mat_pow(mat_sub(u, mat_identity(g)), g)):
+        raise ModelError("A^m is not unipotent")
     return m, u
 
 
@@ -337,21 +330,7 @@ class AbelianSurrogate:
         self.d = g
         self.a = a
         self.jordan = jordan
-        self.dim = g * (g + 1) // 2
         self.H = _sym_to_vec(g, mat_identity(g))
-        self.F = self._action_matrix()
-
-    def _action_matrix(self) -> list[list[int]]:
-        basis = _sym_basis(self.g)
-        at = [[self.a[j][i] for j in range(self.g)] for i in range(self.g)]
-        cols = []
-        for i, j in basis:
-            b = [[0] * self.g for _ in range(self.g)]
-            b[i][j] = 1
-            b[j][i] = 1
-            image = mat_mul(at, mat_mul(b, self.a))
-            cols.append(_sym_to_vec(self.g, image))
-        return [[cols[c][r] for c in range(self.dim)] for r in range(self.dim)]
 
     def intersect(self, vecs) -> Fraction:
         """Polarization over the subsets T of the g classes S_j: the sum of
@@ -365,7 +344,7 @@ class AbelianSurrogate:
         if len(vecs) != g:
             raise ValueError(f"need exactly {g} classes")
         scale = 1
-        sums = [[0] * self.dim]
+        sums = [[0] * len(self.H)]
         for vec in vecs:
             den = lcm(*(x.denominator for x in vec))
             scale *= den
@@ -386,7 +365,7 @@ class AbelianSurrogate:
 def _det_table(g: int, clh) -> dict[Partition, int]:
     """Every nonzero intersection of the integer classes clh[i], at once.
 
-    det(sum_i s_i M_i), M_i the g x g form of clh[i], is expanded row by row:
+    det(sum_i s_i M_i), M_i the g x g matrix clh[i], is expanded row by row:
     after r rows, each set of used columns (a bitmask) holds the signed sum,
     as a polynomial in s, of the products of the chosen entries, and a new
     column j adds the sign (-1)^(used columns right of j).  The monomial s^e
@@ -397,9 +376,8 @@ def _det_table(g: int, clh) -> dict[Partition, int]:
     lambda with multiplicities e and scaled by prod e_i!.
     """
     base = g + 1
-    mats = [_vec_to_sym(g, v) for v in clh]
     # entries[r][j]: the terms (code of s_i, M_i[r][j]) with M_i[r][j] != 0
-    entries = [[[(base ** i, m[r][j]) for i, m in enumerate(mats) if m[r][j]]
+    entries = [[[(base ** i, m[r][j]) for i, m in enumerate(clh) if m[r][j]]
                 for j in range(g)] for r in range(g)]
     layer = {0: {0: 1}}
     for row in entries:
@@ -430,11 +408,16 @@ def _det_table(g: int, clh) -> dict[Partition, int]:
 
 
 def _prepared(model):
-    """Cache U, c, the classes (cL)^i H and the w-table on the model instance.
+    """Cache p, V, c, the classes (cL)^i H and the w-table on the model.
 
-    U is the unipotent power of F, whose orbit `delta_polynomial` sums, and
-    L = log U.  c is the lcm of the denominators of L, so cL is an integer
-    matrix and (cL)^i H = c^i L^i H is an integer class for an integer H.
+    For A^m the least unipotent power of A, p = m/2 and V = -A^{m/2} if m
+    is even and A^{m/2} + I is nilpotent, else p = m and V = A^m: the
+    action S -> A^T S A has the products of two eigenvalues of A as its
+    eigenvalues, so its q-th power is unipotent iff A^q is +-(unipotent),
+    and V, -V act alike.  So U: S -> V^T S V is the unipotent power, whose
+    orbit `delta_polynomial` sums, and L = log U is S -> N^T S + S N for
+    N = log V.  With c the lcm of the denominators of N, (cL)^i H is a
+    symmetric integer matrix for H = I.
     The classes run up to the last nonzero one, K = len(cLH) - 1, and the
     w-table maps each partition with d parts in [0, K] to w_lambda, the
     intersection of (L^{lambda_1} H, ..., L^{lambda_d} H): by
@@ -444,30 +427,37 @@ def _prepared(model):
     """
     cache = getattr(model, "_pipeline_cache", None)
     if cache is None:
-        u = unipotent_power(model.F)[1]
-        l = nilpotent_log(u)
-        c = lcm(*(x.denominator for r in l for x in r))
-        l_int = [[int(x * c) for x in r] for r in l]
-        lh = [list(model.H)]
+        p, v = unipotent_power(model.a)
+        half = mat_pow(model.a, p // 2)
+        if p % 2 == 0 and mat_is_zero(
+                mat_pow(mat_add(half, mat_identity(model.g)), model.g)):
+            p, v = p // 2, [[-x for x in r] for r in half]
+        n = nilpotent_log(v)
+        c = lcm(*(x.denominator for r in n for x in r))
+        cnt = [[int(x * c) for x in col] for col in zip(*n)]  # (cN)^T
+        lh = [mat_identity(model.g)]
         while True:
-            v = [sum(a * b for a, b in zip(row, lh[-1])) for row in l_int]
-            if not any(v):
+            # (cN)^T S + S (cN) = X + X^T for X = (cN)^T S, S symmetric
+            x = mat_mul(cnt, lh[-1])
+            s = [list(map(add, row, col)) for row, col in zip(x, zip(*x))]
+            if mat_is_zero(s):
                 break
-            lh.append(v)
-        w = {lam: Fraction(v, c ** sum(lam))
-             for lam, v in _det_table(model.g, lh).items()}
-        cache = {"U": u, "cLH": lh, "c": c, "w": w}
+            lh.append(s)
+        w = {lam: Fraction(val, c ** sum(lam))
+             for lam, val in _det_table(model.g, lh).items()}
+        cache = {"p": p, "V": v, "cLH": lh, "c": c, "w": w}
         model._pipeline_cache = cache
     return cache
 
 
 def degree_growth_exponent(model) -> int:
-    """max i with (L^i H) . H^{d-1} nonzero; must be even and at most 2d-2."""
+    """max i with (L^i H) . H^{d-1} = (d-1)! tr L^i H nonzero (H = I); must
+    be even and at most 2d-2."""
     d = model.d
-    prep = _prepared(model)
-    nilp_index = len(prep["cLH"])  # L^nilp_index H = 0
+    classes = _prepared(model)["cLH"]
+    nilp_index = len(classes)  # L^nilp_index H = 0
     best = next((i for i in range(nilp_index - 1, -1, -1)
-                 if prep["w"].get((i,) + (0,) * (d - 1), 0) != 0), 0)
+                 if sum(classes[i][j][j] for j in range(d))), 0)
     if best % 2 != 0 or best > 2 * d - 2:
         raise ModelError(f"degree growth exponent {best} is odd or above 2d-2")
     if best != nilp_index - 1:
@@ -536,9 +526,10 @@ def delta_polynomial(model) -> DeltaExpansion:
 
     The intersection of d equal classes S is d! det(S), so Delta takes the
     integer values d! det(sum_{m<n} U^m H) at n = 1 .. N, read off a running
-    orbit sum of the integer classes U^m H.  Each U^m H is a polynomial of
-    degree at most K in m (L^{K+1} H = 0, K = len(cLH) - 1), so its partial
-    sums have degree at most K + 1 in n and deg Delta <= d(K + 1) = N - 1.
+    orbit sum of the integer classes U^m H = (V^m)^T V^m (see `_prepared`).
+    Each U^m H is a polynomial of degree at most K in m (L^{K+1} H = 0,
+    K = len(cLH) - 1), so its partial sums have degree at most K + 1 in n
+    and deg Delta <= d(K + 1) = N - 1.
     The forward differences a_j of the values are the Newton coefficients,
     Delta(n) = sum_j a_j C(n-1, j); the products (n-1)...(n-j) are expanded
     by Horner over ints on the common denominator (N - 1)!, divided once at
@@ -550,15 +541,15 @@ def delta_polynomial(model) -> DeltaExpansion:
     if "delta" in prep:
         return prep["delta"]
     g = model.g
-    u = prep["U"]
+    v = prep["V"]
+    vt = list(zip(*v))
     points = g * len(prep["cLH"]) + 1
     values = []
-    orbit = list(model.H)
-    total = [0] * model.dim
+    orbit = total = mat_identity(g)
     for _ in range(points):
-        total = list(map(add, total, orbit))
-        values.append(factorial(g) * _int_det(_vec_to_sym(g, total)))
-        orbit = [sum(map(mul, row, orbit)) for row in u]
+        values.append(factorial(g) * _int_det(total))
+        orbit = mat_mul(vt, mat_mul(orbit, v))
+        total = mat_add(total, orbit)
     newton = []
     while values:
         newton.append(values[0])
@@ -607,8 +598,9 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
         raise ModelError(
             f"no distinguished tuple: the top of the w-table, "
             f"{format_partition(kappa)}, is not kappa(t) with w positive")
-    certified = Fraction(model.intersect([prep["cLH"][p] for p in kappa]),
-                         prep["c"] ** sum(kappa))
+    certified = Fraction(
+        model.intersect([_sym_to_vec(d, prep["cLH"][p]) for p in kappa]),
+        prep["c"] ** sum(kappa))
     if certified != w[kappa]:
         raise ModelError(
             f"w_kappa mismatch at kappa = {format_partition(kappa)}: "
@@ -720,8 +712,9 @@ def model_from_json(text: str) -> AbelianSurrogate:
 
     Raises ValueError, with a one-line message, for anything that is not a
     square matrix of JSON integers of the declared size, or of a size above
-    MAX_MODEL_DIM, for a "g" that is not a JSON integer, and for JSON
-    nested too deeply for the parser's recursion.
+    MAX_MODEL_DIM, or with an entry of more than MAX_ENTRY_BITS bits, for a
+    "g" that is not a JSON integer, and for JSON nested too deeply for the
+    parser's recursion.
     """
     try:
         spec = json.loads(text)
@@ -747,6 +740,10 @@ def model_from_json(text: str) -> AbelianSurrogate:
     if len(a) > MAX_MODEL_DIM:
         raise ValueError(
             f"model has g = {len(a)}, above the cap of {MAX_MODEL_DIM}")
+    bits = max(abs(x).bit_length() for r in a for x in r)
+    if bits > MAX_ENTRY_BITS:
+        raise ValueError(f'"A" has a {bits}-bit entry, above the cap of '
+                         f"{MAX_ENTRY_BITS} bits")
     return AbelianSurrogate(a)
 
 

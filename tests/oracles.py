@@ -13,13 +13,15 @@ from math import factorial
 from plovlab.dynamics import (
     _int_det,
     _prepared,
-    _vec_to_sym,
+    _sym_to_vec,
     degree_growth_exponent,
     mat_add,
     mat_identity,
     mat_is_zero,
     mat_mul,
+    nilpotent_log,
     power_sum_polynomial,
+    unipotent_power,
 )
 from plovlab.exactmat import SparseMultiPoly
 from plovlab.partitions import enumerate_partitions, multiplicities, partition_set
@@ -341,8 +343,10 @@ def w_table_by_polarization(model):
 
     def det(parts):
         if parts not in dets:
-            total = [sum(col) for col in zip([0] * model.dim, *(lh[p] for p in parts))]
-            dets[parts] = _int_det(_vec_to_sym(g, total))
+            total = [[0] * g for _ in range(g)]
+            for p in parts:
+                total = mat_add(total, lh[p])
+            dets[parts] = _int_det(total)
         return dets[parts]
 
     table = {}
@@ -354,3 +358,30 @@ def w_table_by_polarization(model):
             if total:
                 table[lam] = Fraction(total, c ** n)
     return table
+
+
+def action_matrix(a):
+    """The action S -> A^T S A on symmetric g x g matrices, as a matrix on
+    the coordinates S[i][j], i <= j: column (i, j) is the image of the
+    symmetric unit matrix with ones at (i, j) and (j, i)."""
+    g = len(a)
+    at = [list(col) for col in zip(*a)]
+    cols = []
+    for i in range(g):
+        for j in range(i, g):
+            unit = [[0] * g for _ in range(g)]
+            unit[i][j] = unit[j][i] = 1
+            cols.append(_sym_to_vec(g, mat_mul(at, mat_mul(unit, a))))
+    return [list(row) for row in zip(*cols)]
+
+
+def classes_by_action(a):
+    """p, U = F^p and the nonzero classes L^i H, as Fraction vectors, from
+    the unipotent power of the action matrix F of A and L = log U."""
+    p, u = unipotent_power(action_matrix(a))
+    l = nilpotent_log(u)
+    g = len(a)
+    lh = [[Fraction(int(i == j)) for i in range(g) for j in range(i, g)]]
+    while any(lh[-1]):
+        lh.append([sum(x * y for x, y in zip(row, lh[-1])) for row in l])
+    return p, u, lh[:-1]

@@ -221,6 +221,30 @@ def test_plov_model_above_cap(capsys, tmp_path):
     assert captured.err == "error: model has g = 8, above the cap of 6\n"
 
 
+def test_plov_model_entry_above_bit_cap(capsys, tmp_path):
+    # a 4001-digit entry is refused in one line before any arithmetic on it
+    path = tmp_path / "model.json"
+    path.write_text('{"type": "abelian", "A": [[1, 1%s], [0, 1]]}' % ("0" * 4000))
+    assert main(["plov", "--model", str(path), "--deterministic"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        'error: "A" has a 13288-bit entry, above the cap of 64 bits\n')
+
+
+def test_plov_model_entry_at_bit_cap(capsys, tmp_path):
+    # a 64-bit entry at g = 6: the Jordan block (6,) with 2^63 as its first
+    # superdiagonal entry runs the whole pipeline
+    a = [[int(j in (i, i + 1)) for j in range(6)] for i in range(6)]
+    a[0][1] = 2 ** 63
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"type": "abelian", "A": a}))
+    code, out = run_cli(capsys, "plov", "--model", str(path), "--deterministic")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["pass"] and (results["k"], results["plov"]) == (10, 36)
+
+
 @pytest.mark.parametrize("source", ["blocks", "model"])
 def test_plov_g1_rejected(capsys, tmp_path, source):
     argv = ["plov", "--abelian-blocks", "1"]

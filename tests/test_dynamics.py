@@ -1,11 +1,14 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from random import Random
 
 import pytest
 
 from oracles import (
+    action_matrix,
     charpoly_fraction,
+    classes_by_action,
     delta_multinomial_fraction,
     dense_det,
     mixed_determinant,
@@ -20,6 +23,7 @@ from plovlab.dynamics import (
     _int_inverse,
     _polydiv_exact,
     _prepared,
+    _sym_to_vec,
     _vec_to_sym,
     ModelError,
     charpoly,
@@ -73,15 +77,18 @@ def _jordan_types(total, cap):
 
 
 def test_integer_path_matches_fraction_oracles():
-    # charpoly and nilpotent_log against their all-Fraction forms on the
-    # integer action F of a seeded conjugate of every type with g <= 5
+    # charpoly and nilpotent_log against their all-Fraction forms on A, on
+    # the unipotent V the pipeline takes the log of, and on the integer
+    # action of A, for a seeded conjugate of every type with g <= 5
     rng = Random(3)
     for g in range(2, 6):
         for blocks in _jordan_types(g, g):
             m = random_conjugate(blocks, rng)
-            assert charpoly(m.F) == charpoly_fraction(m.F), blocks
-            _, u = unipotent_power(m.F)
-            assert nilpotent_log(u) == nilpotent_log_fraction(u), blocks
+            f = action_matrix(m.a)
+            for a in (m.a, f):
+                assert charpoly(a) == charpoly_fraction(a), blocks
+            for u in (_prepared(m)["V"], unipotent_power(f)[1]):
+                assert nilpotent_log(u) == nilpotent_log_fraction(u), blocks
 
 
 def test_rational_matrix_matches_fraction_oracles():
@@ -109,14 +116,102 @@ def test_w_table_matches_fraction_classes():
     for blocks in ((4,), (4, 1), (3, 2)):
         m = random_conjugate(blocks, rng)
         prep = _prepared(m)
-        l = nilpotent_log(unipotent_power(m.F)[1])
-        lh = [[Fraction(x) for x in m.H]]
-        while any(lh[-1]):
-            lh.append([sum(a * b for a, b in zip(row, lh[-1])) for row in l])
-        lh.pop()
+        lh = classes_by_action(m.a)[2]
         assert len(lh) == len(prep["cLH"]), blocks
         for lam, w in prep["w"].items():
             assert w == m.intersect([lh[part] for part in lam]), (blocks, lam)
+
+
+# quasi-unipotent hand models, rotation (+) Jordan block: (A, p, plov)
+ROTATION_MODELS = (
+    ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 4, 6),
+    ([[-1, 1, 0], [0, -1, 0], [0, 0, 1]], 2, 5),
+)
+
+
+def test_prepared_matches_action_oracle():
+    # p, the unipotent power S -> V^T S V and the classes L^i H of the
+    # g x g route against unipotent_power and nilpotent_log of the action
+    # matrix, on the Jordan form J, a seeded conjugate and -J of every type
+    # with g <= 6, and the rotation models; -J is where p = m/2 and
+    # V = -A^{m/2}, for m the unipotent power of A
+    rng = Random(47)
+    models = []
+    for g in range(2, 7):
+        for blocks in _jordan_types(g, g):
+            j = jordan_matrix(blocks)
+            models += [j, random_conjugate(blocks, rng).a,
+                       [[-x for x in r] for r in j]]
+    halved = 0
+    for a in models + [a for a, _, _ in ROTATION_MODELS]:
+        m = AbelianSurrogate(a)
+        prep = _prepared(m)
+        p, u, lh = classes_by_action(a)
+        assert prep["p"] == p, a
+        assert action_matrix(prep["V"]) == u, a
+        c = prep["c"]
+        assert [[Fraction(x, c ** i) for x in _sym_to_vec(m.g, s)]
+                for i, s in enumerate(prep["cLH"])] == lh, a
+        halved += p < unipotent_power(a)[0]
+    assert halved == len(models) // 3
+
+
+def _order(r):
+    q, power = 1, r
+    while power != mat_identity(len(r)):
+        q, power = q + 1, mat_mul(power, r)
+    return q
+
+
+# finite-order 2 x 2 integer blocks R
+TWISTS = {
+    "minus-identity": [[-1, 0], [0, -1]],
+    "order-3": [[0, -1], [1, -1]],
+    "order-4": [[0, -1], [1, 0]],
+    "order-6": [[1, -1], [1, 0]],
+}
+
+
+@lru_cache(maxsize=None)
+def _untwisted(blocks):
+    report = run_pipeline(AbelianSurrogate(jordan_matrix(blocks + (1, 1))))
+    return report["k"], report["plov"]
+
+
+@pytest.mark.parametrize("twist", list(TWISTS))
+@pytest.mark.parametrize("blocks", [(2,), (3,), (4,), (2, 2), (3, 1)])
+def test_twisted_models(blocks, twist):
+    # P^-1 (J (+) R) P, P a seeded unimodular matrix, has the k and plov of
+    # J (+) I_2, and p is the order of R: the eigenvalue 1 of J times each
+    # eigenvalue of R is an eigenvalue of the action
+    r = TWISTS[twist]
+    j = jordan_matrix(blocks)
+    g = len(j) + 2
+    block = [row + [0, 0] for row in j] + [[0] * (g - 2) + row for row in r]
+    p = random_unimodular(g, Random(f"{blocks} {twist}"))
+    m = AbelianSurrogate(mat_mul(_int_inverse(p), mat_mul(block, p)))
+    report = run_pipeline(m)
+    assert report["pass"]
+    assert (report["k"], report["plov"]) == _untwisted(blocks)
+    assert _prepared(m)["p"] == _order(r) == unipotent_power(action_matrix(m.a))[0]
+
+
+def test_pipeline_takes_unipotent_powers_of_g_by_g_matrices(monkeypatch):
+    # the pipeline never hands unipotent_power a matrix larger than A
+    shapes = []
+    inner = dynamics.unipotent_power
+
+    def recording(a):
+        shapes.append((len(a), *map(len, a)))
+        return inner(a)
+
+    monkeypatch.setattr(dynamics, "unipotent_power", recording)
+    rng = Random(53)
+    for blocks in ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,), (4, 1), (3, 2)):
+        m = random_conjugate(blocks, rng)
+        shapes.clear()
+        assert run_pipeline(m)["pass"]
+        assert shapes and max(max(s) for s in shapes) <= m.g, (blocks, shapes)
 
 
 def test_unipotent_power_identity():
@@ -138,6 +233,13 @@ def test_unipotent_power_rotation():
     m, u = unipotent_power([[0, -1], [1, 0]])
     assert m == 4
     assert u == mat_identity(2)
+
+
+def test_unipotent_power_takes_the_lcm_of_the_orders():
+    # rotations of order 4 and 6: the least unipotent power is the 12th
+    m, u = unipotent_power([[0, -1, 0, 0], [1, 0, 0, 0],
+                            [0, 0, 1, -1], [0, 0, 1, 0]])
+    assert m == 12 and u == mat_identity(4)
 
 
 def test_unipotent_power_rejects_entropy():
@@ -170,7 +272,7 @@ def test_intersect_matches_assignment_oracle():
         m = AbelianSurrogate(jordan_matrix((1,) * g))
         for pool_size in range(1, g + 1):
             pool = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                     for _ in range(m.dim)] for _ in range(pool_size)]
+                     for _ in m.H] for _ in range(pool_size)]
             vecs = [rng.choice(pool) for _ in range(g)]
             mats = [_vec_to_sym(g, v) for v in vecs]
             assert m.intersect(vecs) == mixed_determinant(mats), (g, vecs)
@@ -331,20 +433,17 @@ def test_delta_polynomial_reads_no_w_table(monkeypatch):
 
 
 def test_delta_polynomial_equals_determinant():
-    # Delta(n) = g! det(sum_i S_i(n)/i! L^i H), the intersect of g equal classes
+    # Delta(n) = g! det(sum_i S_i(n)/i! L^i H), the intersect of g equal
+    # classes, with L the log of the unipotent power of the action matrix
     rng = Random(23)
     for blocks in ((4,), (4, 1), (3, 2), (2, 2, 1)):
         m = random_conjugate(blocks, rng)
         g = m.g
-        _, u = unipotent_power(m.F)
-        l = nilpotent_log(u)
-        lh = [list(m.H)]
-        for _ in range(m.dim):
-            lh.append([sum(a * b for a, b in zip(row, lh[-1])) for row in l])
+        lh = classes_by_action(m.a)[2]
         poly = delta_polynomial(m).poly
         for n in range(1, g * g + 3):
             total = [sum(power_sum_polynomial(i)(n) / factorial(i) * v[t]
-                         for i, v in enumerate(lh)) for t in range(m.dim)]
+                         for i, v in enumerate(lh)) for t in range(len(m.H))]
             assert poly(n) == factorial(g) * dense_det(_vec_to_sym(g, total)), (
                 blocks, n)
 
@@ -363,17 +462,16 @@ def test_delta_polynomial_matches_fraction_oracle():
                       random_conjugate(blocks, rng)):
                 assert list(delta_polynomial(m).poly.coeffs) == (
                     delta_multinomial_fraction(m)), (blocks, m.a)
-                l = nilpotent_log(unipotent_power(m.F)[1])
+                l = nilpotent_log(unipotent_power(action_matrix(m.a))[1])
                 dens.add(lcm(*(x.denominator for r in l for x in r)))
             if blocks == (1, 1, 1, 1):
                 assert degree_growth_exponent(jordan) == 0
     assert dens == {1, 2, 6, 12}
     # quasi-unipotent actions, rotation (+) Jordan block, where the orbit of
-    # U = F^m and the orbit of F differ
-    for a, power, plov in (([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 4, 6),
-                           ([[-1, 1, 0], [0, -1, 0], [0, 0, 1]], 2, 5)):
+    # the unipotent power U = F^m of the action F and the orbit of F differ
+    for a, power, plov in ROTATION_MODELS:
         m = AbelianSurrogate(a)
-        assert unipotent_power(m.F)[0] == power
+        assert unipotent_power(action_matrix(m.a))[0] == power
         expansion = delta_polynomial(m)
         assert expansion.plov == plov
         assert list(expansion.poly.coeffs) == delta_multinomial_fraction(m), a
@@ -408,13 +506,27 @@ def test_intersection_form_invariance():
     rng = Random(13)
     for blocks in ((2,), (2, 1), (3,)):
         m = random_conjugate(blocks, rng)
-        f = m.F
+        f = action_matrix(m.a)
+        dim = len(f)
         for _ in range(10):
-            vecs = [[rng.randint(-2, 2) for _ in range(m.dim)]
+            vecs = [[rng.randint(-2, 2) for _ in range(dim)]
                     for _ in range(m.d)]
-            moved = [[sum(f[i][j] * v[j] for j in range(m.dim))
-                      for i in range(m.dim)] for v in vecs]
+            moved = [[sum(f[i][j] * v[j] for j in range(dim))
+                      for i in range(dim)] for v in vecs]
             assert m.intersect(moved) == m.intersect(vecs)
+
+
+def test_degree_growth_exponent_matches_w_table():
+    # k from the traces of the classes against the last i with
+    # w_(i, 0, ..., 0) nonzero, and 2(b - 1) for the largest block b, on the
+    # Jordan form of every type with g <= 6
+    for g in range(2, 7):
+        for blocks in _jordan_types(g, g):
+            m = AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
+            prep = _prepared(m)
+            last = max(i for i in range(len(prep["cLH"]))
+                       if prep["w"].get((i,) + (0,) * (g - 1)))
+            assert degree_growth_exponent(m) == last == 2 * (blocks[0] - 1), blocks
 
 
 def test_degree_growth_exponent():
@@ -553,6 +665,7 @@ def test_model_json_roundtrip():
     '{"type": "abelian", "g": 3, "A": [[1, 0], [0, 1]]}',  # wrong g
     '{"type": "abelian", "g": 2.0, "A": [[1, 0], [0, 1]]}',  # float g
     '{"type": "abelian", "g": true, "A": [[1]]}',          # boolean g
+    '{"type": "abelian", "A": [[1, 18446744073709551616], [0, 1]]}',  # 65 bits
     pytest.param('[' * 100000, id="nested-100000"),       # nested too deeply
 ])
 def test_model_from_json_rejects(text):
