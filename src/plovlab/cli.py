@@ -20,6 +20,7 @@ from .dynamics import (
     MAX_MODEL_DIM,
     AbelianSurrogate,
     ModelError,
+    jordan_matrix,
     model_from_json,
     random_conjugate,
     run_pipeline,
@@ -33,7 +34,7 @@ from .incidence import (
     verify_full_rank,
     verify_kernel_dim_one,
 )
-from .partitions import count, format_partition
+from .partitions import count, enumerate_partitions, format_partition
 
 USAGE_ERROR = 2
 MISMATCH = 1
@@ -316,8 +317,6 @@ def cmd_plov(args):
                 model = model_from_json(fh.read())
         else:
             blocks = _parse_blocks(args.abelian_blocks)
-            from .dynamics import jordan_matrix
-
             model = AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
         if model.g < 2:
             raise ValueError(f"model has g = {model.g}; the pipeline needs g >= 2")
@@ -332,16 +331,11 @@ def cmd_plov(args):
     return _report(args, report, report["pass"], started)
 
 
-def _jordan_types(d: int):
-    """All weakly decreasing block-size tuples summing to d."""
-    def rec(total, cap):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(cap, total), 0, -1):
-            for rest in rec(total - first, first):
-                yield (first,) + rest
-    yield from rec(d, d)
+def _jordan_types(d: int) -> list[tuple[int, ...]]:
+    """All weakly decreasing block-size tuples summing to d, in decreasing
+    lex order."""
+    return [tuple(p for p in lam if p)
+            for lam in enumerate_partitions(d, d, d)]
 
 
 def _scan_one(blocks, seed):
@@ -366,7 +360,7 @@ def cmd_scan(args):
         print("error: --count must be at least 1", file=sys.stderr)
         return USAGE_ERROR
     seed = args.seed if args.seed is not None else 0
-    types = list(_jordan_types(args.d))
+    types = _jordan_types(args.d)
     rows = [_scan_one(types[i % len(types)], seed + i) for i in range(args.count)]
     passed = sum(1 for r in rows if r.get("pass"))
     plov_values = sorted({r["plov"] for r in rows if "plov" in r})

@@ -273,21 +273,6 @@ def nilpotent_log(u) -> list[list[Fraction]]:
 # ---------------------------------------------------------------------------
 # abelian surrogates
 
-def _sym_basis(g: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(g) for j in range(i, g)]
-
-
-def _vec_to_sym(g: int, vec) -> list[list]:
-    s = [[0] * g for _ in range(g)]
-    for (i, j), v in zip(_sym_basis(g), vec):
-        s[i][j] = s[j][i] = v
-    return s
-
-
-def _sym_to_vec(g: int, s) -> tuple:
-    return tuple(s[i][j] for i, j in _sym_basis(g))
-
-
 def _int_det(m: list[list[int]]) -> int:
     """Fraction-free determinant of a small integer matrix; 1 for the empty
     matrix."""
@@ -312,11 +297,11 @@ def _int_det(m: list[list[int]]) -> int:
 
 class AbelianSurrogate:
     """Product-of-elliptic-curves stand-in: divisor classes are symmetric g x g
-    rational matrices, the action is S -> A^T S A for an integer unimodular A,
-    H is the identity, and the intersection form is the polarized determinant
-    (the coefficient of t_1...t_g in det(sum t_i S_i), computed by
-    polarization over the subsets of the g classes: exactly 2^g
-    determinants per call)."""
+    rational matrices, used as they are with no coordinate basis; the action
+    is S -> A^T S A for an integer unimodular A, H is the g x g identity, and
+    the intersection form is the polarized determinant (the coefficient of
+    t_1...t_g in det(sum t_i S_i), computed by polarization over the subsets
+    of the g classes: exactly 2^g determinants per call)."""
 
     def __init__(self, a: list[list[int]], jordan: tuple[int, ...] | None = None):
         g = len(a)
@@ -330,28 +315,29 @@ class AbelianSurrogate:
         self.d = g
         self.a = a
         self.jordan = jordan
-        self.H = _sym_to_vec(g, mat_identity(g))
+        self.H = mat_identity(g)
 
-    def intersect(self, vecs) -> Fraction:
-        """Polarization over the subsets T of the g classes S_j: the sum of
-        (-1)^(g - |T|) det(sum_{j in T} S_j) (Bapat 1989), exactly 2^g
-        determinants.  Each class is scaled to integers by its own
-        denominators first, which the multilinear form turns into one
-        overall factor, divided once at the end.  The pipeline reads its
+    def intersect(self, classes) -> Fraction:
+        """The intersection of g classes, each a symmetric g x g matrix with
+        int or Fraction entries: the polarization sum over the subsets T of
+        the classes S_j of (-1)^(g - |T|) det(sum_{j in T} S_j) (Bapat
+        1989), exactly 2^g determinants.  Each class is scaled to integers
+        by its own denominators first, which the multilinear form turns into
+        one overall factor, divided once at the end.  The pipeline reads its
         w-table from one polynomial determinant (`_det_table`) and calls
         this once per k >= 2 model, to certify w_kappa."""
         g = self.g
-        if len(vecs) != g:
+        if len(classes) != g:
             raise ValueError(f"need exactly {g} classes")
         scale = 1
-        sums = [[0] * len(self.H)]
-        for vec in vecs:
-            den = lcm(*(x.denominator for x in vec))
+        sums = [[[0] * g for _ in range(g)]]
+        for s_j in classes:
+            den = lcm(*(x.denominator for r in s_j for x in r))
             scale *= den
-            cleared = [int(x * den) for x in vec]
-            sums += [list(map(add, s, cleared)) for s in sums]
+            cleared = [[int(x * den) for x in r] for r in s_j]
+            sums += [mat_add(s, cleared) for s in sums]
         # bit j of the index t is set when S_j is in the subset
-        total = sum((-1) ** (g - t.bit_count()) * _int_det(_vec_to_sym(g, s))
+        total = sum((-1) ** (g - t.bit_count()) * _int_det(s)
                     for t, s in enumerate(sums))
         return Fraction(total, scale)
 
@@ -428,10 +414,11 @@ def _prepared(model):
     cache = getattr(model, "_pipeline_cache", None)
     if cache is None:
         p, v = unipotent_power(model.a)
-        half = mat_pow(model.a, p // 2)
-        if p % 2 == 0 and mat_is_zero(
-                mat_pow(mat_add(half, mat_identity(model.g)), model.g)):
-            p, v = p // 2, [[-x for x in r] for r in half]
+        if p % 2 == 0:
+            half = mat_pow(model.a, p // 2)
+            if mat_is_zero(
+                    mat_pow(mat_add(half, mat_identity(model.g)), model.g)):
+                p, v = p // 2, [[-x for x in r] for r in half]
         n = nilpotent_log(v)
         c = lcm(*(x.denominator for r in n for x in r))
         cnt = [[int(x * c) for x in col] for col in zip(*n)]  # (cN)^T
@@ -599,7 +586,7 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
             f"no distinguished tuple: the top of the w-table, "
             f"{format_partition(kappa)}, is not kappa(t) with w positive")
     certified = Fraction(
-        model.intersect([_sym_to_vec(d, prep["cLH"][p]) for p in kappa]),
+        model.intersect([prep["cLH"][p] for p in kappa]),
         prep["c"] ** sum(kappa))
     if certified != w[kappa]:
         raise ModelError(

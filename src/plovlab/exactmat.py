@@ -438,7 +438,9 @@ def _primitive(ints: list[int]) -> list[Fraction]:
 
 
 class SparseMultiPoly(Record):
-    """Multivariate polynomial with fixed arity: {exponent tuple: coefficient}."""
+    """Multivariate polynomial with fixed arity, kept as its terms
+    {exponent tuple: coefficient}.  A term container: `symfun` fills it and
+    reads its terms; it carries no arithmetic."""
 
     __slots__ = _fields = ("arity", "terms")
 
@@ -457,77 +459,5 @@ class SparseMultiPoly(Record):
             clean[tuple(expo)] = coef
         return SparseMultiPoly(arity, clean)
 
-    @staticmethod
-    def zero(arity: int) -> "SparseMultiPoly":
-        return SparseMultiPoly(arity, {})
-
-    @staticmethod
-    def constant(arity: int, c) -> "SparseMultiPoly":
-        return SparseMultiPoly.from_terms(arity, {(0,) * arity: c})
-
-    @staticmethod
-    def variable(arity: int, i: int) -> "SparseMultiPoly":
-        expo = [0] * arity
-        expo[i] = 1
-        return SparseMultiPoly.from_terms(arity, {tuple(expo): 1})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseMultiPoly)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "SparseMultiPoly") -> "SparseMultiPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = out.get(expo, Fraction(0)) + c
-            if s:
-                out[expo] = s
-            else:
-                out.pop(expo, None)
-        return SparseMultiPoly(self.arity, out)
-
-    def __sub__(self, other: "SparseMultiPoly") -> "SparseMultiPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SparseMultiPoly":
-        c = Fraction(c)
-        if c == 0:
-            return SparseMultiPoly.zero(self.arity)
-        return SparseMultiPoly(self.arity, {e: v * c for e, v in self.terms.items()})
-
-    def __mul__(self, other: "SparseMultiPoly") -> "SparseMultiPoly":
-        self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SparseMultiPoly(self.arity, out)
-
-    def differentiate(self, i: int) -> "SparseMultiPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for expo, c in self.terms.items():
-            if expo[i] == 0:
-                continue
-            e = list(expo)
-            coef = c * e[i]
-            e[i] -= 1
-            out[tuple(e)] = out.get(tuple(e), Fraction(0)) + coef
-        return SparseMultiPoly(self.arity, {e: v for e, v in out.items() if v})
-
     def coefficient(self, expo: tuple[int, ...]) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "SparseMultiPoly"):
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")

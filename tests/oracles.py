@@ -13,7 +13,6 @@ from math import factorial
 from plovlab.dynamics import (
     _int_det,
     _prepared,
-    _sym_to_vec,
     degree_growth_exponent,
     mat_add,
     mat_identity,
@@ -127,13 +126,19 @@ def mixed_determinant(mats):
 
 @lru_cache(maxsize=None)
 def vandermonde_square_product(m):
-    """prod_{i<j<=m} (z_i - z_j)^2 in m variables, multiplied out factor by factor."""
-    poly = SparseMultiPoly.constant(m, 1)
+    """prod_{i<j<=m} (z_i - z_j)^2 in m variables, multiplied out factor by
+    factor: each term z^e c becomes z^(e + u_i) c - z^(e + u_j) c."""
+    terms = {(0,) * m: Fraction(1)}
     for i in range(m):
         for j in range(i + 1, m):
-            diff = SparseMultiPoly.variable(m, i) - SparseMultiPoly.variable(m, j)
-            poly = poly * diff * diff
-    return poly
+            for _ in range(2):
+                out = {}
+                for expo, coef in terms.items():
+                    for pos, c in ((i, coef), (j, -coef)):
+                        key = expo[:pos] + (expo[pos] + 1,) + expo[pos + 1:]
+                        out[key] = out.get(key, 0) + c
+                terms = {e: c for e, c in out.items() if c}
+    return SparseMultiPoly(m, terms)
 
 
 def vandermonde_subset_sum(r, d):
@@ -360,6 +365,21 @@ def w_table_by_polarization(model):
     return table
 
 
+def sym_to_vec(g, s):
+    """The coordinates S[i][j], i <= j, of a symmetric g x g matrix."""
+    return tuple(s[i][j] for i in range(g) for j in range(i, g))
+
+
+def vec_to_sym(g, vec):
+    """The symmetric g x g matrix with the coordinates vec (see sym_to_vec)."""
+    s = [[0] * g for _ in range(g)]
+    coords = iter(vec)
+    for i in range(g):
+        for j in range(i, g):
+            s[i][j] = s[j][i] = next(coords)
+    return s
+
+
 def action_matrix(a):
     """The action S -> A^T S A on symmetric g x g matrices, as a matrix on
     the coordinates S[i][j], i <= j: column (i, j) is the image of the
@@ -371,7 +391,7 @@ def action_matrix(a):
         for j in range(i, g):
             unit = [[0] * g for _ in range(g)]
             unit[i][j] = unit[j][i] = 1
-            cols.append(_sym_to_vec(g, mat_mul(at, mat_mul(unit, a))))
+            cols.append(sym_to_vec(g, mat_mul(at, mat_mul(unit, a))))
     return [list(row) for row in zip(*cols)]
 
 

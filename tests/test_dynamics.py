@@ -14,6 +14,8 @@ from oracles import (
     mixed_determinant,
     nilpotent_exp,
     nilpotent_log_fraction,
+    sym_to_vec,
+    vec_to_sym,
     w_table_by_polarization,
 )
 from plovlab import dynamics
@@ -23,8 +25,6 @@ from plovlab.dynamics import (
     _int_inverse,
     _polydiv_exact,
     _prepared,
-    _sym_to_vec,
-    _vec_to_sym,
     ModelError,
     charpoly,
     check_principles,
@@ -119,7 +119,8 @@ def test_w_table_matches_fraction_classes():
         lh = classes_by_action(m.a)[2]
         assert len(lh) == len(prep["cLH"]), blocks
         for lam, w in prep["w"].items():
-            assert w == m.intersect([lh[part] for part in lam]), (blocks, lam)
+            assert w == m.intersect(
+                [vec_to_sym(m.g, lh[part]) for part in lam]), (blocks, lam)
 
 
 # quasi-unipotent hand models, rotation (+) Jordan block: (A, p, plov)
@@ -150,7 +151,7 @@ def test_prepared_matches_action_oracle():
         assert prep["p"] == p, a
         assert action_matrix(prep["V"]) == u, a
         c = prep["c"]
-        assert [[Fraction(x, c ** i) for x in _sym_to_vec(m.g, s)]
+        assert [[Fraction(x, c ** i) for x in sym_to_vec(m.g, s)]
                 for i, s in enumerate(prep["cLH"])] == lh, a
         halved += p < unipotent_power(a)[0]
     assert halved == len(models) // 3
@@ -272,15 +273,16 @@ def test_intersect_matches_assignment_oracle():
         m = AbelianSurrogate(jordan_matrix((1,) * g))
         for pool_size in range(1, g + 1):
             pool = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                     for _ in m.H] for _ in range(pool_size)]
+                     for _ in range(g * (g + 1) // 2)] for _ in range(pool_size)]
             vecs = [rng.choice(pool) for _ in range(g)]
-            mats = [_vec_to_sym(g, v) for v in vecs]
-            assert m.intersect(vecs) == mixed_determinant(mats), (g, vecs)
+            mats = [vec_to_sym(g, v) for v in vecs]
+            assert m.intersect(mats) == mixed_determinant(mats), (g, vecs)
 
 
 def test_pipeline_computes_each_w_once(monkeypatch):
     # one determinant table per model; intersect runs once, for the w_kappa
-    # certificate of a k >= 2 model
+    # certificate of a k >= 2 model, and receives the classes as g x g
+    # matrices, with no round trip through coordinate vectors
     tables = []
     calls = []
     inner_table = dynamics._det_table
@@ -290,18 +292,25 @@ def test_pipeline_computes_each_w_once(monkeypatch):
         tables.append(1)
         return inner_table(g, clh)
 
-    def counting(self, vecs):
+    def counting(self, classes):
         calls.append(1)
-        return inner(self, vecs)
+        g = self.g
+        assert all(type(s) is list and len(s) == g
+                   and all(type(r) is list and len(r) == g for r in s)
+                   for s in classes), classes
+        return inner(self, classes)
 
     monkeypatch.setattr(dynamics, "_det_table", counting_table)
     monkeypatch.setattr(AbelianSurrogate, "intersect", counting)
-    for blocks in ((4,), (4, 1)):
+    models = [AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
+              for blocks in ((4,), (4, 1))]
+    models.append(random_conjugate((5,), Random(31)))
+    for m in models:
         tables.clear()
         calls.clear()
-        report = run_pipeline(AbelianSurrogate(jordan_matrix(blocks), jordan=blocks))
+        report = run_pipeline(m)
         assert report["pass"] and report["k"] >= 2
-        assert (len(tables), len(calls)) == (1, 1), blocks
+        assert (len(tables), len(calls)) == (1, 1), m.a
 
 
 def test_intersect_takes_one_determinant_per_subset(monkeypatch):
@@ -309,8 +318,8 @@ def test_intersect_takes_one_determinant_per_subset(monkeypatch):
     # polarization sum over the 2^g subsets, with nothing kept between calls
     g = 4
     m = AbelianSurrogate(jordan_matrix((1,) * g))
-    v = [Fraction(1, 2), 0, 1, 0, 0, -1, 0, 1, 0, 0]
-    vecs = [m.H, v, m.H, v]
+    v = vec_to_sym(g, [Fraction(1, 2), 0, 1, 0, 0, -1, 0, 1, 0, 0])
+    classes = [m.H, v, m.H, v]
     calls = []
     inner = dynamics._int_det
 
@@ -319,10 +328,10 @@ def test_intersect_takes_one_determinant_per_subset(monkeypatch):
         return inner(a)
 
     monkeypatch.setattr(dynamics, "_int_det", counting)
-    expected = mixed_determinant([_vec_to_sym(g, x) for x in vecs])
+    expected = mixed_determinant(classes)
     for _ in range(2):
         calls.clear()
-        assert m.intersect(vecs) == expected
+        assert m.intersect(classes) == expected
         assert len(calls) == 2 ** g
 
 
@@ -443,8 +452,8 @@ def test_delta_polynomial_equals_determinant():
         poly = delta_polynomial(m).poly
         for n in range(1, g * g + 3):
             total = [sum(power_sum_polynomial(i)(n) / factorial(i) * v[t]
-                         for i, v in enumerate(lh)) for t in range(len(m.H))]
-            assert poly(n) == factorial(g) * dense_det(_vec_to_sym(g, total)), (
+                         for i, v in enumerate(lh)) for t in range(len(lh[0]))]
+            assert poly(n) == factorial(g) * dense_det(vec_to_sym(g, total)), (
                 blocks, n)
 
 
@@ -513,7 +522,8 @@ def test_intersection_form_invariance():
                     for _ in range(m.d)]
             moved = [[sum(f[i][j] * v[j] for j in range(dim))
                       for i in range(dim)] for v in vecs]
-            assert m.intersect(moved) == m.intersect(vecs)
+            assert (m.intersect([vec_to_sym(m.g, v) for v in moved])
+                    == m.intersect([vec_to_sym(m.g, v) for v in vecs]))
 
 
 def test_degree_growth_exponent_matches_w_table():

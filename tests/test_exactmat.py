@@ -7,7 +7,6 @@ import pytest
 from plovlab import exactmat
 from plovlab.exactmat import (
     ExactMatrix,
-    SparseMultiPoly,
     assemble_block_lower,
     hstack,
     matrix_rank,
@@ -234,33 +233,3 @@ def test_vandermonde_square_monomial_count():
         assert len(vandermonde_square_product(m).terms) == expected
         assert len(vandermonde_poly(m - 1, m).terms) == expected
     assert len(vandermonde_poly(5, 6).terms) == 56183
-
-
-def test_poly_product_commutative_associative():
-    rng = Random(47)
-
-    def random_poly():
-        terms = {}
-        for _ in range(rng.randint(1, 5)):
-            expo = tuple(rng.randint(0, 3) for _ in range(2))
-            terms[expo] = Fraction(rng.randint(-4, 4))
-        return SparseMultiPoly.from_terms(2, terms)
-
-    for _ in range(10):
-        p, q, r = random_poly(), random_poly(), random_poly()
-        assert p * q == q * p
-        assert (p * q) * r == p * (q * r)
-        assert p * SparseMultiPoly.constant(2, 1) == p
-
-
-def test_poly_arithmetic():
-    x = SparseMultiPoly.variable(2, 0)
-    y = SparseMultiPoly.variable(2, 1)
-    p = (x - y) * (x - y)
-    assert p.coefficient((2, 0)) == 1
-    assert p.coefficient((1, 1)) == -2
-    assert p.coefficient((0, 2)) == 1
-    dp = p.differentiate(0)
-    assert dp.coefficient((1, 0)) == 2
-    assert dp.coefficient((0, 1)) == -2
-    assert (p - p).is_zero()

@@ -14,12 +14,12 @@ from oracles import (  # noqa: E402
     distinct_permutations_by_sorting,
     mhat_expand_by_sorting,
     mixed_determinant,
+    vec_to_sym,
     w_table_by_polarization,
 )
 from plovlab.dynamics import (  # noqa: E402
     AbelianSurrogate,
     _prepared,
-    _vec_to_sym,
     jordan_matrix,
     model_from_json,
     random_conjugate,
@@ -192,8 +192,8 @@ def test_shared_surrogate_intersect_matches_oracle(case):
     g, calls = case
     m = AbelianSurrogate(jordan_matrix((1,) * g))
     for vecs in calls:
-        expected = mixed_determinant([_vec_to_sym(g, v) for v in vecs])
-        assert m.intersect(vecs) == expected, vecs
+        classes = [vec_to_sym(g, v) for v in vecs]
+        assert m.intersect(classes) == mixed_determinant(classes), vecs
 
 
 @st.composite

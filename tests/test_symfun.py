@@ -78,7 +78,8 @@ def test_mhat_expand_rejects_asymmetric():
 
 def test_mhat_expand_rejects_incomplete_orbit():
     # drop one of the six rearrangements of (2,1,0)
-    p = mhat_poly((2, 1, 0)) + mhat_poly((1, 1, 1))
+    p = SparseMultiPoly(
+        3, {**mhat_poly((2, 1, 0)).terms, **mhat_poly((1, 1, 1)).terms})
     mhat_expand(p, 2, 3, 3)
     terms = dict(p.terms)
     del terms[(0, 1, 2)]
@@ -116,7 +117,7 @@ def test_mhat_expand_symmetry_matches_swap_oracle():
 
 
 def test_mhat_expand_rejects_wrong_degree():
-    p = mhat_poly((2, 1)) + mhat_poly((1, 0))
+    p = SparseMultiPoly(2, {**mhat_poly((2, 1)).terms, **mhat_poly((1, 0)).terms})
     with pytest.raises(ValueError):
         mhat_expand(p, 2, 2, 3)
 
