@@ -82,11 +82,11 @@ def _emit(report: dict, args) -> int:
 
 def _report(args, results: dict, ok: bool, started: float) -> int:
     report = {
-        "command": " ".join(sys.argv[1:]),
+        "command": args.command,
         "parameters": {
             k: v
             for k, v in vars(args).items()
-            if k not in ("func",) and v is not None
+            if k not in ("func", "command") and v is not None
         },
         "results": results,
         "pass": ok,
@@ -109,7 +109,7 @@ def _reproduce_matrix_examples(args, started):
     csv_chunks = []
     for (k, d, n), expected in cases.items():
         m = build_incidence(k, d, n)
-        got = [[int(v) for v in row] for row in m.data.to_dense()]
+        got = m.data.to_dense()
         match = got == expected
         ok = ok and match
         results[f"A_{k}_{d}_{n}"] = {"match": match, "entries": got}
@@ -423,7 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
+    args.command = " ".join(argv)
     if args.out and _check_out(args.out):
         return USAGE_ERROR
     return args.func(args)

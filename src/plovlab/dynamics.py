@@ -18,10 +18,10 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from random import Random
 
-from .exactmat import Record, _exact
+from .exactmat import Record
 from .incidence import build_incidence, kappa_of
 from .partitions import Partition, format_partition, partition_set
 
@@ -148,76 +148,73 @@ def mat_is_zero(a) -> bool:
 
 def mat_pow(a, e: int):
     out = mat_identity(len(a))
-    base = [[_exact(x) for x in r] for r in a]
     while e:
         if e & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
+            out = mat_mul(out, a)
+        a = mat_mul(a, a)
         e >>= 1
     return out
 
 
-def charpoly(a) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A), ascending coefficients.
+def charpoly(a: list[list[int]]) -> list[int]:
+    """Characteristic polynomial det(xI - A) of an integer matrix, ascending
+    coefficients.
 
-    Faddeev-LeVerrier: exact over the rationals, and in ints for an integer
-    matrix, whose c_k = -tr(M_k)/k are then integers.
+    Faddeev-LeVerrier in ints: each c_k = -tr(M_k)/k is an integer, so the
+    division is exact; a trace that is not an int raises TypeError.
     """
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    am = [[_exact(x) for x in r] for r in a]
-    mk = [row[:] for row in am]
+    coeffs = [0] * n + [1]
+    mk = a
     for k in range(1, n + 1):
-        ck = _exact(Fraction(-sum(mk[i][i] for i in range(n)), k))
-        coeffs[n - k] = Fraction(ck)
+        ck = -index(sum(mk[i][i] for i in range(n))) // k
+        coeffs[n - k] = ck
         if k < n:
             shifted = [row[:] for row in mk]
             for i in range(n):
                 shifted[i][i] += ck
-            mk = mat_mul(am, shifted)
+            mk = mat_mul(a, shifted)
     return coeffs
 
 
 # cyclotomic machinery for quasi-unipotency detection
 
 @lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
     # x^n - 1 divided by the cyclotomic polynomials of proper divisors
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for m in range(1, n):
         if n % m == 0:
-            poly = _polydiv_exact(poly, list(_cyclotomic(m)))
+            poly = _polydiv_monic(poly, _cyclotomic(m))
     return tuple(poly)
 
 
-def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction] | None:
-    """The quotient num / den, or None when the remainder is nonzero."""
+def _polydiv_monic(num: list[int], den: tuple[int, ...]) -> list[int] | None:
+    """The quotient num / den for a monic den, or None when the remainder is
+    nonzero; a monic divisor needs no division."""
     num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
-        q = num[i + len(den) - 1] / den[-1]
-        out[i] = q
+        q = out[i] = num[i + len(den) - 1]
         for j, dj in enumerate(den):
             num[i + j] -= q * dj
-    if any(v != 0 for v in num):
-        return None
-    return out
+    return None if any(num) else out
 
 
 def _euler_phi(n: int) -> int:
     return sum(1 for i in range(1, n + 1) if gcd(i, n) == 1)
 
 
-def unipotent_power(a) -> tuple[int, list[list]]:
-    """Least m with A^m unipotent, plus U = A^m (with int entries for an
-    integer A).
+def unipotent_power(a: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Least m with A^m unipotent, plus the integer matrix U = A^m, for an
+    integer matrix A.
 
     Checks that every irreducible factor of the characteristic polynomial is
     cyclotomic (all eigenvalues roots of unity); raises ModelError otherwise.
+    The residual and every cyclotomic divisor are monic integer polynomials,
+    so each quotient stays in ints.
     """
-    a = [[_exact(x) for x in r] for r in a]
     g = len(a)
     orders = set()
     residual = charpoly(a)
@@ -228,9 +225,9 @@ def unipotent_power(a) -> tuple[int, list[list]]:
             break
         if _euler_phi(n) > g:
             continue
-        cyc = list(_cyclotomic(n))
+        cyc = _cyclotomic(n)
         while len(residual) >= len(cyc):
-            quo = _polydiv_exact(residual, cyc)
+            quo = _polydiv_monic(residual, cyc)
             if quo is None:
                 break
             residual = quo
@@ -247,15 +244,16 @@ def unipotent_power(a) -> tuple[int, list[list]]:
     return m, u
 
 
-def nilpotent_log(u) -> list[list[Fraction]]:
-    """log U = sum (-1)^{i+1} (U - I)^i / i for unipotent U; exact and finite.
+def nilpotent_log(u: list[list[int]]) -> list[list[Fraction]]:
+    """log U = sum (-1)^{i+1} (U - I)^i / i for a unipotent integer matrix U;
+    exact and finite, with Fraction entries.
 
-    The powers N^i of N = U - I are summed with the integer weights
+    The integer powers N^i of N = U - I are summed with the integer weights
     (-1)^{i+1} c/i, c = lcm(1..g), and the sum is divided by c once.
     """
     g = len(u)
     c = lcm(*range(1, g + 1))
-    n = mat_sub([[_exact(x) for x in r] for r in u], mat_identity(g))
+    n = mat_sub(u, mat_identity(g))
     out = [[0] * g for _ in range(g)]
     power = mat_identity(g)
     for i in range(1, g + 1):
@@ -297,7 +295,7 @@ def _int_det(m: list[list[int]]) -> int:
 
 class AbelianSurrogate:
     """Product-of-elliptic-curves stand-in: divisor classes are symmetric g x g
-    rational matrices, used as they are with no coordinate basis; the action
+    integer matrices, used as they are with no coordinate basis; the action
     is S -> A^T S A for an integer unimodular A, H is the g x g identity, and
     the intersection form is the polarized determinant (the coefficient of
     t_1...t_g in det(sum t_i S_i), computed by polarization over the subsets
@@ -307,7 +305,7 @@ class AbelianSurrogate:
         g = len(a)
         if any(len(r) != g for r in a):
             raise ValueError("A must be square")
-        a = [[int(x) for x in r] for r in a]
+        a = [[index(x) for x in r] for r in a]
         det = _int_det(a)
         if det not in (1, -1):
             raise ModelError(f"A must be unimodular, det = {det}")
@@ -317,29 +315,24 @@ class AbelianSurrogate:
         self.jordan = jordan
         self.H = mat_identity(g)
 
-    def intersect(self, classes) -> Fraction:
-        """The intersection of g classes, each a symmetric g x g matrix with
-        int or Fraction entries: the polarization sum over the subsets T of
-        the classes S_j of (-1)^(g - |T|) det(sum_{j in T} S_j) (Bapat
-        1989), exactly 2^g determinants.  Each class is scaled to integers
-        by its own denominators first, which the multilinear form turns into
-        one overall factor, divided once at the end.  The pipeline reads its
+    def intersect(self, classes) -> int:
+        """The intersection of g classes, each a symmetric g x g integer
+        matrix (any other entry raises TypeError): the polarization sum over
+        the subsets T of the classes S_j of (-1)^(g - |T|) det(sum_{j in T}
+        S_j) (Bapat 1989), exactly 2^g determinants.  The pipeline reads its
         w-table from one polynomial determinant (`_det_table`) and calls
-        this once per k >= 2 model, to certify w_kappa."""
+        this once per k >= 2 model, on the integer classes (cL)^i H, to
+        certify w_kappa."""
         g = self.g
         if len(classes) != g:
             raise ValueError(f"need exactly {g} classes")
-        scale = 1
         sums = [[[0] * g for _ in range(g)]]
         for s_j in classes:
-            den = lcm(*(x.denominator for r in s_j for x in r))
-            scale *= den
-            cleared = [[int(x * den) for x in r] for r in s_j]
-            sums += [mat_add(s, cleared) for s in sums]
+            s_j = [[index(x) for x in r] for r in s_j]
+            sums += [mat_add(s, s_j) for s in sums]
         # bit j of the index t is set when S_j is in the subset
-        total = sum((-1) ** (g - t.bit_count()) * _int_det(s)
-                    for t, s in enumerate(sums))
-        return Fraction(total, scale)
+        return sum((-1) ** (g - t.bit_count()) * _int_det(s)
+                   for t, s in enumerate(sums))
 
     def to_json(self) -> str:
         return json.dumps({"type": "abelian", "g": self.g, "A": self.a})
@@ -438,24 +431,15 @@ def _prepared(model):
 
 
 def degree_growth_exponent(model) -> int:
-    """max i with (L^i H) . H^{d-1} = (d-1)! tr L^i H nonzero (H = I); must
-    be even and at most 2d-2."""
-    d = model.d
-    classes = _prepared(model)["cLH"]
-    nilp_index = len(classes)  # L^nilp_index H = 0
-    best = next((i for i in range(nilp_index - 1, -1, -1)
-                 if sum(classes[i][j][j] for j in range(d))), 0)
-    if best % 2 != 0 or best > 2 * d - 2:
-        raise ModelError(f"degree growth exponent {best} is odd or above 2d-2")
-    if best != nilp_index - 1:
-        import warnings
+    """k, the max i with (L^i H) . H^{d-1} = (d-1)! tr L^i H nonzero (H = I):
+    the index of the last nonzero class, len(cLH) - 1.
 
-        warnings.warn(
-            f"degree exponent {best} != nilpotency index minus one "
-            f"({nilp_index - 1}); geometric models should agree",
-            stacklevel=2,
-        )
-    return best
+    With H = I, L^i H = sum_j C(i, j) (N^T)^j N^{i-j} for N = log V.  For nu
+    the nilpotency index of N, the class at i = 2nu - 2 is C(2nu - 2, nu - 1)
+    (N^{nu-1})^T N^{nu-1}, whose trace is positive, and the class at
+    2nu - 1 is zero.  So k = 2nu - 2 is even and at most 2d - 2.
+    """
+    return len(_prepared(model)["cLH"]) - 1
 
 
 class WVector(Record):
@@ -469,35 +453,33 @@ class WVector(Record):
         return self.values[self.index.index_of(lam)]
 
 
-def w_vector(model, n: int, k: int | None = None) -> WVector:
-    """w_lambda = intersection of (L^{lambda_1} H, ..., L^{lambda_d} H) over P(k,d,n)."""
+def w_vector(model, n: int) -> WVector:
+    """w_lambda = intersection of (L^{lambda_1} H, ..., L^{lambda_d} H) over
+    P(k,d,n), for k = `degree_growth_exponent(model)`."""
     d = model.d
-    if k is None:
-        k = degree_growth_exponent(model)
+    k = degree_growth_exponent(model)
     if k == 0:
         raise ModelError("k = 0: no valid n, the w-vector is empty")
     if not 1 <= n <= d * k:
         raise ValueError(f"n={n} outside [1, {d * k}]")
-    index = partition_set(k, d, n)
+    members = partition_set(k, d, n)
     w = _prepared(model)["w"]
-    return WVector(k, d, n, index, tuple(w.get(lam, 0) for lam in index))
+    return WVector(k, d, n, members, tuple(w.get(lam, 0) for lam in members))
 
 
-def verify_linear_system(model, n: int, k: int | None = None) -> bool:
-    """A_{k,d,n} . w = 0, exactly.
+def verify_linear_system(model, n: int) -> bool:
+    """A_{k,d,n} . w = 0, exactly, for k = `degree_growth_exponent(model)`.
 
     Every lambda in P(k, d, n) has |lambda| = n, so c^n clears each
     denominator of w, and the system is checked on the integer numerators.
     """
-    if k is None:
-        k = degree_growth_exponent(model)
-    w = w_vector(model, n, k)
+    w = w_vector(model, n)
     scale = _prepared(model)["c"] ** n
-    mat = build_incidence(k, model.d, n)
+    mat = build_incidence(w.k, model.d, n)
     residual = mat.data.matvec(
         [v.numerator * (scale // v.denominator) for v in w.values])
     if any(v != 0 for v in residual):
-        raise ModelError(f"linear system violated at (k={k}, d={model.d}, n={n})")
+        raise ModelError(f"linear system violated at (k={w.k}, d={model.d}, n={n})")
     return True
 
 
@@ -765,7 +747,7 @@ def run_pipeline(model: AbelianSurrogate) -> dict:
         report["kappa"] = format_partition(dist.kappa)
         report["t"] = list(dist.t)
         for n in range(1, d * k + 1):
-            verify_linear_system(model, n, k)
+            verify_linear_system(model, n)
     if k == 2 * d - 2:
         hil = hilbert_top_coefficient_check(model)
         report["checks"]["hilbert"] = hil["pass"]

@@ -1,19 +1,19 @@
-"""Exact sparse rational matrices with deterministic rank and nullspace.
+"""Exact sparse integer matrices with deterministic rank and nullspace over Q.
 
-Integral entries are kept as Python ints and other entries as Fractions.
-The rank and the nullspace each come from one modular elimination.  Rows are
-cleared to integers, reduced mod a prime p and eliminated column by column
-(the pivot of a column is the row with the fewest nonzeros, ties by arrival
-order).  The r pivots mod p never exceed the rank over Q, so the result is
-certified at once when r is the number of nonzero rows or of columns.
-Otherwise, for each free column f, the kernel vector with x_f = 1 and every
-other free entry 0 is solved mod p, lifted to integers over one common
-denominator by Wang's rational reconstruction, and checked exactly against
-every row.  These vectors are independent, so the nullity over Q is the
-number of free columns and the pivot columns are the exact ones; the lifted
-vectors are the exact basis.  A failed certificate escalates through the
-primes of ``_PRIMES`` and then falls back to the fraction-free
-``_row_reduce``, which divides every updated row by the gcd of its entries.
+Every entry is a Python int; a Fraction or a float raises TypeError.  The
+rank and the nullspace each come from one modular elimination.  Rows are
+reduced mod a prime p and eliminated column by column (the pivot of a column
+is the row with the fewest nonzeros, ties by arrival order).  The r pivots
+mod p never exceed the rank over Q, so the result is certified at once when
+r is the number of nonzero rows or of columns.  Otherwise, for each free
+column f, the kernel vector with x_f = 1 and every other free entry 0 is
+solved mod p, lifted to integers over one common denominator by Wang's
+rational reconstruction, and checked exactly against every row.  These
+vectors are independent, so the nullity over Q is the number of free columns
+and the pivot columns are the exact ones; the lifted vectors are the exact
+basis.  A failed certificate escalates through the primes of ``_PRIMES`` and
+then falls back to the fraction-free ``_row_reduce``, which divides every
+updated row by the gcd of its entries.
 
 The nullspace eliminates the rows in increasing column order, because its
 basis is defined by that order.  The rank eliminates the transpose instead
@@ -29,10 +29,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import index
 
 __all__ = ["ExactMatrix", "SparseMultiPoly", "matrix_rank", "nullspace_basis"]
 
-Entry = tuple[int, int | Fraction]
+Entry = tuple[int, int]
 
 
 class Record:
@@ -74,10 +75,9 @@ class Record:
 
 
 class ExactMatrix(Record):
-    """Sparse matrix of rationals; rows hold (col, value) pairs with strictly
-    increasing column indices and no explicit zeros.  An integral value is an
-    int, any other a Fraction.  Degenerate 0 x m and m x 0 shapes are
-    legal."""
+    """Sparse integer matrix; rows hold (col, value) pairs with strictly
+    increasing column indices and no explicit zeros.  Degenerate 0 x m and
+    m x 0 shapes are legal."""
 
     __slots__ = _fields = ("nrows", "ncols", "rows")
 
@@ -91,12 +91,13 @@ class ExactMatrix(Record):
 
     @staticmethod
     def from_rows(nrows: int, ncols: int, row_dicts) -> "ExactMatrix":
-        """Build from an iterable of {col: value} dicts (zeros dropped)."""
+        """Build from an iterable of {col: int} dicts (zeros dropped); an
+        entry that is not an int, such as a Fraction or a float, raises
+        TypeError."""
         rows = []
         for rd in row_dicts:
-            row = tuple(
-                (c, _exact(v)) for c, v in sorted(rd.items()) if v != 0
-            )
+            row = tuple((c, v) for c, v in sorted(
+                (c, index(v)) for c, v in rd.items()) if v)
             if row and (row[0][0] < 0 or row[-1][0] >= ncols):
                 raise ValueError("column index out of range")
             rows.append(row)
@@ -111,23 +112,23 @@ class ExactMatrix(Record):
             nrows, ncols, ({j: v for j, v in enumerate(r)} for r in data)
         )
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> int:
         for c, v in self.rows[i]:
             if c == j:
                 return v
             if c > j:
                 break
-        return Fraction(0)
+        return 0
 
-    def to_dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
+    def to_dense(self) -> list[list[int]]:
+        out = [[0] * self.ncols for _ in range(self.nrows)]
         for i, row in enumerate(self.rows):
             for c, v in row:
                 out[i][c] = v
         return out
 
     def matvec(self, x) -> list:
-        """A x; integral entries and an int x give ints."""
+        """A x; an int x gives ints."""
         if len(x) != self.ncols:
             raise ValueError("dimension mismatch")
         return [sum(v * x[c] for c, v in row) for row in self.rows]
@@ -147,14 +148,6 @@ class ExactMatrix(Record):
                 ExactMatrix(i, w, tuple(right[:i])),
                 ExactMatrix(h, j, tuple(left[i:])),
                 ExactMatrix(h, w, tuple(right[i:])))
-
-
-def _exact(v) -> int | Fraction:
-    """v as an exact rational: an int when it is integral, else a Fraction."""
-    if type(v) is int:
-        return v
-    q = Fraction(v)
-    return q.numerator if q.denominator == 1 else q
 
 
 def assemble_block_lower(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
@@ -186,15 +179,8 @@ def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def _integer_rows(m: ExactMatrix) -> list[dict[int, int]]:
-    """Clear denominators row by row (row scaling preserves rank and kernel),
-    in int arithmetic.  Empty rows are dropped."""
-    out = []
-    for row in m.rows:
-        if not row:
-            continue
-        mult = lcm(*(v.denominator for _, v in row))
-        out.append({c: v.numerator * (mult // v.denominator) for c, v in row})
-    return out
+    """The nonzero rows of m as {col: value} dicts."""
+    return [dict(row) for row in m.rows if row]
 
 
 def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
@@ -207,7 +193,7 @@ def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
 
 
 def _row_reduce(m: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
-    """Fraction-free elimination on integer-cleared rows.
+    """Fraction-free elimination on the integer rows.
 
     Rows are bucketed by leading column; at each column the pivot is the row
     with the fewest nonzeros (ties by arrival order), and every other row
@@ -324,7 +310,7 @@ def _lift_kernel(
     pivots: list[tuple[int, dict[int, int]]],
     ncols: int,
     p: int,
-) -> list[list[Fraction]] | None:
+) -> list[list[int]] | None:
     """One integer kernel vector per free column mod p, or None.
 
     The vector for free column f is solved mod p with x_f = 1 and every other
@@ -363,11 +349,11 @@ def _lift_kernel(
     return basis
 
 
-def _eliminate(m: ExactMatrix, kernel: bool) -> tuple[int, list[list[Fraction]]]:
+def _eliminate(m: ExactMatrix, kernel: bool) -> tuple[int, list[list[int]]]:
     """Rank over Q and, when ``kernel`` is set, the nullspace basis.
 
-    The nullspace eliminates the integer rows of m; the rank alone eliminates
-    their transpose.  Modular elimination gives r pivots with r <= rank.
+    The nullspace eliminates the rows of m; the rank alone eliminates their
+    transpose.  Modular elimination gives r pivots with r <= rank.
     r = the number of columns eliminated, or, for the rank alone, of rows,
     certifies r at once; otherwise exactly checked kernel vectors do (of the
     transpose: left kernel vectors of m).  A failed certificate tries the
@@ -393,7 +379,7 @@ def matrix_rank(m: ExactMatrix) -> int:
     return _eliminate(m, kernel=False)[0]
 
 
-def nullspace_basis(m: ExactMatrix) -> list[list[Fraction]]:
+def nullspace_basis(m: ExactMatrix) -> list[list[int]]:
     """Deterministic kernel basis.
 
     One vector per free column, free columns in increasing order; each vector
@@ -404,9 +390,9 @@ def nullspace_basis(m: ExactMatrix) -> list[list[Fraction]]:
     return _eliminate(m, kernel=True)[1]
 
 
-def _exact_kernel(pivots, ncols: int) -> list[list[Fraction]]:
+def _exact_kernel(pivots, ncols: int) -> list[list[int]]:
     """Kernel basis from the pivots of ``_row_reduce``, by back-substitution
-    over Q."""
+    over Q; every sum starts from Fraction(0), so the division is exact."""
     pivot_set = {c for c, _ in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -415,26 +401,25 @@ def _exact_kernel(pivots, ncols: int) -> list[list[Fraction]]:
         x[f] = Fraction(1)
         # back-substitute pivot variables in reverse pivot order
         for c, row in reversed(pivots):
-            s = sum((Fraction(v) * x[j] for j, v in row.items() if j != c), Fraction(0))
+            s = sum((v * x[j] for j, v in row.items() if j != c), Fraction(0))
             x[c] = -s / row[c]
         basis.append(_normalize(x))
     return basis
 
 
-def _normalize(x: list[Fraction]) -> list[Fraction]:
-    mult = lcm(*(v.denominator for v in x)) if x else 1
+def _normalize(x: list[Fraction]) -> list[int]:
+    mult = lcm(*(v.denominator for v in x))
     return _primitive([int(v * mult) for v in x])
 
 
-def _primitive(ints: list[int]) -> list[Fraction]:
+def _primitive(ints: list[int]) -> list[int]:
     """Divide by the gcd of the entries and make the first nonzero positive."""
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    first = next((v for v in ints if v), 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
+    if next((v for v in ints if v), 0) < 0:
+        return [-v for v in ints]
+    return ints
 
 
 class SparseMultiPoly(Record):

@@ -10,8 +10,7 @@ and the rank/nullity verification reports.
 from __future__ import annotations
 
 import io
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .exactmat import (
     ExactMatrix,
@@ -142,8 +141,7 @@ def block_nullity_formula(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> dic
     ker_a = nullspace_basis(a)
     if ker_a:
         bk = ExactMatrix.from_dense(
-            [[sum((Fraction(v) * x[col] for col, v in row), Fraction(0))
-              for x in ker_a]
+            [[sum(v * x[col] for col, v in row) for x in ker_a]
              for row in b.rows]
         ) if b.nrows else ExactMatrix.from_rows(0, len(ker_a), [])
         joint = hstack(bk, c)
@@ -213,9 +211,7 @@ def verify_kernel_dim_one(d: int) -> dict:
                     for i in range(len(kept)))
         )
     kappa_entry = v.entries[v.index.index_of(kappa)]
-    expected_entry = Fraction(1)
-    for j in range(1, d):
-        expected_entry *= factorial(2 * j)
+    expected_entry = prod(factorial(2 * j) for j in range(1, d))
     result = {
         "d": d,
         "nullity": nullity,
@@ -235,5 +231,5 @@ def matrix_to_csv(m: IncidenceMatrix) -> str:
     buf = io.StringIO()
     buf.write(f"{m.k},{m.d},{m.n},{m.data.nrows},{m.data.ncols}\n")
     for row in m.data.to_dense():
-        buf.write(",".join(str(int(v)) for v in row) + "\n")
+        buf.write(",".join(map(str, row)) + "\n")
     return buf.getvalue()

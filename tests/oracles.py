@@ -8,7 +8,7 @@ permutations.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial
+from math import factorial, lcm
 
 from plovlab.dynamics import (
     _int_det,
@@ -122,6 +122,20 @@ def mixed_determinant(mats):
          for phi in permutations(range(g))),
         Fraction(0),
     )
+
+
+def intersect_rational(model, classes):
+    """model.intersect of symmetric classes with Fraction entries: each class
+    is cleared to integers by the lcm of its denominators, and the product
+    of those lcms, one overall factor of the multilinear form, is divided
+    out once."""
+    scale = 1
+    cleared = []
+    for s in classes:
+        den = lcm(*(Fraction(x).denominator for r in s for x in r))
+        scale *= den
+        cleared.append([[int(x * den) for x in r] for r in s])
+    return Fraction(model.intersect(cleared), scale)
 
 
 @lru_cache(maxsize=None)

@@ -219,7 +219,7 @@ def test_acceptance_11_vanishing_suite():
             continue
         all_w = []
         for n in range(1, d * k + 1):
-            w = w_vector(m, n, k)
+            w = w_vector(m, n)
             all_w.extend(zip(w.index, w.values))
         # combinatorial vanishing
         ok = ok and all(v == 0 for lam, v in all_w if sum(lam) > d * k // 2)

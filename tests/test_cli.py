@@ -171,6 +171,17 @@ def test_plov_identity(capsys):
     assert report["results"]["k"] == 0
 
 
+def test_report_command_is_the_given_argv(capsys, monkeypatch):
+    # the report names the arguments main was called with, not the
+    # process's sys.argv; with no arguments given it reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["plovlab", "reproduce", "table1"])
+    code, out = run_cli(capsys, "plov", "--abelian-blocks", "2")
+    assert code == 0
+    assert json.loads(out)["command"] == "plov --abelian-blocks 2"
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "reproduce table1"
+
+
 def test_plov_model_file(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"type": "abelian", "g": 2, "A": [[1, 1], [0, 1]]}')

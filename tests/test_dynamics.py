@@ -11,6 +11,7 @@ from oracles import (
     classes_by_action,
     delta_multinomial_fraction,
     dense_det,
+    intersect_rational,
     mixed_determinant,
     nilpotent_exp,
     nilpotent_log_fraction,
@@ -23,7 +24,7 @@ from plovlab.dynamics import (
     AbelianSurrogate,
     UnivariatePoly,
     _int_inverse,
-    _polydiv_exact,
+    _polydiv_monic,
     _prepared,
     ModelError,
     charpoly,
@@ -91,27 +92,10 @@ def test_integer_path_matches_fraction_oracles():
                 assert nilpotent_log(u) == nilpotent_log_fraction(u), blocks
 
 
-def test_rational_matrix_matches_fraction_oracles():
-    a = [[Fraction(1, 2), Fraction(-2, 3), 1],
-         [Fraction(3, 4), 0, Fraction(5, 7)],
-         [2, Fraction(-1, 6), Fraction(7, 5)]]
-    assert charpoly(a) == charpoly_fraction(a)
-    assert all(type(c) is Fraction for c in charpoly(a))
-    # a unipotent matrix with non-integer entries: I + strictly upper part,
-    # conjugated by a rational shear
-    p = [[1, 0, 0], [Fraction(1, 3), 1, 0], [0, Fraction(-2, 5), 1]]
-    p_inv = [[1, 0, 0], [Fraction(-1, 3), 1, 0],
-             [Fraction(-2, 15), Fraction(2, 5), 1]]
-    assert mat_mul(p, p_inv) == mat_identity(3)
-    u = mat_mul(p_inv, mat_mul(
-        [[1, Fraction(1, 2), Fraction(-3, 4)], [0, 1, Fraction(2, 3)], [0, 0, 1]], p))
-    assert nilpotent_log(u) == nilpotent_log_fraction(u)
-    assert nilpotent_exp(nilpotent_log(u)) == u
-
-
 def test_w_table_matches_fraction_classes():
     # every w-table entry against intersect of the classes L^i H built from
-    # the Fraction log, with no integer scaling
+    # the Fraction log, each cleared by its own denominators rather than by
+    # the library's c^i
     rng = Random(19)
     for blocks in ((4,), (4, 1), (3, 2)):
         m = random_conjugate(blocks, rng)
@@ -119,8 +103,8 @@ def test_w_table_matches_fraction_classes():
         lh = classes_by_action(m.a)[2]
         assert len(lh) == len(prep["cLH"]), blocks
         for lam, w in prep["w"].items():
-            assert w == m.intersect(
-                [vec_to_sym(m.g, lh[part]) for part in lam]), (blocks, lam)
+            assert w == intersect_rational(
+                m, [vec_to_sym(m.g, lh[part]) for part in lam]), (blocks, lam)
 
 
 # quasi-unipotent hand models, rotation (+) Jordan block: (A, p, plov)
@@ -276,7 +260,7 @@ def test_intersect_matches_assignment_oracle():
                      for _ in range(g * (g + 1) // 2)] for _ in range(pool_size)]
             vecs = [rng.choice(pool) for _ in range(g)]
             mats = [vec_to_sym(g, v) for v in vecs]
-            assert m.intersect(mats) == mixed_determinant(mats), (g, vecs)
+            assert intersect_rational(m, mats) == mixed_determinant(mats), (g, vecs)
 
 
 def test_pipeline_computes_each_w_once(monkeypatch):
@@ -314,8 +298,9 @@ def test_pipeline_computes_each_w_once(monkeypatch):
 
 
 def test_intersect_takes_one_determinant_per_subset(monkeypatch):
-    # classes with repeats and a denominator: every call is the plain
-    # polarization sum over the 2^g subsets, with nothing kept between calls
+    # classes with repeats and a denominator, cleared before the call: every
+    # call is the plain polarization sum over the 2^g subsets, with nothing
+    # kept between calls
     g = 4
     m = AbelianSurrogate(jordan_matrix((1,) * g))
     v = vec_to_sym(g, [Fraction(1, 2), 0, 1, 0, 0, -1, 0, 1, 0, 0])
@@ -331,7 +316,7 @@ def test_intersect_takes_one_determinant_per_subset(monkeypatch):
     expected = mixed_determinant(classes)
     for _ in range(2):
         calls.clear()
-        assert m.intersect(classes) == expected
+        assert intersect_rational(m, classes) == expected
         assert len(calls) == 2 ** g
 
 
@@ -527,16 +512,24 @@ def test_intersection_form_invariance():
 
 
 def test_degree_growth_exponent_matches_w_table():
-    # k from the traces of the classes against the last i with
-    # w_(i, 0, ..., 0) nonzero, and 2(b - 1) for the largest block b, on the
-    # Jordan form of every type with g <= 6
+    # k, the index of the last nonzero class, against the last i with
+    # tr(L^i H) nonzero, the last i with w_(i, 0, ..., 0) nonzero, and
+    # 2(b - 1) for the largest block b, on the Jordan form J, a seeded
+    # conjugate and -J of every type with g <= 6
+    rng = Random(3)
     for g in range(2, 7):
         for blocks in _jordan_types(g, g):
-            m = AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
-            prep = _prepared(m)
-            last = max(i for i in range(len(prep["cLH"]))
-                       if prep["w"].get((i,) + (0,) * (g - 1)))
-            assert degree_growth_exponent(m) == last == 2 * (blocks[0] - 1), blocks
+            jordan = jordan_matrix(blocks)
+            for a in (jordan, random_conjugate(blocks, rng).a,
+                      [[-x for x in r] for r in jordan]):
+                m = AbelianSurrogate(a)
+                prep = _prepared(m)
+                last = max(i for i in range(len(prep["cLH"]))
+                           if prep["w"].get((i,) + (0,) * (g - 1)))
+                trace = max(i for i, s in enumerate(prep["cLH"])
+                            if sum(s[j][j] for j in range(g)))
+                assert (degree_growth_exponent(m) == last == trace
+                        == 2 * (blocks[0] - 1)), a
 
 
 def test_degree_growth_exponent():
@@ -637,8 +630,8 @@ def test_int_inverse_of_unimodular():
 
 def test_polydiv_exact_returns_none_on_remainder():
     # (x^2 - 1) / (x - 1) = x + 1; (x^2 + 1) / (x - 1) leaves remainder 2
-    assert _polydiv_exact([-1, 0, 1], [-1, 1]) == [1, 1]
-    assert _polydiv_exact([1, 0, 1], [-1, 1]) is None
+    assert _polydiv_monic([-1, 0, 1], [-1, 1]) == [1, 1]
+    assert _polydiv_monic([1, 0, 1], [-1, 1]) is None
 
 
 def test_random_unimodular_and_conjugate():
@@ -707,7 +700,7 @@ def test_combinatorial_vanishing():
     k = degree_growth_exponent(m)
     d = m.d
     for n in range(1, d * k + 1):
-        w = w_vector(m, n, k)
+        w = w_vector(m, n)
         for lam, v in zip(w.index, w.values):
             if sum(lam) > d * k // 2:
                 assert v == 0, lam

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from plovlab import exactmat
+from plovlab.dynamics import AbelianSurrogate, charpoly
 from plovlab.exactmat import (
     ExactMatrix,
     assemble_block_lower,
@@ -24,7 +25,7 @@ def random_matrix(rng, nrows, ncols, density=0.5):
         row = {}
         for c in range(ncols):
             if rng.random() < density:
-                row[c] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                row[c] = rng.randint(-5, 5)
         rows.append(row)
     return ExactMatrix.from_rows(nrows, ncols, rows)
 
@@ -53,9 +54,9 @@ def test_nullspace_spans_kernel():
 
 
 def test_nullspace_normalization():
-    m = ExactMatrix.from_dense([[Fraction(1), Fraction(1)]])
+    m = ExactMatrix.from_dense([[1, 1]])
     basis = nullspace_basis(m)
-    assert basis == [[Fraction(1), Fraction(-1)]]
+    assert basis == [[1, -1]]
 
 
 def test_degenerate_shapes():
@@ -142,8 +143,7 @@ def test_rank_invariance():
         shuffled = dense[:]
         rng.shuffle(shuffled)
         assert matrix_rank(ExactMatrix.from_dense(shuffled)) == r
-        scaled = [
-            [v * Fraction(rng.randint(1, 5)) for v in row] for row in dense]
+        scaled = [[v * rng.randint(1, 5) for v in row] for row in dense]
         assert matrix_rank(ExactMatrix.from_dense(scaled)) == r
 
 
@@ -181,10 +181,10 @@ def test_escalation_to_the_second_prime(monkeypatch):
     m = ExactMatrix.from_dense([[a, -b]])
     calls = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 1
-    assert nullspace_basis(m) == [[Fraction(b), Fraction(a)]]
+    assert nullspace_basis(m) == [[b, a]]
     assert calls == []
     monkeypatch.setattr(exactmat, "_PRIMES", exactmat._PRIMES[:1])
-    assert nullspace_basis(m) == [[Fraction(b), Fraction(a)]]
+    assert nullspace_basis(m) == [[b, a]]
     assert len(calls) == 1
 
 
@@ -220,10 +220,18 @@ def test_table2_rank_lifts_one_left_kernel_vector(monkeypatch):
     assert fallbacks == []
 
 
-def test_integral_entries_are_ints():
-    m = ExactMatrix.from_dense([[Fraction(4, 2), 3, Fraction(1, 2)]])
-    assert [type(v) for _, v in m.rows[0]] == [int, int, Fraction]
-    assert exactmat._integer_rows(m) == [{0: 4, 1: 6, 2: 1}]
+def test_non_int_entries_raise():
+    # a matrix is an integer matrix: a Fraction entry raises instead of
+    # being stored, truncated, cleared or floor-divided
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows(1, 2, [{0: 3, 1: Fraction(1, 2)}])
+    with pytest.raises(TypeError):
+        AbelianSurrogate([[1, Fraction(1, 2)], [0, 1]])
+    m = AbelianSurrogate([[1, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        m.intersect([m.H, [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]])
+    with pytest.raises(TypeError):
+        charpoly([[Fraction(1, 2)]])
 
 
 def test_vandermonde_square_monomial_count():
