@@ -34,12 +34,14 @@ from .incidence import (
     verify_full_rank,
     verify_kernel_dim_one,
 )
-from .partitions import count, enumerate_partitions, format_partition
+from .partitions import enumerate_partitions, format_partition
 
 USAGE_ERROR = 2
 MISMATCH = 1
 # largest k and d of reproduce fullrank, one instance or the sweep
 FULLRANK_MAX = 6
+# largest scan --count; a larger sweep is several calls with other seeds
+SCAN_MAX_COUNT = 1000
 
 
 def _out_error(path: str, exc: OSError) -> int:
@@ -356,8 +358,9 @@ def cmd_scan(args):
     if args.d is None or not 2 <= args.d <= MAX_MODEL_DIM:
         print(f"error: --d must be between 2 and {MAX_MODEL_DIM}", file=sys.stderr)
         return USAGE_ERROR
-    if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
+    if not 1 <= args.count <= SCAN_MAX_COUNT:
+        print(f"error: --count must be between 1 and {SCAN_MAX_COUNT}",
+              file=sys.stderr)
         return USAGE_ERROR
     seed = args.seed if args.seed is not None else 0
     types = _jordan_types(args.d)

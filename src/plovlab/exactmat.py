@@ -15,6 +15,13 @@ basis.  A failed certificate escalates through the primes of ``_PRIMES`` and
 then falls back to the fraction-free ``_row_reduce``, which divides every
 updated row by the gcd of its entries.
 
+The rank starts at the word-size prime 2^30 - 35, where residues are
+one-digit ints and their products two-digit ints; a lifted vector there has
+entries and a common denominator of at most about 2^14.5.  The nullspace
+starts at 2^127 - 1, since the kernel vectors it returns have larger
+entries.  The choice of prime changes only the speed: every certificate is
+exact.
+
 The nullspace eliminates the rows in increasing column order, because its
 basis is defined by that order.  The rank eliminates the transpose instead
 (rank A = rank A^T): the columns of A become the rows, with one column per
@@ -246,15 +253,17 @@ def _row_reduce(m: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
     return pivots
 
 
-# Mersenne primes for the modular path.  Kernel entries lift when they and
-# their common denominator are at most sqrt(p/2): about 2^63, then 2^260.
-_PRIMES = (2**127 - 1, 2**521 - 1)
+# Primes of the modular path.  A kernel vector lifts when its entries and
+# their common denominator are at most isqrt(p // 2): about 2^14.5 for the
+# word-size prime 2^30 - 35, 2^63 for 2^127 - 1 and 2^260 for 2^521 - 1.
+# The rank starts at the word-size prime; the nullspace skips it.
+_PRIMES = (2**30 - 35, 2**127 - 1, 2**521 - 1)
 
 
 def _modular_echelon(rows: list[dict[int, int]], ncols: int, p: int):
     """Echelon form mod p of integer rows, by the bucket scheme of
     ``_row_reduce``.  Returns pivots as (col, row_dict) in increasing column
-    order; each pivot row is scaled so its pivot entry is 1 and stored
+    order; each pivot row is scaled so its pivot entry is -1 and stored
     without it."""
     buckets: dict[int, list[tuple[int, int, dict[int, int]]]] = {}
     seq = 0
@@ -274,19 +283,20 @@ def _modular_echelon(rows: list[dict[int, int]], ncols: int, p: int):
         group = buckets.pop(col, None)
         if not group:
             continue
-        group.sort(key=lambda t: (t[0], t[1]))
+        group.sort()  # seq is unique, so no two rows are compared
         piv = group[0][2]
-        inv = pow(piv.pop(col), -1, p)
-        piv = {c: v * inv % p for c, v in piv.items()}
+        neg_inv = p - pow(piv.pop(col), -1, p)
+        piv = {c: v * neg_inv % p for c, v in piv.items()}
         pivots.append((col, piv))
         for _, _, r in group[1:]:
             q = r.pop(col)
+            get = r.get
             for c, v in piv.items():
-                w = (r.get(c, 0) - q * v) % p
+                w = (get(c, 0) + q * v) % p
                 if w:
                     r[c] = w
-                else:
-                    r.pop(c, None)
+                else:  # q * v is nonzero mod p, so r held column c
+                    del r[c]
             if r:
                 insert(r)
     return pivots
@@ -328,7 +338,7 @@ def _lift_kernel(
         x[f] = 1
         # pivots right of f solve to 0
         for c, row in reversed(pivots[:bisect_left(pivot_cols, f)]):
-            x[c] = -sum(v * x[j] for j, v in row.items()) % p
+            x[c] = sum(v * x[j] for j, v in row.items()) % p
         den = 1
         for v in x:
             a = den * v % p
@@ -356,14 +366,15 @@ def _eliminate(m: ExactMatrix, kernel: bool) -> tuple[int, list[list[int]]]:
     transpose.  Modular elimination gives r pivots with r <= rank.
     r = the number of columns eliminated, or, for the rank alone, of rows,
     certifies r at once; otherwise exactly checked kernel vectors do (of the
-    transpose: left kernel vectors of m).  A failed certificate tries the
-    next prime, and after the last one the fraction-free path on m.
+    transpose: left kernel vectors of m).  The rank starts at the first
+    prime, the nullspace at the second.  A failed certificate tries the next
+    prime, and after the last one the fraction-free path on m.
     """
     rows = _integer_rows(m)
     ncols = m.ncols
     if not kernel:
         rows, ncols = _transpose(rows, ncols), len(rows)
-    for p in _PRIMES:
+    for p in _PRIMES[1:] if kernel else _PRIMES:
         pivots = _modular_echelon(rows, ncols, p)
         if len(pivots) == ncols or (not kernel and len(pivots) == len(rows)):
             return len(pivots), []

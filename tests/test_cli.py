@@ -301,6 +301,19 @@ def test_scan_usage(capsys):
     assert main(["scan", "--d", "3", "--count", "0"]) == 2
 
 
+def test_scan_count_cap(capsys, monkeypatch):
+    # a count above the cap exits 2 with one line before any model is built
+    def no_model(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(cli, "random_conjugate", no_model)
+    assert main(["scan", "--d", "3", "--count", str(cli.SCAN_MAX_COUNT + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --count must be between 1 and {cli.SCAN_MAX_COUNT}\n")
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code = main(["reproduce", "matrix-examples", "--out", str(path)])

@@ -13,7 +13,7 @@ from plovlab.exactmat import (
     matrix_rank,
     nullspace_basis,
 )
-from plovlab.incidence import nullity_truncated
+from plovlab.incidence import nullity_truncated, verify_kernel_dim_one
 from plovlab.symfun import vandermonde_poly
 
 from oracles import dense_nullspace, dense_rank, vandermonde_square_product
@@ -161,14 +161,26 @@ def count_calls(monkeypatch, name):
 
 
 def test_fallback_when_every_prime_divides(monkeypatch):
-    # p1 * p2 vanishes mod both primes, so neither certifies rank 2
-    p1, p2 = exactmat._PRIMES
-    m = ExactMatrix.from_dense([[p1 * p2, 0], [0, 1]])
+    # w * p1 * p2 vanishes mod every prime, so none certifies rank 2
+    w, p1, p2 = exactmat._PRIMES
+    m = ExactMatrix.from_dense([[w * p1 * p2, 0], [0, 1]])
     calls = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 2
     assert len(calls) == 1
     assert nullspace_basis(m) == []
     assert len(calls) == 2
+
+
+def test_rank_escalates_from_the_word_prime(monkeypatch):
+    # w vanishes mod the word prime: one pivot there, and the left kernel
+    # vector (1, 0) fails the exact check against the column (w, 0)
+    w, p1, _ = exactmat._PRIMES
+    m = ExactMatrix.from_dense([[w, 0], [0, 1]])
+    echelons = count_calls(monkeypatch, "_modular_echelon")
+    fallbacks = count_calls(monkeypatch, "_row_reduce")
+    assert matrix_rank(m) == 2
+    assert [args[2] for args in echelons] == [w, p1]
+    assert fallbacks == []
 
 
 def test_escalation_to_the_second_prime(monkeypatch):
@@ -178,45 +190,63 @@ def test_escalation_to_the_second_prime(monkeypatch):
     a, b = rng.getrandbits(80) | 1 << 79, rng.getrandbits(80) | 1 << 79
     while gcd(a, b) != 1:
         b += 1
+    _, p1, p2 = exactmat._PRIMES
     m = ExactMatrix.from_dense([[a, -b]])
     calls = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 1
+    echelons = count_calls(monkeypatch, "_modular_echelon")
     assert nullspace_basis(m) == [[b, a]]
+    assert [args[2] for args in echelons] == [p1, p2]
     assert calls == []
-    monkeypatch.setattr(exactmat, "_PRIMES", exactmat._PRIMES[:1])
+    # with p1 the nullspace's last prime, its failed lift falls back
+    monkeypatch.setattr(exactmat, "_PRIMES", exactmat._PRIMES[:2])
+    echelons.clear()
     assert nullspace_basis(m) == [[b, a]]
+    assert [args[2] for args in echelons] == [p1]
     assert len(calls) == 1
 
 
 def test_rank_escalates_on_the_left_kernel(monkeypatch):
     # [[b, b], [a, a]] has rank 1 with two nonzero rows and columns, so the
-    # rank needs its left kernel (a, -b).  Mod 2^127 - 1 a smaller fraction
-    # matches -a/b and only the exact check against the columns rejects it;
-    # the 80-bit entries lift mod 2^521 - 1
+    # rank needs its left kernel (a, -b).  Its 80-bit entries are far above
+    # the word prime's lift bound; mod 2^127 - 1 a smaller fraction matches
+    # -a/b and only the exact check against the columns rejects it; the
+    # entries lift mod 2^521 - 1
     rng = Random(3)
     a, b = rng.getrandbits(80) | 1 << 79, rng.getrandbits(80) | 1 << 79
     while gcd(a, b) != 1:
         b += 1
-    p1, p2 = exactmat._PRIMES
+    w, p1, p2 = exactmat._PRIMES
     assert exactmat._wang_denominator(-a * pow(b, -1, p1) % p1, p1, isqrt(p1 // 2))
     m = ExactMatrix.from_dense([[b, b], [a, a]])
     echelons = count_calls(monkeypatch, "_modular_echelon")
     fallbacks = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 1
-    assert [args[2] for args in echelons] == [p1, p2]
+    assert [args[2] for args in echelons] == [w, p1, p2]
     assert fallbacks == []
-    monkeypatch.setattr(exactmat, "_PRIMES", (p1,))
+    monkeypatch.setattr(exactmat, "_PRIMES", (w, p1))
     assert matrix_rank(m) == 1
     assert len(fallbacks) == 1
 
 
 def test_table2_rank_lifts_one_left_kernel_vector(monkeypatch):
     # Table 2 at d = 7, e = 1: rank 583 of the 584 x 587 truncated matrix,
-    # certified by one elimination mod 2^127 - 1 and one lifted vector
+    # certified by one elimination mod the word prime 2^30 - 35 and one
+    # lifted vector
     echelons = count_calls(monkeypatch, "_modular_echelon")
     fallbacks = count_calls(monkeypatch, "_row_reduce")
     assert nullity_truncated(7, 5, (2, 1, 1, 1, 1, 1), 1) == 4
-    assert [args[2] for args in echelons] == [exactmat._PRIMES[0]]
+    assert [args[2] for args in echelons] == [2**30 - 35]
+    assert fallbacks == []
+
+
+def test_kernel_starts_at_the_second_prime(monkeypatch):
+    # the d = 6 kernel vector has 21-bit entries, above the word prime's
+    # lift bound, so the nullspace skips it: one elimination mod 2^127 - 1
+    echelons = count_calls(monkeypatch, "_modular_echelon")
+    fallbacks = count_calls(monkeypatch, "_row_reduce")
+    assert verify_kernel_dim_one(6)["pass"]
+    assert [args[2] for args in echelons] == [2**127 - 1]
     assert fallbacks == []
 
 

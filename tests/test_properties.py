@@ -75,8 +75,9 @@ def test_rank_invariant_under_permutations(case):
 
 @st.composite
 def sparse_integer_matrix(draw):
-    """Mostly zeros; some entries vanish mod 2^127 - 1, the first prime of
-    the modular path, so that it has to escalate."""
+    """Mostly zeros; some entries vanish mod the word prime 2^30 - 35, where
+    the rank starts, or mod 2^127 - 1, where the nullspace starts, so that
+    each has to escalate."""
     nrows = draw(st.integers(0, 7))
     ncols = draw(st.integers(0, 7))
     entry = st.one_of(
@@ -84,6 +85,7 @@ def sparse_integer_matrix(draw):
         st.just(0),
         st.integers(-4, 4),
         st.integers(-3, 3).map(lambda v: v * (2**127 - 1)),
+        st.integers(-3, 3).map(lambda v: v * (2**30 - 35)),
     )
     rows = [{j: draw(entry) for j in range(ncols)} for _ in range(nrows)]
     return ExactMatrix.from_rows(nrows, ncols, rows)
@@ -100,7 +102,7 @@ def test_modular_rank_matches_fraction_free(m):
 @st.composite
 def shaped_integer_matrix(draw):
     """Wide, tall or empty, with whole zero rows and zero columns; some
-    entries vanish mod 2^127 - 1."""
+    entries vanish mod 2^30 - 35 or mod 2^127 - 1."""
     nrows = draw(st.integers(0, 8))
     ncols = draw(st.integers(0, 8))
     zero_rows = draw(st.sets(st.integers(0, 7)))
@@ -109,6 +111,7 @@ def shaped_integer_matrix(draw):
         st.just(0),
         st.integers(-4, 4),
         st.integers(-3, 3).map(lambda v: v * (2**127 - 1)),
+        st.integers(-3, 3).map(lambda v: v * (2**30 - 35)),
     )
     rows = [{j: 0 if i in zero_rows or j in zero_cols else draw(entry)
              for j in range(ncols)} for i in range(nrows)]
