@@ -1,9 +1,16 @@
 """Command-line surface: each reproduction target is one subcommand.
 
+Every command and every ``reproduce`` target has its own parser, which holds
+only the flags that command reads: ``--out`` and ``--deterministic`` are on
+all of them, ``--format`` only on the targets with a CSV payload
+(``matrix-examples``, ``table1`` and ``table2``).
+
 Exit codes: 0 = all asserted checks pass, 1 = verification mismatch,
-2 = usage error.  Reports are JSON by default (CSV for matrix payloads);
-with --deterministic the wall-clock duration is omitted so identical flags
-give byte-identical output.
+2 = usage error.  Every usage error, from the parser or from a range check,
+is one ``error: <message>`` line on stderr, and ``main`` returns 2 rather
+than raising ``SystemExit``.  Reports are JSON (the CSV payload under
+``--format csv``); with --deterministic the wall-clock duration is omitted
+so identical flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -44,9 +51,21 @@ FULLRANK_MAX = 6
 SCAN_MAX_COUNT = 1000
 
 
-def _out_error(path: str, exc: OSError) -> int:
-    print(f"error: cannot write --out {path}: {exc.strerror}", file=sys.stderr)
+def _usage(message: str) -> int:
+    """Print a usage error as one line on stderr and return its exit code."""
+    print("error:", message.replace("\n", "\\n"), file=sys.stderr)
     return USAGE_ERROR
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes each flag only as spelled in full, and
+    whose errors are one line and exit code 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(_usage(message))
 
 
 def _check_out(path: str) -> int:
@@ -56,48 +75,40 @@ def _check_out(path: str) -> int:
     try:
         open(path, "a").close()
     except OSError as exc:
-        return _out_error(path, exc)
+        return _usage(f"cannot write --out {path}: {exc.strerror}")
     if not existed:
         os.remove(path)
     return 0
 
 
-def _emit(report: dict, args) -> int:
-    if getattr(args, "deterministic", False):
-        report.pop("duration_seconds", None)
-    if getattr(args, "format", "json") == "csv" and "csv" in report:
-        text = report["csv"]
+def _report(args, results: dict, ok: bool, started: float,
+            csv: str | None = None) -> int:
+    """Write the JSON report, or the CSV payload under --format csv, to
+    stdout or --out, and return the exit code."""
+    if csv is not None and args.format == "csv":
+        text = csv
     else:
-        report.pop("csv", None)
+        report = {
+            "command": args.command,
+            "parameters": {
+                k: v
+                for k, v in vars(args).items()
+                if k not in ("func", "command") and v is not None
+            },
+            "results": results,
+            "pass": ok,
+        }
+        if not args.deterministic:
+            report["duration_seconds"] = round(time.monotonic() - started, 3)
         text = json.dumps(report, indent=2, default=str) + "\n"
-    out = getattr(args, "out", None)
-    if not out:
+    if args.out is None:
         sys.stdout.write(text)
-        return 0
-    try:
-        with open(out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        return _out_error(out, exc)
-    return 0
-
-
-def _report(args, results: dict, ok: bool, started: float) -> int:
-    report = {
-        "command": args.command,
-        "parameters": {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("func", "command") and v is not None
-        },
-        "results": results,
-        "pass": ok,
-        "duration_seconds": round(time.monotonic() - started, 3),
-    }
-    if "csv" in results:
-        report["csv"] = results.pop("csv")
-    if _emit(report, args):
-        return USAGE_ERROR
+    else:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _usage(f"cannot write --out {args.out}: {exc.strerror}")
     return 0 if ok else MISMATCH
 
 
@@ -116,8 +127,7 @@ def _reproduce_matrix_examples(args, started):
         ok = ok and match
         results[f"A_{k}_{d}_{n}"] = {"match": match, "entries": got}
         csv_chunks.append(matrix_to_csv(m))
-    results["csv"] = "".join(csv_chunks)
-    return _report(args, results, ok, started)
+    return _report(args, results, ok, started, "".join(csv_chunks))
 
 
 def _reproduce_table1(args, started):
@@ -155,13 +165,12 @@ def _reproduce_table1(args, started):
         "diagonal_blocks_match": bf.reassembles,
         "sub_block_A536": sub1_ok,
         "sub_block_A537": sub2_ok,
-        "csv": matrix_to_csv(full),
     }
-    return _report(args, results, ok, started)
+    return _report(args, results, ok, started, matrix_to_csv(full))
 
 
 def _reproduce_table2(args, started):
-    if args.truncate:
+    if args.truncate is not None:
         # custom cell: nullity of the truncated matrix for a given tuple t
         try:
             t = tuple(int(x) for x in args.truncate.split(","))
@@ -171,37 +180,31 @@ def _reproduce_table2(args, started):
             if len(t) < 2:
                 raise ValueError("t needs at least two entries")
         except ValueError as exc:
-            print(f"error: bad --truncate tuple: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            return _usage(f"bad --truncate tuple: {exc}")
         d = sum(t)
         what = f"--truncate sums to d = {d}"
     else:
         if args.n is not None:
-            print("error: --n applies only with --truncate", file=sys.stderr)
-            return USAGE_ERROR
+            return _usage("--n applies only with --truncate")
         d = args.dmax if args.dmax is not None else 7
         if d < 4:
-            print("error: --dmax must be between 4 and 9", file=sys.stderr)
-            return USAGE_ERROR
+            return _usage("--dmax must be between 4 and 9")
         what = f"--dmax {d}"
     # d = 8, 9 are long runs behind --extended; d > 9 does not finish
     if d > 9:
-        print(f"error: {what}, above the cap of 9", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage(f"{what}, above the cap of 9")
     if d > (9 if args.extended else 7):
-        print(f"error: {what} requires --extended (d = 8, 9 are long runs)",
-              file=sys.stderr)
-        return USAGE_ERROR
-    if args.truncate:
+        return _usage(f"{what} requires --extended (d = 8, 9 are long runs)")
+    if args.truncate is not None:
         r = len(t) - 1
-        e = (args.n - r * (r + 1)) if args.n is not None else 0
-        if e < 0:
-            print(f"error: --n must be at least r(r+1) = {r * (r + 1)}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        got = nullity_truncated(d, r, t, e)
-        results = {"d": d, "r": r, "t": list(t), "n": r * (r + 1) + e,
-                   "nullity": got}
+        # n runs from r(r+1), Table 2's column e = 0, to d*k for k = 2r:
+        # above d*k, P(k, d, n) is empty
+        lo, hi = r * (r + 1), d * 2 * r
+        n = lo if args.n is None else args.n
+        if not lo <= n <= hi:
+            return _usage(f"--n must be between r(r+1) = {lo} and d*k = {hi}")
+        got = nullity_truncated(d, r, t, n - lo)
+        results = {"d": d, "r": r, "t": list(t), "n": n, "nullity": got}
         return _report(args, results, True, started)
     dmax = d
     cells = {}
@@ -215,15 +218,14 @@ def _reproduce_table2(args, started):
             ok = ok and match
             cells[f"{d},{e}"] = {"nullity": got, "expected": expected, "match": match}
             csv_lines.append(f"{d},{e},{got},{expected},{match}")
-    results = {"cells": cells, "csv": "\n".join(csv_lines) + "\n"}
-    return _report(args, results, ok, started)
+    return _report(args, {"cells": cells}, ok, started,
+                   "\n".join(csv_lines) + "\n")
 
 
 def _reproduce_kernel(args, started):
     d = args.d if args.d is not None else 2
     if not 2 <= d <= 7:
-        print("error: --d must be between 2 and 7", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage("--d must be between 2 and 7")
     try:
         rep = verify_kernel_dim_one(d)
         ok = rep["pass"]
@@ -244,24 +246,17 @@ def _reproduce_fullrank(args, started):
     cases = []
     if args.k is not None or args.n is not None:
         if args.k is None or args.d is None or args.n is None:
-            print("error: fullrank needs all of --k --d --n (or none)",
-                  file=sys.stderr)
-            return USAGE_ERROR
+            return _usage("fullrank needs all of --k --d --n (or none)")
         if not (args.k >= 1 and args.d >= 1 and 1 <= args.n <= args.d * args.k):
-            print("error: need 1 <= n <= d*k", file=sys.stderr)
-            return USAGE_ERROR
+            return _usage("need 1 <= n <= d*k")
         for flag, v in (("--k", args.k), ("--d", args.d)):
             if v > FULLRANK_MAX:
-                print(f"error: {flag} {v}, above the cap of {FULLRANK_MAX}",
-                      file=sys.stderr)
-                return USAGE_ERROR
+                return _usage(f"{flag} {v}, above the cap of {FULLRANK_MAX}")
         cases.append((args.k, args.d, args.n))
     else:
         dmax = args.d if args.d is not None else 5
         if not 2 <= dmax <= FULLRANK_MAX:
-            print(f"error: --d must be between 2 and {FULLRANK_MAX}",
-                  file=sys.stderr)
-            return USAGE_ERROR
+            return _usage(f"--d must be between 2 and {FULLRANK_MAX}")
         for k in range(1, FULLRANK_MAX + 1):
             for d in range(2, dmax + 1):
                 for n in range(1, d * k + 1):
@@ -277,23 +272,6 @@ def _reproduce_fullrank(args, started):
     return _report(args, results, ok, started)
 
 
-def cmd_reproduce(args):
-    started = time.monotonic()
-    target = args.target
-    if target == "matrix-examples":
-        return _reproduce_matrix_examples(args, started)
-    if target == "table1":
-        return _reproduce_table1(args, started)
-    if target == "table2":
-        return _reproduce_table2(args, started)
-    if target == "kernel":
-        return _reproduce_kernel(args, started)
-    if target == "fullrank":
-        return _reproduce_fullrank(args, started)
-    print(f"error: unknown target {target!r}", file=sys.stderr)
-    return USAGE_ERROR
-
-
 # ---------------------------------------------------------------------------
 # plov and scan
 
@@ -307,14 +285,9 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return blocks
 
 
-def cmd_plov(args):
-    started = time.monotonic()
-    if (args.model is None) == (args.abelian_blocks is None):
-        print("error: give exactly one of --model or --abelian-blocks",
-              file=sys.stderr)
-        return USAGE_ERROR
+def cmd_plov(args, started):
     try:
-        if args.model:
+        if args.model is not None:
             with open(args.model) as fh:
                 model = model_from_json(fh.read())
         else:
@@ -323,8 +296,7 @@ def cmd_plov(args):
         if model.g < 2:
             raise ValueError(f"model has g = {model.g}; the pipeline needs g >= 2")
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage(str(exc))
     try:
         report = run_pipeline(model)
     except ModelError as exc:
@@ -353,18 +325,14 @@ def _scan_one(blocks, seed):
                 "pass": False}
 
 
-def cmd_scan(args):
-    started = time.monotonic()
-    if args.d is None or not 2 <= args.d <= MAX_MODEL_DIM:
-        print(f"error: --d must be between 2 and {MAX_MODEL_DIM}", file=sys.stderr)
-        return USAGE_ERROR
+def cmd_scan(args, started):
+    if not 2 <= args.d <= MAX_MODEL_DIM:
+        return _usage(f"--d must be between 2 and {MAX_MODEL_DIM}")
     if not 1 <= args.count <= SCAN_MAX_COUNT:
-        print(f"error: --count must be between 1 and {SCAN_MAX_COUNT}",
-              file=sys.stderr)
-        return USAGE_ERROR
-    seed = args.seed if args.seed is not None else 0
+        return _usage(f"--count must be between 1 and {SCAN_MAX_COUNT}")
     types = _jordan_types(args.d)
-    rows = [_scan_one(types[i % len(types)], seed + i) for i in range(args.count)]
+    rows = [_scan_one(types[i % len(types)], args.seed + i)
+            for i in range(args.count)]
     passed = sum(1 for r in rows if r.get("pass"))
     plov_values = sorted({r["plov"] for r in rows if "plov" in r})
     conjecture_holds = all(r.get("conjecture_lb", False) for r in rows)
@@ -382,57 +350,80 @@ def cmd_scan(args):
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One parser per command and per reproduce target, holding only the
+    flags that its handler, the parser's ``func`` default, reads."""
+    parser = _Parser(
         prog="plovlab",
         description="Reproduce the restricted-partition tables and run the "
                     "polynomial-volume-growth pipeline with exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def common(p, func, csv=False):
+        """After a command's own flags: --format on a target with a CSV
+        payload, then --out and --deterministic."""
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="PATH")
         p.add_argument("--deterministic", action="store_true",
                        help="omit wall-clock timings for byte-identical output")
+        p.set_defaults(func=func)
 
     rep = sub.add_parser("reproduce", help="rebuild a published table or matrix")
-    rep.add_argument("target", choices=(
-        "matrix-examples", "table1", "table2", "kernel", "fullrank"))
-    rep.add_argument("--k", type=int)
-    rep.add_argument("--d", type=int)
-    rep.add_argument("--n", type=int)
-    rep.add_argument("--dmax", type=int)
-    rep.add_argument("--truncate", metavar="t0,t1,...",
-                     help="custom tuple t for a single truncated-nullity cell")
-    rep.add_argument("--extended", action="store_true",
-                     help="allow the long-running d = 8, 9 table cells")
-    common(rep)
-    rep.set_defaults(func=cmd_reproduce)
+    targets = rep.add_subparsers(dest="target", required=True)
+    common(targets.add_parser("matrix-examples",
+                              help="the two printed 5x6 and 6x6 matrices"),
+           _reproduce_matrix_examples, csv=True)
+    common(targets.add_parser("table1", help="block form of A_{6,4,12}"),
+           _reproduce_table1, csv=True)
+
+    table2 = targets.add_parser("table2", help="truncated nullity table")
+    table2.add_argument("--n", type=int, help="n of a --truncate cell")
+    size = table2.add_mutually_exclusive_group()
+    size.add_argument("--dmax", type=int)
+    size.add_argument("--truncate", metavar="t0,t1,...",
+                      help="custom tuple t for a single truncated-nullity cell")
+    table2.add_argument("--extended", action="store_true",
+                        help="allow the long-running d = 8, 9 table cells")
+    common(table2, _reproduce_table2, csv=True)
+
+    kernel = targets.add_parser("kernel", help="one-dimensional truncated kernel")
+    kernel.add_argument("--d", type=int)
+    common(kernel, _reproduce_kernel)
+
+    fullrank = targets.add_parser(
+        "fullrank", help="full rank of A_{k,d,n}: one instance, or a sweep")
+    for flag in ("--k", "--d", "--n"):
+        fullrank.add_argument(flag, type=int)
+    common(fullrank, _reproduce_fullrank)
 
     plov = sub.add_parser("plov", help="full dynamics pipeline for one model")
-    plov.add_argument("--model", metavar="PATH", help="model JSON file")
-    plov.add_argument("--abelian-blocks", metavar="n1,n2,...",
-                      help="Jordan block sizes of an abelian surrogate")
-    common(plov)
-    plov.set_defaults(func=cmd_plov)
+    source = plov.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", metavar="PATH", help="model JSON file")
+    source.add_argument("--abelian-blocks", metavar="n1,n2,...",
+                        help="Jordan block sizes of an abelian surrogate")
+    common(plov, cmd_plov)
 
     scan = sub.add_parser("scan", help="seeded sweep over random surrogates")
     scan.add_argument("--d", type=int, required=True)
     scan.add_argument("--count", type=int, default=10)
     scan.add_argument("--seed", type=int, default=0)
-    common(scan)
-    scan.set_defaults(func=cmd_scan)
+    common(scan, cmd_scan)
     return parser
 
 
 def main(argv=None) -> int:
+    started = time.monotonic()
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2), or --help (0)
+        return exc.code
     args.command = " ".join(argv)
-    if args.out and _check_out(args.out):
+    if args.out is not None and _check_out(args.out):
         return USAGE_ERROR
-    return args.func(args)
+    return args.func(args, started)
 
 
 if __name__ == "__main__":

@@ -51,9 +51,6 @@ class CoeffVector(Record):
     def __getitem__(self, lam: Partition) -> Fraction:
         return self.entries[self.index.index_of(lam)]
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries)
-
 
 def _rearranger(first: tuple[int, ...]) -> itemgetter:
     """A getter that lists, flat, the distinct rearrangements of every

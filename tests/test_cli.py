@@ -112,6 +112,70 @@ def test_table2_n_needs_truncate(capsys):
     assert err == "error: --n applies only with --truncate\n"
 
 
+def test_table2_truncate_n_above_dk(capsys):
+    # above n = d*k, k = 2r, P(k, d, n) is empty; n = d*k is the last cell
+    for n in ("17", "100"):
+        err = usage_error_line(capsys, "reproduce", "table2",
+                               "--truncate", "2,1,1", "--n", n)
+        assert err == "error: --n must be between r(r+1) = 6 and d*k = 16\n"
+    code, out = run_cli(capsys, "reproduce", "table2",
+                        "--truncate", "2,1,1", "--n", "16")
+    assert code == 0
+    assert json.loads(out)["results"]["n"] == 16
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("reproduce", "kernel", "--truncate", "1,1"), "--truncate 1,1"),
+    (("reproduce", "kernel", "--format", "csv"), "--format csv"),
+    (("plov", "--abelian-blocks", "2", "--format", "csv"), "--format csv"),
+    (("reproduce", "table2", "--k", "3"), "--k 3"),
+    (("reproduce", "table2", "--dmax", "5", "--truncate", "2,1,1"),
+     "--truncate"),
+    (("reproduce", "bogus"), "'bogus'"),
+    (("reproduce", "kernel", "--d", "x"), "'x'"),
+    (("scan", "--count", "3"), "--d"),
+    # a flag is taken only as spelled in full
+    (("plov", "--abelian-blocks", "2", "--det"), "--det"),
+    # a newline in the input is printed as \n
+    (("reproduce", "kernel", "a\nb"), "a\\nb"),
+])
+def test_usage_error_is_one_line(capsys, argv, what):
+    # main returns 2, not SystemExit, and stderr is one line naming the input
+    assert what in usage_error_line(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("plov", "--model", ""), "[Errno 2] No such file or directory: ''"),
+    (("reproduce", "table2", "--truncate", ""),
+     "bad --truncate tuple: invalid literal for int() with base 10: ''"),
+    (("reproduce", "table1", "--out", ""),
+     "cannot write --out : No such file or directory"),
+])
+def test_empty_value_is_refused(capsys, argv, err):
+    # an empty value is read as given, not as an absent flag
+    assert usage_error_line(capsys, *argv) == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv, parameters", [
+    (("reproduce", "kernel", "--d", "2"),
+     {"cmd": "reproduce", "target": "kernel", "d": 2, "deterministic": True}),
+    (("reproduce", "table1"), {"cmd": "reproduce", "target": "table1",
+                               "format": "json", "deterministic": True}),
+    (("plov", "--abelian-blocks", "2"),
+     {"cmd": "plov", "abelian_blocks": "2", "deterministic": True}),
+])
+def test_report_parameters_are_the_command_flags(capsys, argv, parameters):
+    code, out = run_cli(capsys, *argv, "--deterministic")
+    assert code == 0
+    assert json.loads(out)["parameters"] == parameters
+
+
+def test_help_exits_0(capsys):
+    assert main(["reproduce", "kernel", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--d D" in out and "--format" not in out
+
+
 def test_kernel(capsys):
     code, out = run_cli(capsys, "reproduce", "kernel", "--d", "2")
     assert code == 0
