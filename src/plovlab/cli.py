@@ -49,11 +49,19 @@ MISMATCH = 1
 FULLRANK_MAX = 6
 # largest scan --count; a larger sweep is several calls with other seeds
 SCAN_MAX_COUNT = 1000
+# longest usage-error message printed in full; a longer one, which can only
+# come from echoed input, is cut there and marked
+USAGE_MAX_CHARS = 200
 
 
 def _usage(message: str) -> int:
-    """Print a usage error as one line on stderr and return its exit code."""
-    print("error:", message.replace("\n", "\\n"), file=sys.stderr)
+    """Print a usage error as one line of bounded length on stderr and
+    return its exit code."""
+    message = message.replace("\n", "\\n")
+    if len(message) > USAGE_MAX_CHARS:
+        cut = len(message) - USAGE_MAX_CHARS
+        message = f"{message[:USAGE_MAX_CHARS]}... [{cut} more characters]"
+    print("error:", message, file=sys.stderr)
     return USAGE_ERROR
 
 

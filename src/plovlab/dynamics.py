@@ -23,29 +23,8 @@ from random import Random
 
 from .exactmat import Record
 from .incidence import build_incidence, kappa_of
-from .partitions import Partition, format_partition, partition_set
-
-__all__ = [
-    "UnivariatePoly",
-    "WVector",
-    "DistinguishedPartition",
-    "AbelianSurrogate",
-    "unipotent_power",
-    "nilpotent_log",
-    "degree_growth_exponent",
-    "w_vector",
-    "verify_linear_system",
-    "power_sum_polynomial",
-    "delta_polynomial",
-    "find_distinguished_kappa",
-    "check_principles",
-    "hilbert_top_coefficient_check",
-    "jordan_matrix",
-    "random_unimodular",
-    "random_conjugate",
-    "model_from_json",
-    "run_pipeline",
-]
+from .partitions import CoeffVector, Partition, format_partition, partition_set
+from .symfun import hilbert_product
 
 # largest model dimension g that plov and scan accept
 MAX_MODEL_DIM = 6
@@ -442,18 +421,7 @@ def degree_growth_exponent(model) -> int:
     return len(_prepared(model)["cLH"]) - 1
 
 
-class WVector(Record):
-    __slots__ = _fields = ("k", "d", "n", "index", "values")
-
-    def __init__(self, k: int, d: int, n: int, index,
-                 values: tuple[Fraction, ...]):
-        self._set(k, d, n, index, values)
-
-    def __getitem__(self, lam: Partition) -> Fraction:
-        return self.values[self.index.index_of(lam)]
-
-
-def w_vector(model, n: int) -> WVector:
+def w_vector(model, n: int) -> CoeffVector:
     """w_lambda = intersection of (L^{lambda_1} H, ..., L^{lambda_d} H) over
     P(k,d,n), for k = `degree_growth_exponent(model)`."""
     d = model.d
@@ -464,7 +432,7 @@ def w_vector(model, n: int) -> WVector:
         raise ValueError(f"n={n} outside [1, {d * k}]")
     members = partition_set(k, d, n)
     w = _prepared(model)["w"]
-    return WVector(k, d, n, members, tuple(w.get(lam, 0) for lam in members))
+    return CoeffVector(members, tuple(w.get(lam, 0) for lam in members))
 
 
 def verify_linear_system(model, n: int) -> bool:
@@ -474,12 +442,13 @@ def verify_linear_system(model, n: int) -> bool:
     denominator of w, and the system is checked on the integer numerators.
     """
     w = w_vector(model, n)
+    k = w.index.k
     scale = _prepared(model)["c"] ** n
-    mat = build_incidence(w.k, model.d, n)
+    mat = build_incidence(k, model.d, n)
     residual = mat.data.matvec(
-        [v.numerator * (scale // v.denominator) for v in w.values])
+        [v.numerator * (scale // v.denominator) for v in w.entries])
     if any(v != 0 for v in residual):
-        raise ModelError(f"linear system violated at (k={w.k}, d={model.d}, n={n})")
+        raise ModelError(f"linear system violated at (k={k}, d={model.d}, n={n})")
     return True
 
 
@@ -606,8 +575,6 @@ def check_principles(d: int, k: int, plov: int) -> dict:
 
 def hilbert_top_coefficient_check(model) -> dict:
     """Top coefficient of the volume polynomial against the closed form."""
-    from .symfun import hilbert_product
-
     d = model.d
     k = degree_growth_exponent(model)
     if k != 2 * d - 2:
@@ -643,37 +610,31 @@ def jordan_matrix(blocks: tuple[int, ...]) -> list[list[int]]:
     return a
 
 
-def random_unimodular(g: int, rng: Random, steps: int | None = None) -> list[list[int]]:
-    """Product of integer shears with coefficients in [-2, 2]; determinant one."""
-    p = [[int(i == j) for j in range(g)] for i in range(g)]
-    for _ in range(steps if steps is not None else 3 * g):
+def random_unimodular(g: int,
+                      rng: Random) -> tuple[list[list[int]], list[list[int]]]:
+    """(P, P^-1) for P a product of at most 3g integer shears I + c E_ij
+    with c in [-2, 2], so det P = 1.  Each shear adds c times row j of P to
+    row i, and its inverse, I - c E_ij, multiplies P^-1 on the right: c
+    times column i is subtracted from column j.  So P^-1 is the product of
+    the inverse shears in reverse order, with no determinant taken."""
+    p = mat_identity(g)
+    p_inv = mat_identity(g)
+    for _ in range(3 * g):
         i = rng.randrange(g)
         j = rng.randrange(g)
         if i == j:
             continue
         c = rng.randint(-2, 2)
-        for col in range(g):
-            p[i][col] += c * p[j][col]
-    return p
-
-
-def _int_inverse(p: list[list[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix of determinant +-1: det times the
-    adjugate, whose (i, j) entry is the signed minor of p without row j and
-    column i."""
-    det = _int_det(p)
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return [[(-1) ** (i + j) * det
-             * _int_det([r[:i] + r[i + 1:] for k, r in enumerate(p) if k != j])
-             for j in range(len(p))] for i in range(len(p))]
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= c * row[i]
+    return p, p_inv
 
 
 def random_conjugate(blocks: tuple[int, ...], rng: Random) -> AbelianSurrogate:
-    j = jordan_matrix(blocks)
-    p = random_unimodular(sum(blocks), rng)
-    p_inv = _int_inverse(p)
-    return AbelianSurrogate(mat_mul(p_inv, mat_mul(j, p)), jordan=tuple(blocks))
+    p, p_inv = random_unimodular(sum(blocks), rng)
+    return AbelianSurrogate(mat_mul(p_inv, mat_mul(jordan_matrix(blocks), p)),
+                            jordan=tuple(blocks))
 
 
 def model_from_json(text: str) -> AbelianSurrogate:

@@ -38,8 +38,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import index
 
-__all__ = ["ExactMatrix", "SparseMultiPoly", "matrix_rank", "nullspace_basis"]
-
 Entry = tuple[int, int]
 
 
@@ -118,14 +116,6 @@ class ExactMatrix(Record):
         return ExactMatrix.from_rows(
             nrows, ncols, ({j: v for j, v in enumerate(r)} for r in data)
         )
-
-    def entry(self, i: int, j: int) -> int:
-        for c, v in self.rows[i]:
-            if c == j:
-                return v
-            if c > j:
-                break
-        return 0
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.ncols for _ in range(self.nrows)]
@@ -442,18 +432,3 @@ class SparseMultiPoly(Record):
 
     def __init__(self, arity: int, terms: dict[tuple[int, ...], Fraction]):
         self._set(arity, terms)
-
-    @staticmethod
-    def from_terms(arity: int, terms) -> "SparseMultiPoly":
-        clean = {}
-        for expo, coef in dict(terms).items():
-            coef = Fraction(coef)
-            if coef == 0:
-                continue
-            if len(expo) != arity or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent vector {expo} for arity {arity}")
-            clean[tuple(expo)] = coef
-        return SparseMultiPoly(arity, clean)
-
-    def coefficient(self, expo: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))

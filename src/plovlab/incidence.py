@@ -21,21 +21,7 @@ from .exactmat import (
     nullspace_basis,
 )
 from .partitions import Partition, PartitionSet, bump, count, partition_set
-
-__all__ = [
-    "IncidenceMatrix",
-    "BlockForm",
-    "build_incidence",
-    "truncate_columns",
-    "block_form",
-    "verify_full_rank",
-    "block_nullity_formula",
-    "kappa_of",
-    "table2_tuple",
-    "nullity_truncated",
-    "verify_kernel_dim_one",
-    "matrix_to_csv",
-]
+from .symfun import vandermonde_coeff_vector
 
 
 class IncidenceMatrix(Record):
@@ -186,8 +172,6 @@ def nullity_truncated(d: int, r: int, t: tuple[int, ...], e: int) -> int:
 
 def verify_kernel_dim_one(d: int) -> dict:
     """Truncated staircase kernel: nullity one, spanned by the Vandermonde vector."""
-    from . import symfun  # local import: symfun depends on this module's peers only
-
     if d < 2:
         raise ValueError("d must be at least 2")
     t = tuple([1] * d)
@@ -197,7 +181,7 @@ def verify_kernel_dim_one(d: int) -> dict:
     basis = nullspace_basis(sub)
     nullity = len(basis)
 
-    v = symfun.vandermonde_coeff_vector(d - 1, d)
+    v = vandermonde_coeff_vector(d - 1, d)
     v_trunc = [v.entries[v.index.index_of(lam)] for lam in kept]
     proportional = False
     kernel = basis[0] if nullity == 1 else None

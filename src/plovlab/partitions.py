@@ -11,34 +11,12 @@ from functools import lru_cache
 
 from .exactmat import Record
 
-__all__ = [
-    "Partition",
-    "PartitionSet",
-    "enumerate_partitions",
-    "partition_set",
-    "count",
-    "bump",
-    "decompose",
-    "multiplicities",
-    "format_partition",
-    "parse_partition",
-]
-
 Partition = tuple[int, ...]
 
 
 def format_partition(p: Partition) -> str:
     """Serialize as comma-joined parts, e.g. "6,4,2,0"."""
     return ",".join(str(x) for x in p)
-
-
-def parse_partition(s: str) -> Partition:
-    parts = tuple(int(x) for x in s.split(","))
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"parts must be weakly decreasing: {s!r}")
-    if parts and parts[-1] < 0:
-        raise ValueError(f"parts must be nonnegative: {s!r}")
-    return parts
 
 
 def multiplicities(p: Partition, k: int) -> list[int]:
@@ -103,6 +81,22 @@ class PartitionSet(Record):
         return idx
 
 
+class CoeffVector(Record):
+    """Rational coefficients indexed by a partition set, in its decreasing
+    lex order: a symmetric polynomial's expansion in the normalized monomial
+    basis (`symfun`), or a model's w-vector (`dynamics`)."""
+
+    __slots__ = _fields = ("index", "entries")
+
+    def __init__(self, index: PartitionSet, entries: tuple):
+        if len(entries) != len(index):
+            raise ValueError("entry count must match the index set")
+        self._set(index, entries)
+
+    def __getitem__(self, lam: Partition):
+        return self.entries[self.index.index_of(lam)]
+
+
 def partition_set(k: int, d: int, n: int) -> PartitionSet:
     """P(k, d, n); P(0, d, n) is {0^d} at n = 0 and empty otherwise."""
     if k < 0 or d < 1:
@@ -153,12 +147,3 @@ def bump(mu: Partition, i: int, k: int) -> tuple[Partition, int] | None:
         return None
     p = mu.index(i)
     return mu[:p] + (i + 1,) + mu[p + 1:], e_i
-
-
-def decompose(k: int, d: int, n: int) -> tuple[tuple[Partition, ...], PartitionSet]:
-    """Split P(k,d,n) as {first part = k} (prepend-k embedding) plus P(k-1,d,n)."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    embedded = tuple((k,) + nu for nu in enumerate_partitions(k, d - 1, n - k))
-    rest = PartitionSet(k - 1, d, n, enumerate_partitions(k - 1, d, n))
-    return embedded, rest

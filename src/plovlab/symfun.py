@@ -9,47 +9,20 @@ the combinatorics and the intersection-number computations.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import itemgetter
 
-from .exactmat import Record, SparseMultiPoly
+from .exactmat import SparseMultiPoly
 from .partitions import (
+    CoeffVector,
     Partition,
     PartitionSet,
     enumerate_partitions,
-    format_partition,
     multiplicities,
     partition_set,
 )
-
-__all__ = [
-    "CoeffVector",
-    "mhat_poly",
-    "mhat_expand",
-    "apply_derivation",
-    "vandermonde_poly",
-    "vandermonde_coeff_vector",
-    "integrate_unit_cube",
-    "hilbert_product",
-    "coeff_vector_to_json",
-]
-
-
-class CoeffVector(Record):
-    """Rational coefficients indexed by a partition set in decreasing lex order."""
-
-    __slots__ = _fields = ("index", "entries")
-
-    def __init__(self, index: PartitionSet, entries: tuple[Fraction, ...]):
-        if len(entries) != len(index):
-            raise ValueError("entry count must match the index set")
-        self._set(index, entries)
-
-    def __getitem__(self, lam: Partition) -> Fraction:
-        return self.entries[self.index.index_of(lam)]
 
 
 def _rearranger(first: tuple[int, ...]) -> itemgetter:
@@ -96,11 +69,6 @@ def _orbit(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     if getter is None:
         getter = _rearrangers[first] = _rearranger(first)
     return list(zip(*[iter(getter(lam))] * d))
-
-
-def distinct_permutations(items: tuple[int, ...]):
-    """All distinct rearrangements, in decreasing lexicographic order."""
-    yield from _orbit(tuple(sorted(items, reverse=True)))
 
 
 @lru_cache(maxsize=None)
@@ -287,15 +255,3 @@ def hilbert_product(d: int) -> Fraction:
     for j in range(1, d):
         out *= Fraction(factorial(j) ** 3, factorial(2 * j) * factorial(d + j))
     return out
-
-
-def coeff_vector_to_json(x: CoeffVector) -> str:
-    """JSON export: list of {partition, value} in index order."""
-    payload = [
-        {
-            "partition": format_partition(lam),
-            "value": f"{v.numerator}/{v.denominator}",
-        }
-        for lam, v in zip(x.index, x.entries)
-    ]
-    return json.dumps(payload)

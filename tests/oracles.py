@@ -166,7 +166,7 @@ def vandermonde_subset_sum(r, d):
                 lifted[pos] = e
             key = tuple(lifted)
             terms[key] = terms.get(key, Fraction(0)) + coef
-    return SparseMultiPoly.from_terms(d, terms)
+    return SparseMultiPoly(d, {e: c for e, c in terms.items() if c})
 
 
 def is_symmetric_by_swaps(poly):
@@ -175,7 +175,7 @@ def is_symmetric_by_swaps(poly):
         for expo, coef in poly.terms.items():
             swapped = list(expo)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if poly.coefficient(tuple(swapped)) != coef:
+            if poly.terms.get(tuple(swapped), 0) != coef:
                 return False
     return True
 
@@ -247,7 +247,7 @@ def mhat_expand_by_sorting(p, k, d, n):
         mult = Fraction(1)
         for a in lam:
             mult *= factorial(a)
-        entries.append(p.coefficient(lam) * mult)
+        entries.append(p.terms.get(lam, 0) * mult)
     return CoeffVector(index, tuple(entries))
 
 
@@ -419,3 +419,27 @@ def classes_by_action(a):
     while any(lh[-1]):
         lh.append([sum(x * y for x, y in zip(row, lh[-1])) for row in l])
     return p, u, lh[:-1]
+
+
+# finite-order 2 x 2 integer blocks R of the twisted models P^-1 (J (+) R) P
+TWISTS = {
+    "minus-identity": [[-1, 0], [0, -1]],
+    "order-3": [[0, -1], [1, -1]],
+    "order-4": [[0, -1], [1, 0]],
+    "order-6": [[1, -1], [1, 0]],
+}
+
+
+def direct_sum(a, b):
+    """The block-diagonal matrix a (+) b of two square matrices."""
+    n, m = len(a), len(b)
+    return ([list(row) + [0] * m for row in a]
+            + [[0] * n + list(row) for row in b])
+
+
+def closed_form(blocks):
+    """(k, plov) of a model of Jordan type blocks: k = 2(max b - 1) and
+    plov = sum of b^2.  Observed, not proven: it held on every Jordan type
+    with g <= 10, as its Jordan form and as seeded conjugates.  A twist R
+    acts as two more 1-blocks."""
+    return 2 * (max(blocks) - 1), sum(b * b for b in blocks)

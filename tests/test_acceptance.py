@@ -220,7 +220,7 @@ def test_acceptance_11_vanishing_suite():
         all_w = []
         for n in range(1, d * k + 1):
             w = w_vector(m, n)
-            all_w.extend(zip(w.index, w.values))
+            all_w.extend(zip(w.index, w.entries))
         # combinatorial vanishing
         ok = ok and all(v == 0 for lam, v in all_w if sum(lam) > d * k // 2)
         # geometric vanishing and positivity around the distinguished partition

@@ -414,7 +414,7 @@ def test_out_unwritable_fails_before_work(capsys, tmp_path, monkeypatch):
 
 
 def test_import_loads_no_dataclasses():
-    # in a fresh interpreter, because pytest itself imports both modules
+    # in a fresh interpreter, because pytest itself imports these modules
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
 
@@ -427,3 +427,7 @@ def test_import_loads_no_dataclasses():
     added = loaded("import plovlab.cli") - loaded("pass")
     assert "plovlab.cli" in added
     assert not added & {"dataclasses", "inspect"}
+    # the traced benchmark run (perfbench/op.py) patches the traced
+    # functions only in the modules that this import loads, and the kernel
+    # workload times functions of symfun
+    assert "plovlab.symfun" in added

@@ -18,7 +18,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from plovlab.cli import main  # noqa: E402
+from plovlab.cli import USAGE_MAX_CHARS, main  # noqa: E402
 
 # the flags of each command besides --out and --deterministic
 FLAGS = {
@@ -66,6 +66,8 @@ def check(argv, codes=(0, 1, 2)):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith("\n")
+        # "error: ", the message and the marker of a cut one
+        assert len(err) <= USAGE_MAX_CHARS + 40, len(err)
 
 
 def call(command, pairs, tail=()):
@@ -122,6 +124,11 @@ def unknown_flag(draw):
 @given(unknown_flag())
 def test_unknown_flag(argv):
     check(argv, codes=(2,))
+
+
+def test_long_argument_is_cut():
+    # an unrecognized 10 000-character argument is echoed up to the cap
+    check(["reproduce", "kernel", "x" * 10_000], codes=(2,))
 
 
 @st.composite
@@ -266,6 +273,11 @@ def test_malformed_model(text):
 @given(st.one_of(ragged(), nested(), wide_entry(), not_unimodular()))
 def test_invalid_model_is_a_usage_error(text):
     check_model(text, codes=(2,))
+
+
+def test_long_model_type_is_cut():
+    # a --model file whose "type" is a 10 000-character string
+    check_model(json.dumps({"type": "x" * 10_000, "A": [[1]]}), codes=(2,))
 
 
 @FUZZ

@@ -6,11 +6,13 @@ from random import Random
 import pytest
 
 from oracles import (
+    TWISTS,
     action_matrix,
     charpoly_fraction,
     classes_by_action,
     delta_multinomial_fraction,
     dense_det,
+    direct_sum,
     intersect_rational,
     mixed_determinant,
     nilpotent_exp,
@@ -23,7 +25,6 @@ from plovlab import dynamics
 from plovlab.dynamics import (
     AbelianSurrogate,
     UnivariatePoly,
-    _int_inverse,
     _polydiv_monic,
     _prepared,
     ModelError,
@@ -148,15 +149,6 @@ def _order(r):
     return q
 
 
-# finite-order 2 x 2 integer blocks R
-TWISTS = {
-    "minus-identity": [[-1, 0], [0, -1]],
-    "order-3": [[0, -1], [1, -1]],
-    "order-4": [[0, -1], [1, 0]],
-    "order-6": [[1, -1], [1, 0]],
-}
-
-
 @lru_cache(maxsize=None)
 def _untwisted(blocks):
     report = run_pipeline(AbelianSurrogate(jordan_matrix(blocks + (1, 1))))
@@ -170,11 +162,9 @@ def test_twisted_models(blocks, twist):
     # J (+) I_2, and p is the order of R: the eigenvalue 1 of J times each
     # eigenvalue of R is an eigenvalue of the action
     r = TWISTS[twist]
-    j = jordan_matrix(blocks)
-    g = len(j) + 2
-    block = [row + [0, 0] for row in j] + [[0] * (g - 2) + row for row in r]
-    p = random_unimodular(g, Random(f"{blocks} {twist}"))
-    m = AbelianSurrogate(mat_mul(_int_inverse(p), mat_mul(block, p)))
+    block = direct_sum(jordan_matrix(blocks), r)
+    p, p_inv = random_unimodular(len(block), Random(f"{blocks} {twist}"))
+    m = AbelianSurrogate(mat_mul(p_inv, mat_mul(block, p)))
     report = run_pipeline(m)
     assert report["pass"]
     assert (report["k"], report["plov"]) == _untwisted(blocks)
@@ -615,19 +605,6 @@ def test_seeded_conjugates_are_pinned():
         [-1, -4, 6, 16, 46, -3], [1, 1, -2, -4, -11, 0], [0, 0, 0, 0, 0, 1]]
 
 
-def test_int_inverse_of_unimodular():
-    rng = Random(43)
-    for g in range(1, 7):
-        p = random_unimodular(g, rng)
-        assert mat_mul(p, _int_inverse(p)) == mat_identity(g), p
-    # det -1, and the empty minor of g = 1
-    assert _int_inverse([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
-    assert _int_inverse([[-1]]) == [[-1]]
-    for p in ([[2, 0], [0, 1]], [[1, 2], [2, 4]]):
-        with pytest.raises(ValueError):
-            _int_inverse(p)
-
-
 def test_polydiv_exact_returns_none_on_remainder():
     # (x^2 - 1) / (x - 1) = x + 1; (x^2 + 1) / (x - 1) leaves remainder 2
     assert _polydiv_monic([-1, 0, 1], [-1, 1]) == [1, 1]
@@ -638,9 +615,10 @@ def test_random_unimodular_and_conjugate():
     rng = Random(41)
     from plovlab.dynamics import _int_det
 
-    for g in (2, 3, 4):
-        p = random_unimodular(g, rng)
-        assert _int_det(p) in (1, -1)
+    for g in range(1, 7):
+        p, p_inv = random_unimodular(g, rng)
+        assert _int_det(p) == 1, p
+        assert mat_mul(p, p_inv) == mat_mul(p_inv, p) == mat_identity(g), p
     m = random_conjugate((2, 1), rng)
     rep = run_pipeline(m)
     assert rep["plov"] == 5
@@ -701,6 +679,6 @@ def test_combinatorial_vanishing():
     d = m.d
     for n in range(1, d * k + 1):
         w = w_vector(m, n)
-        for lam, v in zip(w.index, w.values):
+        for lam, v in zip(w.index, w.entries):
             if sum(lam) > d * k // 2:
                 assert v == 0, lam

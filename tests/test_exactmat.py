@@ -83,8 +83,8 @@ def test_exact_matrix_fields_are_read_only():
 
 def test_entry_and_submatrix():
     m = ExactMatrix.from_dense([[1, 0, 2], [0, 3, 0]])
-    assert m.entry(0, 2) == 2
-    assert m.entry(1, 0) == 0
+    assert m.rows == (((0, 1), (2, 2)), ((1, 3),))
+    assert m.to_dense() == [[1, 0, 2], [0, 3, 0]]
     tl, tr, bl, br = m.blocks(1, 2)
     assert tl.to_dense() == [[1, 0]] and tr.to_dense() == [[2]]
     assert bl.to_dense() == [[0, 3]] and br.to_dense() == [[0]]

@@ -10,7 +10,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oracles import (  # noqa: E402
+    TWISTS,
     action_matrix,
+    closed_form,
+    direct_sum,
     distinct_permutations_by_sorting,
     intersect_rational,
     mhat_expand_by_sorting,
@@ -21,9 +24,13 @@ from oracles import (  # noqa: E402
 from plovlab.dynamics import (  # noqa: E402
     AbelianSurrogate,
     _prepared,
+    degree_growth_exponent,
+    delta_polynomial,
     jordan_matrix,
+    mat_mul,
     model_from_json,
     random_conjugate,
+    random_unimodular,
 )
 from plovlab.exactmat import (  # noqa: E402
     ExactMatrix,
@@ -185,9 +192,9 @@ def test_shared_surrogate_intersect_matches_oracle(case):
 
 
 @st.composite
-def jordan_type(draw):
-    """Weakly decreasing block sizes summing to g in [2, 5]."""
-    rest = draw(st.integers(2, 5))
+def jordan_type(draw, lo=2, hi=5):
+    """Weakly decreasing block sizes summing to g in [lo, hi]."""
+    rest = draw(st.integers(lo, hi))
     blocks = []
     while rest:
         blocks.append(draw(st.integers(1, min(rest, blocks[-1] if blocks else rest))))
@@ -200,6 +207,32 @@ def jordan_type(draw):
 def test_det_table_matches_polarization(blocks, seed):
     m = random_conjugate(blocks, Random(seed))
     assert _prepared(m)["w"] == w_table_by_polarization(m), (blocks, m.a)
+
+
+@st.composite
+def twisted_type(draw):
+    """A Jordan type and no twist, or a shorter Jordan type and the name of
+    a TWISTS block R, which adds 2 to g; g <= 6 in all."""
+    twist = draw(st.sampled_from((None, *TWISTS)))
+    if twist is None:
+        return draw(jordan_type(2, 6)), None
+    return draw(jordan_type(1, 4)), twist
+
+
+@settings(max_examples=100, deadline=None)
+@given(twisted_type(), st.integers(0, 2**32 - 1))
+def test_k_and_plov_match_closed_form(case, seed):
+    # a seeded conjugate P^-1 (J (+) R) P has the k and plov of the observed
+    # closed form, with R as two 1-blocks
+    blocks, twist = case
+    block = jordan_matrix(blocks)
+    if twist is not None:
+        block = direct_sum(block, TWISTS[twist])
+        blocks += (1, 1)
+    p, p_inv = random_unimodular(len(block), Random(seed))
+    m = AbelianSurrogate(mat_mul(p_inv, mat_mul(block, p)))
+    got = degree_growth_exponent(m), delta_polynomial(m).plov
+    assert got == closed_form(blocks), (blocks, twist, m.a)
 
 
 PERTURBATIONS = ("none", "drop", "change", "zero", "zero_orbit", "off_degree", "above_k")

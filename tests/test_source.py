@@ -1,6 +1,7 @@
 """Static checks on the library's source, parsed with ``ast``."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plovlab"
@@ -34,8 +35,6 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
 def test_library_has_no_unused_imports():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue  # its imports are the package's public names
         unused += [f"{path.name}:{line} {name}"
                    for line, name in unused_imports(parse(path))]
     assert unused == []
@@ -50,16 +49,21 @@ def test_unused_import_is_reported():
     assert unused_imports(tree) == [(2, "os"), (3, "lcm"), (3, "prod")]
 
 
+def name_uses(node: ast.AST) -> Counter:
+    """How often each name is read as a ``Name`` or an ``Attribute`` under
+    node."""
+    uses = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            uses[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            uses[child.attr] += 1
+    return uses
+
+
 def used_names(trees) -> set[str]:
     """Every name read as a ``Name`` or an ``Attribute`` in the trees."""
-    used = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+    return {name for tree in trees for name in name_uses(tree)}
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -122,3 +126,64 @@ def test_uncalled_definition_is_reported():
                      "Base().used()\nChild()\n")
     assert uncalled_definitions({"m": tree}, used_names([tree])) == [
         "m.Base.unused", "m.Child.also_unused", "m.Hooked", "m.helper"]
+
+
+# Public library definitions that no library code references, each with the
+# reason it stays
+UNREFERENCED_ALLOWED = {
+    "symfun.mhat_poly": "a memo cache that perfbench/layers.py COLD_CACHES "
+                        "names, and tests/test_bench_hooks.py checks",
+    "dynamics.power_sum_polynomial": "the only caller of _bernoulli, a memo "
+                                     "cache that COLD_CACHES names",
+    "symfun.apply_derivation": "acceptance API: the derivation identity "
+                               "(acceptance 6)",
+    "symfun.integrate_unit_cube": "acceptance API: the Hilbert closed form "
+                                  "as an integral (acceptance 10)",
+    "incidence.block_nullity_formula": "acceptance API: the nullity formula "
+                                       "of the block lower-triangular form",
+    "dynamics.AbelianSurrogate.to_json": "writes the plov --model format",
+}
+
+
+def unreferenced_public(modules: dict[str, ast.Module],
+                        allowed) -> list[str]:
+    """Each public function, class or method of the modules, one with no
+    leading underscore on any part of its qualified name, that no module
+    reads by name outside its own definition and that allowed does not
+    name; then "stale: " and each name in allowed that is not such a
+    definition."""
+    uses = sum((name_uses(tree) for tree in modules.values()), Counter())
+    found = {name for module, tree in modules.items()
+             for name, node, _ in definitions(tree, module)
+             if not any(part.startswith("_") for part in name.split("."))
+             and uses[node.name] == name_uses(node)[node.name]}
+    return (sorted(found - set(allowed))
+            + [f"stale: {name}" for name in sorted(set(allowed) - found)])
+
+
+def test_library_has_no_unreferenced_public_names():
+    # a public name that only tests reach is surface no command uses
+    modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_public(modules, UNREFERENCED_ALLOWED) == []
+
+
+def test_unreferenced_public_name_is_reported():
+    # a public function read by no one or only by itself, and a method no
+    # one calls, are found; a function another definition calls, private
+    # names and an allowed name are not, and an allowed name that is
+    # referenced, or defined nowhere, is stale
+    tree = ast.parse("def unused(): pass\n"
+                     "def recursive(n): return recursive(n - 1)\n"
+                     "def used(): pass\n"
+                     "def caller(): return used()\n"
+                     "def _private(): pass\n"
+                     "def kept(): pass\n"
+                     "class _Hidden:\n"
+                     "    def method(self): pass\n"
+                     "class Shown:\n"
+                     "    def method(self): pass\n"
+                     "    def other(self): pass\n"
+                     "Shown().other()\n")
+    assert unreferenced_public({"m": tree}, {"m.kept", "m.used", "m.gone"}) == [
+        "m.Shown.method", "m.caller", "m.recursive", "m.unused",
+        "stale: m.gone", "stale: m.used"]
