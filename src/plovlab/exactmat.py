@@ -22,6 +22,12 @@ starts at 2^127 - 1, since the kernel vectors it returns have larger
 entries.  The choice of prime changes only the speed: every certificate is
 exact.
 
+A caller that knows a kernel vector can pass it to ``nullspace_basis`` as a
+candidate.  If the candidate is nonzero, m times it is exactly zero and the
+rank's echelon mod the word-size prime has ncols - 1 pivots, the nullity is
+exactly one and the candidate spans the kernel, with no lift at all.  The
+nullspace starts at 2^127 - 1 only when no candidate certifies.
+
 The nullspace eliminates the rows in increasing column order, because its
 basis is defined by that order.  The rank eliminates the transpose instead
 (rank A = rank A^T): the columns of A become the rows, with one column per
@@ -246,7 +252,8 @@ def _row_reduce(m: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
 # Primes of the modular path.  A kernel vector lifts when its entries and
 # their common denominator are at most isqrt(p // 2): about 2^14.5 for the
 # word-size prime 2^30 - 35, 2^63 for 2^127 - 1 and 2^260 for 2^521 - 1.
-# The rank starts at the word-size prime; the nullspace skips it.
+# The rank starts at the word-size prime, and so does a nullspace
+# candidate's rank bound; the nullspace's own elimination skips it.
 _PRIMES = (2**30 - 35, 2**127 - 1, 2**521 - 1)
 
 
@@ -349,28 +356,40 @@ def _lift_kernel(
     return basis
 
 
+def _transposed_echelon(m: ExactMatrix):
+    """The transpose of m as integer rows, its column count (the nonzero
+    rows of m) and its echelon mod the word-size prime.  The pivot count is
+    the rank of m mod that prime, so it is at most the rank over Q."""
+    rows = _integer_rows(m)
+    cols = _transpose(rows, m.ncols)
+    return cols, len(rows), _modular_echelon(cols, len(rows), _PRIMES[0])
+
+
 def _eliminate(m: ExactMatrix, kernel: bool) -> tuple[int, list[list[int]]]:
     """Rank over Q and, when ``kernel`` is set, the nullspace basis.
 
-    The nullspace eliminates the rows of m; the rank alone eliminates their
-    transpose.  Modular elimination gives r pivots with r <= rank.
-    r = the number of columns eliminated, or, for the rank alone, of rows,
-    certifies r at once; otherwise exactly checked kernel vectors do (of the
-    transpose: left kernel vectors of m).  The rank starts at the first
-    prime, the nullspace at the second.  A failed certificate tries the next
-    prime, and after the last one the fraction-free path on m.
+    The nullspace eliminates the rows of m; the rank alone starts from
+    ``_transposed_echelon``.  Modular elimination gives r pivots with
+    r <= rank.  r = the number of columns eliminated, or, for the rank
+    alone, of rows, certifies r at once; otherwise exactly checked kernel
+    vectors do (of the transpose: left kernel vectors of m).  The rank
+    starts at the first prime, the nullspace at the second.  A failed
+    certificate tries the next prime, and after the last one the
+    fraction-free path on m.
     """
-    rows = _integer_rows(m)
-    ncols = m.ncols
-    if not kernel:
-        rows, ncols = _transpose(rows, ncols), len(rows)
+    if kernel:
+        rows, ncols, pivots = _integer_rows(m), m.ncols, None
+    else:
+        rows, ncols, pivots = _transposed_echelon(m)
     for p in _PRIMES[1:] if kernel else _PRIMES:
-        pivots = _modular_echelon(rows, ncols, p)
+        if pivots is None:
+            pivots = _modular_echelon(rows, ncols, p)
         if len(pivots) == ncols or (not kernel and len(pivots) == len(rows)):
             return len(pivots), []
         basis = _lift_kernel(rows, pivots, ncols, p)
         if basis is not None:
             return len(pivots), basis if kernel else []
+        pivots = None
     pivots = _row_reduce(m)
     return len(pivots), _exact_kernel(pivots, m.ncols) if kernel else []
 
@@ -380,14 +399,27 @@ def matrix_rank(m: ExactMatrix) -> int:
     return _eliminate(m, kernel=False)[0]
 
 
-def nullspace_basis(m: ExactMatrix) -> list[list[int]]:
+def nullspace_basis(m: ExactMatrix, candidate=None) -> list[list[int]]:
     """Deterministic kernel basis.
 
     One vector per free column, free columns in increasing order; each vector
     is scaled to coprime integer entries with first nonzero entry positive.
     Degenerate shapes: an m x 0 matrix has an empty nullspace; a 0 x m matrix
     has the full space (identity-style basis).
+
+    ``candidate``, an int vector of length ncols, only changes the speed.
+    When it is nonzero, m times it is exactly zero and the transposed
+    echelon mod the word-size prime has ncols - 1 pivots, the nullity is
+    one: at most one because rank mod p <= rank over Q, at least one
+    because of the candidate.  The basis is then the candidate made
+    primitive, with no elimination mod 2^127 - 1; otherwise it is computed
+    as without a candidate.
     """
+    if candidate is not None:
+        x = [index(v) for v in candidate]
+        if (not any(m.matvec(x)) and any(x)
+                and len(_transposed_echelon(m)[2]) == m.ncols - 1):
+            return [_primitive(x)]
     return _eliminate(m, kernel=True)[1]
 
 

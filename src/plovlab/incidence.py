@@ -178,11 +178,13 @@ def verify_kernel_dim_one(d: int) -> dict:
     kappa = kappa_of(t)
     m = build_incidence(2 * d - 2, d, d * (d - 1))
     sub, kept = truncate_columns(m, kappa)
-    basis = nullspace_basis(sub)
-    nullity = len(basis)
-
     v = vandermonde_coeff_vector(d - 1, d)
     v_trunc = [v.entries[v.index.index_of(lam)] for lam in kept]
+    # with v as the candidate, a rank bound mod the word prime and the exact
+    # product sub v = 0 certify the kernel; no basis is eliminated
+    basis = nullspace_basis(sub, v_trunc)
+    nullity = len(basis)
+
     proportional = False
     kernel = basis[0] if nullity == 1 else None
     if kernel is not None:

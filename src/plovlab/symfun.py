@@ -59,8 +59,11 @@ def _rearranger(first: tuple[int, ...]) -> itemgetter:
 _rearrangers: dict[tuple[int, ...], itemgetter] = {}
 
 
+@lru_cache(maxsize=None)
 def _orbit(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The distinct rearrangements of a decreasing tuple, in decreasing lex order."""
+    """The distinct rearrangements of a decreasing tuple, in decreasing lex
+    order.  Cached per tuple, so callers share the list and must not change
+    it."""
     d = len(lam)
     if d < 2:
         return [lam]
@@ -78,9 +81,6 @@ def mhat_poly(lam: Partition) -> SparseMultiPoly:
     return SparseMultiPoly(len(lam), dict.fromkeys(_orbit(lam), coef))
 
 
-_ZERO = Fraction(0)
-
-
 def _orbit_pass(terms: dict, index: PartitionSet) -> CoeffVector | None:
     """The expansion of a polynomial with these terms, or None if it is not
     a sum of whole orbits of index with one coefficient each.
@@ -96,13 +96,13 @@ def _orbit_pass(terms: dict, index: PartitionSet) -> CoeffVector | None:
     for lam in index:
         c = get(lam)
         if c is None:
-            entries.append(_ZERO)
+            entries.append(0)
             continue
         orbit = _orbit(lam)
         if list(map(get, orbit)).count(c) != len(orbit):
             return None
         covered += len(orbit)
-        entries.append(c * Fraction(prod(map(factorial, lam))))
+        entries.append(c * prod(map(factorial, lam)))
     if covered != len(terms):
         return None
     return CoeffVector(index, tuple(entries))
@@ -161,7 +161,7 @@ def apply_derivation(x: CoeffVector) -> CoeffVector:
         for i, e in enumerate(expo):
             if e:
                 lower = expo[:i] + (e - 1,) + expo[i + 1:]
-                out[lower] = out.get(lower, _ZERO) + c * e
+                out[lower] = out.get(lower, 0) + c * e
     deriv = SparseMultiPoly(d, {e: v for e, v in out.items() if v})
     return mhat_expand(deriv, k, d, n - 1)
 
@@ -197,8 +197,8 @@ def _vandermonde_square(m: int) -> dict[Partition, int]:
             if not (free_a >> a) & 1 or not (free_b >> b) & 1:
                 continue
             # values below a (resp. b) already used sit left of this position
-            flips = (a - bin(free_a & ((1 << a) - 1)).count("1")
-                     + b - bin(free_b & ((1 << b) - 1)).count("1"))
+            flips = (a - (free_a & ((1 << a) - 1)).bit_count()
+                     + b - (free_b & ((1 << b) - 1)).bit_count())
             sub = signed_pairs(rest[1:], free_a & ~(1 << a), free_b & ~(1 << b))
             total += -sub if flips & 1 else sub
         memo[key] = total
@@ -222,12 +222,12 @@ def vandermonde_poly(r: int, d: int) -> SparseMultiPoly:
     if not 1 <= r <= d - 1:
         raise ValueError(f"need 1 <= r <= d-1, got r={r}, d={d}")
     block = _vandermonde_square(r + 1)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for lam in enumerate_partitions(2 * r, d, r * (r + 1)):
         s = d - lam.count(0)
         if s > r + 1 or lam[:r + 1] not in block:
             continue
-        coef = Fraction(comb(d - s, r + 1 - s) * block[lam[:r + 1]])
+        coef = comb(d - s, r + 1 - s) * block[lam[:r + 1]]
         terms.update(dict.fromkeys(_orbit(lam), coef))
     return SparseMultiPoly(d, terms)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -192,6 +193,25 @@ def test_kernel_d6(capsys):
     assert results["kappa"] == "10,8,6,4,2,0"
     # prod_{j=1..5} (2j)!
     assert results["kappa_entry"] == "5056584744960000"
+
+
+# sha256 of the --deterministic stdout of `reproduce kernel --d D`, taken
+# before the kernel was certified by a rank bound on the Vandermonde vector
+KERNEL_SHA256 = {
+    2: "35c50e1b2ea723260b6f004ecf9823fc5d85d7e04ec3f4dab9d2a0a3431ad490",
+    3: "36a190dab2bbfcb900d97155e5e46259fca6ddee0f0715745e0b2bce715c2935",
+    4: "5ea18bd828044f7c0558bf14b4c14e151bce3871171f60e67d029abe5c8ab15d",
+    5: "251f042f12893e2525a7b0b9c8f1712ac928fbe78f115f91490a9dda0cf2f043",
+    6: "6b8f9ff1a3c72d1b552ad384db9153b1844fef846397766e5f5c3ee54121bcc5",
+}
+
+
+@pytest.mark.parametrize("d", sorted(KERNEL_SHA256))
+def test_kernel_report_bytes(capsys, d):
+    code, out = run_cli(capsys, "reproduce", "kernel", "--d", str(d),
+                        "--deterministic")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_SHA256[d]
 
 
 def test_kernel_usage(capsys):

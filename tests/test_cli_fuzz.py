@@ -3,7 +3,8 @@
 Every call must return 0, 1 or 2 and raise nothing; a usage error (2) prints
 nothing on stdout and exactly one ``error: `` line on stderr; and two runs
 under ``--deterministic`` give the same bytes.  The draws stay away from
-valid heavy commands, so each call takes milliseconds.
+valid heavy commands, so each call takes milliseconds, and each must finish
+within ``CALL_BUDGET_S``.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 
@@ -32,6 +34,12 @@ FLAGS = {
     ("scan",): ("--d", "--count", "--seed"),
 }
 ALL_FLAGS = sorted({f for flags in FLAGS.values() for f in flags})
+# Wall-time budget of one call.  The slowest of about 2900 calls took 55 ms
+# on a 2-core host that at times runs the same code 1.7x slower, so the
+# budget leaves more than tenfold headroom beyond that swing.  It holds only
+# because the strategies below stay off valid heavy commands: a valid
+# `reproduce kernel --d 7` or `scan --d 6 --count 20` takes seconds.
+CALL_BUDGET_S = 1.0
 # a valid value of each flag; None for a flag that takes none
 VALUE = {"--format": "csv", "--truncate": "2,1,1", "--extended": None,
          "--model": "model.json", "--abelian-blocks": "2"}
@@ -50,16 +58,21 @@ FUZZ = settings(max_examples=60, deadline=None)
 
 
 def run(argv):
+    """The exit code, stdout and stderr of one call, and its wall time."""
     out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
+    return (code, out.getvalue(), err.getvalue()), time.perf_counter() - started
 
 
 def check(argv, codes=(0, 1, 2)):
-    """Run argv twice and check the exit code and the output of both."""
-    first = run(argv)
-    assert run(argv) == first
+    """Run argv twice and check the exit code, the output and the wall time
+    of both."""
+    first, first_s = run(argv)
+    second, second_s = run(argv)
+    assert second == first
+    assert max(first_s, second_s) <= CALL_BUDGET_S, (argv[:4], first_s, second_s)
     code, out, err = first
     assert code in codes
     if code == 2:

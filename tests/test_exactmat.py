@@ -13,8 +13,14 @@ from plovlab.exactmat import (
     matrix_rank,
     nullspace_basis,
 )
-from plovlab.incidence import nullity_truncated, verify_kernel_dim_one
-from plovlab.symfun import vandermonde_poly
+from plovlab.incidence import (
+    build_incidence,
+    kappa_of,
+    nullity_truncated,
+    truncate_columns,
+    verify_kernel_dim_one,
+)
+from plovlab.symfun import vandermonde_coeff_vector, vandermonde_poly
 
 from oracles import dense_nullspace, dense_rank, vandermonde_square_product
 
@@ -240,14 +246,79 @@ def test_table2_rank_lifts_one_left_kernel_vector(monkeypatch):
     assert fallbacks == []
 
 
-def test_kernel_starts_at_the_second_prime(monkeypatch):
-    # the d = 6 kernel vector has 21-bit entries, above the word prime's
-    # lift bound, so the nullspace skips it: one elimination mod 2^127 - 1
+def test_kernel_is_certified_by_the_word_prime_rank(monkeypatch):
+    # the Vandermonde vector is the candidate: one echelon mod the word
+    # prime 2^30 - 35 gives rank ncols - 1, and the exact product is zero,
+    # so nothing is eliminated mod 2^127 - 1 and nothing falls back
     echelons = count_calls(monkeypatch, "_modular_echelon")
     fallbacks = count_calls(monkeypatch, "_row_reduce")
     assert verify_kernel_dim_one(6)["pass"]
-    assert [args[2] for args in echelons] == [2**127 - 1]
+    assert [args[2] for args in echelons] == [2**30 - 35]
     assert fallbacks == []
+
+
+def kernel_matrix(d):
+    """The truncated staircase matrix of the kernel theorem and the
+    Vandermonde vector on its kept columns."""
+    m = build_incidence(2 * d - 2, d, d * (d - 1))
+    sub, kept = truncate_columns(m, kappa_of((1,) * d))
+    v = vandermonde_coeff_vector(d - 1, d)
+    return sub, [v.entries[v.index.index_of(lam)] for lam in kept]
+
+
+def test_candidate_certifies_nullity_one(monkeypatch):
+    sub, v = kernel_matrix(4)
+    echelons = count_calls(monkeypatch, "_modular_echelon")
+    basis = nullspace_basis(sub, [-3 * x for x in v])
+    assert [args[2] for args in echelons] == [2**30 - 35]
+    echelons.clear()
+    assert basis == nullspace_basis(sub) == [exactmat._primitive(v)]
+    assert [args[2] for args in echelons] == [2**127 - 1]
+
+
+def test_wrong_candidate_fails_the_exact_product(monkeypatch):
+    # one entry of v off by one: the product is nonzero, so the candidate
+    # is dropped before any echelon and the nullspace starts at 2^127 - 1
+    sub, v = kernel_matrix(4)
+    i = next(i for i, x in enumerate(v) if x)
+    wrong = v[:i] + [v[i] + 1] + v[i + 1:]
+    assert any(sub.matvec(wrong))
+    echelons = count_calls(monkeypatch, "_modular_echelon")
+    assert nullspace_basis(sub, wrong) == [exactmat._primitive(v)]
+    assert [args[2] for args in echelons] == [2**127 - 1]
+
+
+def test_low_rank_candidate_takes_the_fallback(monkeypatch):
+    # rank 1 of 3 columns: (1, 1, 0) is a kernel vector, but the word
+    # prime rank falls one short of ncols - 1, so the basis is computed
+    m = ExactMatrix.from_dense([[1, -1, 0]])
+    echelons = count_calls(monkeypatch, "_modular_echelon")
+    basis = nullspace_basis(m, [1, 1, 0])
+    assert [args[2] for args in echelons] == [2**30 - 35, 2**127 - 1]
+    assert basis == nullspace_basis(m) == [[1, 1, 0], [0, 0, 1]]
+
+
+def test_word_prime_rank_deficit_takes_the_fallback(monkeypatch):
+    # rank 2 of 3 columns over Q, but w vanishes mod the word prime, where
+    # the rank is 1: the bound certifies nothing, and the candidate is
+    # checked by the usual route
+    w = exactmat._PRIMES[0]
+    m = ExactMatrix.from_dense([[w, 0, 0], [0, 1, -1]])
+    echelons = count_calls(monkeypatch, "_modular_echelon")
+    assert nullspace_basis(m, [0, 2, 2]) == [[0, 1, 1]]
+    assert [args[2] for args in echelons] == [w, 2**127 - 1]
+
+
+def test_candidate_shapes():
+    # 0 x 1: the whole line is the kernel; n x 0: no nonzero candidate;
+    # a wrong length raises; a Fraction entry is not an int
+    assert nullspace_basis(ExactMatrix.from_rows(0, 1, []), [-4]) == [[1]]
+    tall = ExactMatrix.from_rows(2, 0, [{}, {}])
+    assert nullspace_basis(tall, []) == []
+    with pytest.raises(ValueError):
+        nullspace_basis(ExactMatrix.from_dense([[1, 1]]), [1, -1, 0])
+    with pytest.raises(TypeError):
+        nullspace_basis(ExactMatrix.from_dense([[1, 1]]), [Fraction(1), -1])
 
 
 def test_non_int_entries_raise():

@@ -140,6 +140,32 @@ def test_rank_of_transpose_matches_fraction_free(m):
 
 
 @st.composite
+def matrix_and_candidate(draw):
+    """A matrix of any nullity and shape, with a candidate kernel vector: a
+    combination of its kernel basis times +-k, a random vector or zero."""
+    m = draw(shaped_integer_matrix())
+    kind = draw(st.sampled_from(("kernel", "random", "zero")))
+    if kind == "zero":
+        return m, [0] * m.ncols
+    if kind == "random":
+        return m, draw(st.lists(st.integers(-4, 4), min_size=m.ncols,
+                                max_size=m.ncols))
+    basis = nullspace_basis(m)
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                           max_size=len(basis)))
+    k = draw(st.sampled_from((1, -1))) * draw(st.integers(1, 5))
+    return m, [k * sum(c * x[j] for c, x in zip(coeffs, basis))
+               for j in range(m.ncols)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_and_candidate())
+def test_candidate_changes_only_the_speed(case):
+    m, candidate = case
+    assert nullspace_basis(m, candidate) == nullspace_basis(m)
+
+
+@st.composite
 def unimodular(draw):
     """A product of integer shears: row i += c * row j."""
     g = draw(st.integers(1, 4))
