@@ -8,9 +8,14 @@ all of them, ``--format`` only on the targets with a CSV payload
 Exit codes: 0 = all asserted checks pass, 1 = verification mismatch,
 2 = usage error.  Every usage error, from the parser or from a range check,
 is one ``error: <message>`` line on stderr, and ``main`` returns 2 rather
-than raising ``SystemExit``.  Reports are JSON (the CSV payload under
-``--format csv``); with --deterministic the wall-clock duration is omitted
-so identical flags give byte-identical output.
+than raising ``SystemExit``.  A mismatch is either a report with
+``"pass": false``, when a computed table differs from the golden one, or a
+claim that failed on an instance: the library raises ``CheckFailed``, and
+``main`` prints one ``check failed: <message>`` line on stderr, with nothing
+on stdout, and returns 1.  Both kinds of stderr line are cut at the same
+length.  Reports are JSON (the CSV payload under ``--format csv``); with
+--deterministic the wall-clock duration is omitted so identical flags give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from . import golden
 from .dynamics import (
     MAX_MODEL_DIM,
     AbelianSurrogate,
-    ModelError,
     jordan_matrix,
     model_from_json,
     random_conjugate,
@@ -41,6 +45,7 @@ from .incidence import (
     verify_full_rank,
     verify_kernel_dim_one,
 )
+from .exactmat import CheckFailed
 from .partitions import enumerate_partitions, format_partition
 
 USAGE_ERROR = 2
@@ -49,20 +54,21 @@ MISMATCH = 1
 FULLRANK_MAX = 6
 # largest scan --count; a larger sweep is several calls with other seeds
 SCAN_MAX_COUNT = 1000
-# longest usage-error message printed in full; a longer one, which can only
-# come from echoed input, is cut there and marked
+# longest error message printed in full; a longer one, which comes from
+# echoed input or from a large number, is cut there and marked
 USAGE_MAX_CHARS = 200
 
 
-def _usage(message: str) -> int:
-    """Print a usage error as one line of bounded length on stderr and
-    return its exit code."""
+def _usage(message: str, code: int = USAGE_ERROR) -> int:
+    """Print a usage error, or a failed check under code MISMATCH, as one
+    line of bounded length on stderr and return the exit code."""
     message = message.replace("\n", "\\n")
     if len(message) > USAGE_MAX_CHARS:
         cut = len(message) - USAGE_MAX_CHARS
         message = f"{message[:USAGE_MAX_CHARS]}... [{cut} more characters]"
-    print("error:", message, file=sys.stderr)
-    return USAGE_ERROR
+    label = "error:" if code == USAGE_ERROR else "check failed:"
+    print(label, message, file=sys.stderr)
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,7 +166,7 @@ def _reproduce_table1(args, started):
     sub1_ok = dashed1 == sub_536.data.to_dense()
     sub2_ok = dashed2 == sub_537.data.to_dense()
     ok = (
-        rows_ok and cols_ok and entries_ok and bf.top_right_is_zero
+        rows_ok and cols_ok and entries_ok
         and bf.reassembles and sub1_ok and sub2_ok
         and full.data.nrows == 16 and full.data.ncols == 18
     )
@@ -169,7 +175,7 @@ def _reproduce_table1(args, started):
         "row_labels_match": rows_ok,
         "col_labels_match": cols_ok,
         "entries_match": entries_ok,
-        "top_right_zero": bf.top_right_is_zero,
+        "top_right_zero": True,  # block_form raised CheckFailed otherwise
         "diagonal_blocks_match": bf.reassembles,
         "sub_block_A536": sub1_ok,
         "sub_block_A537": sub2_ok,
@@ -234,12 +240,7 @@ def _reproduce_kernel(args, started):
     d = args.d if args.d is not None else 2
     if not 2 <= d <= 7:
         return _usage("--d must be between 2 and 7")
-    try:
-        rep = verify_kernel_dim_one(d)
-        ok = rep["pass"]
-    except AssertionError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return MISMATCH
+    rep = verify_kernel_dim_one(d)
     results = {
         "d": d,
         "nullity": rep["nullity"],
@@ -247,7 +248,7 @@ def _reproduce_kernel(args, started):
         "kernel": [str(v) for v in rep["kernel"]],
         "kappa_entry": str(rep["kappa_entry"]),
     }
-    return _report(args, results, ok, started)
+    return _report(args, results, True, started)
 
 
 def _reproduce_fullrank(args, started):
@@ -305,11 +306,7 @@ def cmd_plov(args, started):
             raise ValueError(f"model has g = {model.g}; the pipeline needs g >= 2")
     except (ValueError, OSError) as exc:
         return _usage(str(exc))
-    try:
-        report = run_pipeline(model)
-    except ModelError as exc:
-        print(f"pipeline failure: {exc}", file=sys.stderr)
-        return MISMATCH
+    report = run_pipeline(model)
     return _report(args, report, report["pass"], started)
 
 
@@ -328,7 +325,7 @@ def _scan_one(blocks, seed):
         return {"jordan": list(blocks), "seed": seed, "plov": report["plov"],
                 "k": report["k"], "pass": report["pass"],
                 "conjecture_lb": report["checks"]["conjecture_lb"]}
-    except ModelError as exc:
+    except CheckFailed as exc:
         return {"jordan": list(blocks), "seed": seed, "error": str(exc),
                 "pass": False}
 
@@ -431,7 +428,10 @@ def main(argv=None) -> int:
     args.command = " ".join(argv)
     if args.out is not None and _check_out(args.out):
         return USAGE_ERROR
-    return args.func(args, started)
+    try:
+        return args.func(args, started)
+    except CheckFailed as exc:
+        return _usage(str(exc), MISMATCH)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ interpolates the top self-intersection of the sum of pullbacks as an exact
 polynomial in n, and reads off the polynomial volume growth as its degree.
 The concrete models are abelian surrogates: the lattice Z^g with an integer
 unimodular A acting by S -> A^T S A on symmetric g x g matrices, which are
-the classes and carry the polarized-determinant intersection form.
+the classes and carry the polarized-determinant intersection form.  Each
+check of the pipeline returns only on success and otherwise raises
+ModelError, a CheckFailed that names the check and the instance.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import comb, factorial, gcd, lcm
 from operator import add, index, mul, sub
 from random import Random
 
-from .exactmat import Record
+from .exactmat import CheckFailed, Record
 from .incidence import build_incidence, kappa_of
 from .partitions import CoeffVector, Partition, format_partition, partition_set
 from .symfun import hilbert_product
@@ -32,7 +34,7 @@ MAX_MODEL_DIM = 6
 MAX_ENTRY_BITS = 64
 
 
-class ModelError(ValueError):
+class ModelError(CheckFailed):
     """A model violates an assumption of the pipeline."""
 
 
@@ -435,8 +437,9 @@ def w_vector(model, n: int) -> CoeffVector:
     return CoeffVector(members, tuple(w.get(lam, 0) for lam in members))
 
 
-def verify_linear_system(model, n: int) -> bool:
-    """A_{k,d,n} . w = 0, exactly, for k = `degree_growth_exponent(model)`.
+def verify_linear_system(model, n: int) -> None:
+    """A_{k,d,n} . w = 0, exactly, for k = `degree_growth_exponent(model)`;
+    raises ModelError otherwise.
 
     Every lambda in P(k, d, n) has |lambda| = n, so c^n clears each
     denominator of w, and the system is checked on the integer numerators.
@@ -449,7 +452,6 @@ def verify_linear_system(model, n: int) -> bool:
         [v.numerator * (scale // v.denominator) for v in w.entries])
     if any(v != 0 for v in residual):
         raise ModelError(f"linear system violated at (k={k}, d={model.d}, n={n})")
-    return True
 
 
 class DeltaExpansion(Record):
@@ -552,24 +554,21 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
 
 
 def check_principles(d: int, k: int, plov: int) -> dict:
-    """Parity, gap interval, proven upper bound; the conjectured lower bound is
-    reported but never asserted."""
-    parity = (plov - d) % 2 == 0
+    """Parity, gap interval, proven upper bound, each raising ModelError when
+    it fails; the conjectured lower bound is reported but never asserted."""
     gap_lo = d * (d - 2) + 2 * max(1, d // 4)
-    gap_hi = d * d
-    gap = not (gap_lo < plov < gap_hi)
-    upper = plov <= (k // 2 + 1) * d
-    conjecture_lb = 4 * plov >= 4 * d + k * (k + 2)
     report = {
-        "parity": parity,
-        "gap": gap,
-        "gap_interval": (gap_lo, gap_hi),
-        "upper_bound": upper,
-        "conjecture_lb": conjecture_lb,
-        "pass": parity and gap and upper,
+        "parity": (plov - d) % 2 == 0,
+        "gap": not (gap_lo < plov < d * d),
+        "upper_bound": plov <= (k // 2 + 1) * d,
+        "conjecture_lb": 4 * plov >= 4 * d + k * (k + 2),
     }
-    if not report["pass"]:
-        raise ModelError(f"principle check failed: {report}")
+    failed = [name for name in ("parity", "gap", "upper_bound")
+              if not report[name]]
+    if failed:
+        raise ModelError(
+            f"principle check failed at d={d}, k={k}, plov={plov}: "
+            f"{', '.join(failed)}")
     return report
 
 
@@ -586,11 +585,10 @@ def hilbert_top_coefficient_check(model) -> dict:
     # (find_distinguished_kappa certifies it against intersect)
     w_kappa = _prepared(model)["w"].get(kappa_of(tuple([1] * d)), 0)
     expected = w_kappa * hilbert_product(d)
-    report = {"coefficient": top, "expected": expected, "w_kappa": w_kappa,
-              "pass": top == expected}
-    if not report["pass"]:
-        raise ModelError(f"Hilbert closed form mismatch: {report}")
-    return report
+    if top != expected:
+        raise ModelError(f"Hilbert closed form mismatch at d={d}: top "
+                         f"coefficient {top}, expected {expected}")
+    return {"coefficient": top, "expected": expected, "w_kappa": w_kappa}
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +690,7 @@ def run_pipeline(model: AbelianSurrogate) -> dict:
         "kappa": None,
         "t": None,
         "top_coefficient": str(expansion.poly.coeffs[-1]),
-        "checks": {},
-    }
-    checks = check_principles(d, k, plov)
-    report["checks"] = {
-        "parity": checks["parity"],
-        "gap": checks["gap"],
-        "upper_bound": checks["upper_bound"],
-        "conjecture_lb": checks["conjecture_lb"],
+        "checks": check_principles(d, k, plov),
     }
     if k >= 2:
         # kappa first: its intersect certificate names a wrong w_kappa
@@ -709,15 +700,10 @@ def run_pipeline(model: AbelianSurrogate) -> dict:
         report["t"] = list(dist.t)
         for n in range(1, d * k + 1):
             verify_linear_system(model, n)
+    report["checks"]["hilbert"] = None
     if k == 2 * d - 2:
-        hil = hilbert_top_coefficient_check(model)
-        report["checks"]["hilbert"] = hil["pass"]
-    else:
-        report["checks"]["hilbert"] = None
-    # conjecture_lb is observational only; it never gates the pass flag
-    report["pass"] = all(
-        v
-        for name, v in report["checks"].items()
-        if v is not None and name != "conjecture_lb"
-    )
+        hilbert_top_coefficient_check(model)
+        report["checks"]["hilbert"] = True
+    # every check above raised ModelError if it failed
+    report["pass"] = True
     return report

@@ -85,6 +85,11 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class CheckFailed(ValueError):
+    """A claim of the paper failed on an instance; the message names the
+    check and the instance in one line."""
+
+
 class ExactMatrix(Record):
     """Sparse integer matrix; rows hold (col, value) pairs with strictly
     increasing column indices and no explicit zeros.  Degenerate 0 x m and

@@ -4,7 +4,8 @@ Rows are indexed by P(k,d,n-1) and columns by P(k,d,n), both in decreasing
 lexicographic order.  The (mu, lambda) entry counts the weighted ways of
 raising a single part of mu by one to reach lambda.  This module also builds
 the block decomposition, column truncations below a distinguished partition,
-and the rank/nullity verification reports.
+and the rank/nullity verification reports.  The block form and the kernel
+theorem raise CheckFailed when the claim fails on an instance.
 """
 
 from __future__ import annotations
@@ -13,14 +14,17 @@ import io
 from math import factorial, prod
 
 from .exactmat import (
+    CheckFailed,
     ExactMatrix,
     Record,
+    _primitive,
     assemble_block_lower,
     hstack,
     matrix_rank,
     nullspace_basis,
 )
-from .partitions import Partition, PartitionSet, bump, count, partition_set
+from .partitions import (Partition, PartitionSet, bump, count,
+                         format_partition, partition_set)
 from .symfun import vandermonde_coeff_vector
 
 
@@ -73,14 +77,12 @@ def truncate_columns(
 
 class BlockForm(Record):
     __slots__ = _fields = ("top_left", "bottom_right", "bottom_left",
-                           "top_right_is_zero", "reassembles")
+                           "reassembles")
 
     def __init__(self, top_left: IncidenceMatrix, bottom_right: IncidenceMatrix,
-                 bottom_left: ExactMatrix, top_right_is_zero: bool,
-                 reassembles: bool):
+                 bottom_left: ExactMatrix, reassembles: bool):
         # top_left is A_{k, d-1, n-k}, bottom_right is A_{k-1, d, n}
-        self._set(top_left, bottom_right, bottom_left, top_right_is_zero,
-                  reassembles)
+        self._set(top_left, bottom_right, bottom_left, reassembles)
 
 
 def block_form(k: int, d: int, n: int) -> BlockForm:
@@ -88,9 +90,9 @@ def block_form(k: int, d: int, n: int) -> BlockForm:
 
     In decreasing lex order the prepend-k partitions come first, and they
     are P(k,d-1,n-1-k) and P(k,d-1,n-k) with k prepended, so the grouping is
-    one cut of A_{k,d,n} at the shape of A_{k,d-1,n-k}.  Verifies the
-    top-right block is identically zero and that the diagonal blocks equal
-    A_{k,d-1,n-k} and A_{k-1,d,n}.
+    one cut of A_{k,d,n} at the shape of A_{k,d-1,n-k}.  Raises CheckFailed
+    unless the top-right block is identically zero, and reports whether the
+    diagonal blocks equal A_{k,d-1,n-k} and A_{k-1,d,n}.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -98,12 +100,12 @@ def block_form(k: int, d: int, n: int) -> BlockForm:
     bottom_right = build_incidence(k - 1, d, n)
     tl, tr, bl, br = build_incidence(k, d, n).data.blocks(*top_left.shape)
     if any(tr.rows):
-        raise AssertionError(f"nonzero top-right block in A_{{{k},{d},{n}}}")
+        raise CheckFailed(f"block form: nonzero top-right block in "
+                          f"A_{{{k},{d},{n}}}")
     return BlockForm(
         top_left=top_left,
         bottom_right=bottom_right,
         bottom_left=bl,
-        top_right_is_zero=True,
         reassembles=tl == top_left.data and br == bottom_right.data,
     )
 
@@ -171,7 +173,8 @@ def nullity_truncated(d: int, r: int, t: tuple[int, ...], e: int) -> int:
 
 
 def verify_kernel_dim_one(d: int) -> dict:
-    """Truncated staircase kernel: nullity one, spanned by the Vandermonde vector."""
+    """Truncated staircase kernel: nullity one, spanned by the Vandermonde
+    vector; raises CheckFailed otherwise."""
     if d < 2:
         raise ValueError("d must be at least 2")
     t = tuple([1] * d)
@@ -183,33 +186,25 @@ def verify_kernel_dim_one(d: int) -> dict:
     # with v as the candidate, a rank bound mod the word prime and the exact
     # product sub v = 0 certify the kernel; no basis is eliminated
     basis = nullspace_basis(sub, v_trunc)
-    nullity = len(basis)
-
-    proportional = False
-    kernel = basis[0] if nullity == 1 else None
-    if kernel is not None:
-        # compare via cross-ratios against the first nonzero coordinate
-        i0 = next((i for i, x in enumerate(v_trunc) if x), None)
-        proportional = (
-            i0 is not None
-            and kernel[i0] != 0
-            and all(kernel[i0] * v_trunc[i] == v_trunc[i0] * kernel[i]
-                    for i in range(len(kept)))
-        )
+    # both sides are primitive with a positive first nonzero entry, so they
+    # are equal exactly when the nullity is one and v spans the kernel
+    if basis != [_primitive(v_trunc)]:
+        raise CheckFailed(
+            f"kernel theorem at d={d}: the truncated kernel has dimension "
+            f"{len(basis)} and is not spanned by the Vandermonde vector")
     kappa_entry = v.entries[v.index.index_of(kappa)]
     expected_entry = prod(factorial(2 * j) for j in range(1, d))
-    result = {
+    if kappa_entry != expected_entry:
+        raise CheckFailed(
+            f"kernel theorem at d={d}: Vandermonde entry {kappa_entry} at "
+            f"kappa = {format_partition(kappa)}, expected {expected_entry}")
+    return {
         "d": d,
-        "nullity": nullity,
-        "kernel": kernel,
+        "nullity": 1,
+        "kernel": basis[0],
         "kappa": kappa,
         "kappa_entry": kappa_entry,
-        "kappa_entry_expected": expected_entry,
-        "pass": nullity == 1 and proportional and kappa_entry == expected_entry,
     }
-    if not result["pass"]:
-        raise AssertionError(f"kernel verification failed at d={d}: {result}")
-    return result
 
 
 def matrix_to_csv(m: IncidenceMatrix) -> str:

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from plovlab import cli
+from plovlab import cli, incidence
 from plovlab.cli import main
+from plovlab.exactmat import ExactMatrix
+from plovlab.partitions import CoeffVector
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +282,54 @@ def test_plov_entropy_rejected(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"type": "abelian", "g": 2, "A": [[2, 1], [1, 1]]}')
     assert main(["plov", "--model", str(path)]) == 1
+
+
+def check_failed_line(capsys, *argv):
+    """Run argv, whose check fails: it exits 1 with nothing on stdout and
+    one ``check failed: `` line on stderr, whose message is cut at
+    USAGE_MAX_CHARS and marked; return that line."""
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("check failed: ") and err.count("\n") == 1
+    message = err[len("check failed: "):-1]
+    assert len(message) <= cli.USAGE_MAX_CHARS or re.fullmatch(
+        r".{%d}\.\.\. \[\d+ more characters\]" % cli.USAGE_MAX_CHARS, message)
+    return err
+
+
+def test_failed_kernel_check_is_one_line(capsys, monkeypatch):
+    # one Vandermonde entry off by one: the truncated kernel is still one
+    # vector, which the changed vector no longer spans; the line names the
+    # check and d and holds no vector
+    inner = incidence.vandermonde_coeff_vector
+
+    def off_by_one(r, d):
+        v = inner(r, d)
+        # the last, lex-smallest, partition is below kappa, so it is kept
+        return CoeffVector(v.index, v.entries[:-1] + (v.entries[-1] + 1,))
+
+    monkeypatch.setattr(incidence, "vandermonde_coeff_vector", off_by_one)
+    err = check_failed_line(capsys, "reproduce", "kernel", "--d", "6")
+    assert err.startswith("check failed: kernel theorem at d=6: ")
+
+
+def test_failed_block_form_is_one_line(capsys, monkeypatch):
+    # a nonzero top-right block of A_{6,4,12} fails Table 1's block form
+    inner = ExactMatrix.blocks
+
+    def corrupted(self, i, j):
+        tl, tr, bl, br = inner(self, i, j)
+        if tr.nrows and tr.ncols:
+            tr = ExactMatrix.from_rows(tr.nrows, tr.ncols,
+                                       [{0: 1}] + [{}] * (tr.nrows - 1))
+        return tl, tr, bl, br
+
+    monkeypatch.setattr(ExactMatrix, "blocks", corrupted)
+    err = check_failed_line(capsys, "reproduce", "table1", "--deterministic")
+    assert err == ("check failed: block form: nonzero top-right block in "
+                   "A_{6,4,12}\n")
 
 
 @pytest.mark.parametrize("text", [

@@ -1,7 +1,8 @@
 """The command line driven in process over malformed input drawn by Hypothesis.
 
 Every call must return 0, 1 or 2 and raise nothing; a usage error (2) prints
-nothing on stdout and exactly one ``error: `` line on stderr; and two runs
+nothing on stdout and exactly one ``error: `` line on stderr, and a failed
+check (1) one ``check failed: `` line, each of bounded length; and two runs
 under ``--deterministic`` give the same bytes.  The draws stay away from
 valid heavy commands, so each call takes milliseconds, and each must finish
 within ``CALL_BUDGET_S``.
@@ -75,12 +76,14 @@ def check(argv, codes=(0, 1, 2)):
     assert max(first_s, second_s) <= CALL_BUDGET_S, (argv[:4], first_s, second_s)
     code, out, err = first
     assert code in codes
-    if code == 2:
+    # no draw reaches a table mismatch, so an exit 1 is a failed check
+    if code != 0:
+        label = "error: " if code == 2 else "check failed: "
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(label) and err.count("\n") == 1
         assert err.endswith("\n")
-        # "error: ", the message and the marker of a cut one
-        assert len(err) <= USAGE_MAX_CHARS + 40, len(err)
+        # the label, the message and the marker of a cut one
+        assert len(err) <= len(label) + USAGE_MAX_CHARS + 33, len(err)
 
 
 def call(command, pairs, tail=()):

@@ -532,7 +532,7 @@ def test_degree_growth_exponent():
 def test_w_vector_and_linear_system():
     m = AbelianSurrogate(jordan_matrix((2,)), jordan=(2,))
     for n in range(1, 5):
-        assert verify_linear_system(m, n)
+        assert verify_linear_system(m, n) is None  # ModelError on failure
     w = w_vector(m, 2)
     assert w[(2, 0)] != 0 or w[(1, 1)] != 0
 
@@ -569,10 +569,10 @@ def test_find_distinguished_kappa_k0_error():
 
 
 def test_check_principles():
+    # a call that returns passed: a failed principle raises ModelError
     rep = check_principles(4, 4, 10)
-    assert rep["pass"] and rep["conjecture_lb"]
-    rep = check_principles(4, 6, 16)
-    assert rep["pass"]
+    assert rep["conjecture_lb"] and "pass" not in rep
+    check_principles(4, 6, 16)
     rep = check_principles(3, 2, 5)
     assert rep["parity"] and rep["conjecture_lb"]
     with pytest.raises(ModelError):
@@ -584,8 +584,8 @@ def test_check_principles():
 def test_hilbert_check():
     for blocks in ((2,), (3,)):
         m = AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
-        rep = hilbert_top_coefficient_check(m)
-        assert rep["pass"]
+        rep = hilbert_top_coefficient_check(m)  # ModelError on a mismatch
+        assert rep["coefficient"] == rep["expected"]
     # d=2: coefficient of n^4 equals w_(2,0) / 12
     m2 = AbelianSurrogate(jordan_matrix((2,)), jordan=(2,))
     rep2 = hilbert_top_coefficient_check(m2)

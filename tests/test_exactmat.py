@@ -252,7 +252,7 @@ def test_kernel_is_certified_by_the_word_prime_rank(monkeypatch):
     # so nothing is eliminated mod 2^127 - 1 and nothing falls back
     echelons = count_calls(monkeypatch, "_modular_echelon")
     fallbacks = count_calls(monkeypatch, "_row_reduce")
-    assert verify_kernel_dim_one(6)["pass"]
+    assert verify_kernel_dim_one(6)["nullity"] == 1  # CheckFailed otherwise
     assert [args[2] for args in echelons] == [2**30 - 35]
     assert fallbacks == []
 

@@ -128,6 +128,56 @@ def test_uncalled_definition_is_reported():
         "m.Base.unused", "m.Child.also_unused", "m.Hooked", "m.helper"]
 
 
+def assertion_error_uses(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, "raise" or "except") of each raise of AssertionError, bare or
+    called, and of each handler that catches it, alone or in a tuple."""
+    def names(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.Tuple):
+            return [name for elt in node.elts for name in names(elt)]
+        return [node.id] if isinstance(node, ast.Name) else []
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            kind, exc = "raise", node.exc
+        elif isinstance(node, ast.ExceptHandler):
+            kind, exc = "except", node.type
+        else:
+            continue
+        if exc is not None and "AssertionError" in names(exc):
+            found.append((node.lineno, kind))
+    return sorted(found)
+
+
+def test_library_neither_raises_nor_catches_assertion_error():
+    # a failed check raises CheckFailed, the one exception the CLI turns
+    # into exit 1
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        uses += [f"{path.name}:{line} {kind}"
+                 for line, kind in assertion_error_uses(parse(path))]
+    assert uses == []
+
+
+def test_assertion_error_use_is_reported():
+    # bare and called raises and a handler alone or in a tuple are found;
+    # another exception, a bare raise and a bare except are not
+    tree = ast.parse("try:\n"
+                     "    raise AssertionError('x')\n"
+                     "except (ValueError, AssertionError):\n"
+                     "    raise AssertionError\n"
+                     "except AssertionError as exc:\n"
+                     "    raise ValueError(exc)\n"
+                     "except KeyError:\n"
+                     "    raise\n"
+                     "except:\n"
+                     "    pass\n")
+    assert assertion_error_uses(tree) == [
+        (2, "raise"), (3, "except"), (4, "raise"), (5, "except")]
+
+
 # Public library definitions that no library code references, each with the
 # reason it stays
 UNREFERENCED_ALLOWED = {
