@@ -146,16 +146,12 @@ def _reproduce_matrix_examples(args, started):
 
 def _reproduce_table1(args, started):
     bf = block_form(6, 4, 12)
-    full = build_incidence(6, 4, 12)
-    rows_ok = [tuple(p) for p in full.row_set] == golden.TABLE1_ROWS
-    cols_ok = [tuple(p) for p in full.col_set] == golden.TABLE1_COLS
-    entries_ok = True
-    dense = full.data.to_dense()
-    for i, mu in enumerate(full.row_set):
-        for j, lam in enumerate(full.col_set):
-            expected = golden.TABLE1_ENTRIES.get((tuple(mu), tuple(lam)), 0)
-            if dense[i][j] != expected:
-                entries_ok = False
+    full = bf.full
+    rows_ok = list(full.row_set) == golden.TABLE1_ROWS
+    cols_ok = list(full.col_set) == golden.TABLE1_COLS
+    entries_ok = full.data.to_dense() == [
+        [golden.TABLE1_ENTRIES.get((mu, lam), 0) for lam in full.col_set]
+        for mu in full.row_set]
     sub_536 = build_incidence(5, 3, 6)
     sub_537 = build_incidence(5, 3, 7)
     # dashed sub-blocks: bottom-right of the purple A_{6,3,6}, top-left of teal A_{5,4,12}
@@ -168,10 +164,10 @@ def _reproduce_table1(args, started):
     ok = (
         rows_ok and cols_ok and entries_ok
         and bf.reassembles and sub1_ok and sub2_ok
-        and full.data.nrows == 16 and full.data.ncols == 18
+        and full.shape == (16, 18)
     )
     results = {
-        "shape": [full.data.nrows, full.data.ncols],
+        "shape": list(full.shape),
         "row_labels_match": rows_ok,
         "col_labels_match": cols_ok,
         "entries_match": entries_ok,

@@ -676,34 +676,39 @@ def model_from_json(text: str) -> AbelianSurrogate:
 
 
 def run_pipeline(model: AbelianSurrogate) -> dict:
-    """Full dynamics report for one model: k, plov, kappa, and all checks."""
-    d = model.d
-    k = degree_growth_exponent(model)
-    expansion = delta_polynomial(model)
-    plov = expansion.plov
-    report: dict = {
-        "g": model.g,
-        "d": d,
-        "k": k,
-        "jordan": list(model.jordan) if model.jordan else None,
-        "plov": plov,
-        "kappa": None,
-        "t": None,
-        "top_coefficient": str(expansion.poly.coeffs[-1]),
-        "checks": check_principles(d, k, plov),
-    }
-    if k >= 2:
-        # kappa first: its intersect certificate names a wrong w_kappa
-        # before the linear systems that read it
-        dist = find_distinguished_kappa(model)
-        report["kappa"] = format_partition(dist.kappa)
-        report["t"] = list(dist.t)
-        for n in range(1, d * k + 1):
-            verify_linear_system(model, n)
-    report["checks"]["hilbert"] = None
-    if k == 2 * d - 2:
-        hilbert_top_coefficient_check(model)
-        report["checks"]["hilbert"] = True
-    # every check above raised ModelError if it failed
-    report["pass"] = True
-    return report
+    """Full dynamics report for one model: k, plov, kappa, and all checks.
+    A failed check is raised again as a ModelError that names the model."""
+    try:
+        d = model.d
+        k = degree_growth_exponent(model)
+        expansion = delta_polynomial(model)
+        plov = expansion.plov
+        report: dict = {
+            "g": model.g,
+            "d": d,
+            "k": k,
+            "jordan": list(model.jordan) if model.jordan else None,
+            "plov": plov,
+            "kappa": None,
+            "t": None,
+            "top_coefficient": str(expansion.poly.coeffs[-1]),
+            "checks": check_principles(d, k, plov),
+        }
+        if k >= 2:
+            # kappa first: its intersect certificate names a wrong w_kappa
+            # before the linear systems that read it
+            dist = find_distinguished_kappa(model)
+            report["kappa"] = format_partition(dist.kappa)
+            report["t"] = list(dist.t)
+            for n in range(1, d * k + 1):
+                verify_linear_system(model, n)
+        report["checks"]["hilbert"] = None
+        if k == 2 * d - 2:
+            hilbert_top_coefficient_check(model)
+            report["checks"]["hilbert"] = True
+        # every check above raised ModelError if it failed
+        report["pass"] = True
+        return report
+    except CheckFailed as exc:
+        # A after the check's text: a cut line loses the matrix, not the check
+        raise ModelError(f"{exc} [model A = {model.a}]") from exc

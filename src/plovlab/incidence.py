@@ -23,8 +23,8 @@ from .exactmat import (
     matrix_rank,
     nullspace_basis,
 )
-from .partitions import (Partition, PartitionSet, bump, count,
-                         format_partition, partition_set)
+from .partitions import (Partition, PartitionSet, count, format_partition,
+                         partition_set)
 from .symfun import vandermonde_coeff_vector
 
 
@@ -42,22 +42,20 @@ class IncidenceMatrix(Record):
 
 def build_incidence(k: int, d: int, n: int) -> IncidenceMatrix:
     """Shape p(k,d,n-1) x p(k,d,n); degenerate shapes for n out of range.
-    At k = 0 no part can be raised, so the matrix is zero."""
+    Row mu raises the first part equal to each distinct part i < k, with
+    weight the multiplicity of i; an earlier part gives a lex-larger column,
+    so each row comes out sorted.  At k = 0 the matrix is zero."""
     if k < 0 or d < 1:
         raise ValueError("k must be nonnegative and d positive")
     row_set = partition_set(k, d, n - 1)
     col_set = partition_set(k, d, n)
-    rows = []
-    for mu in row_set:
-        row: dict[int, int] = {}
-        for i in range(k):
-            hit = bump(mu, i, k)
-            if hit is None:
-                continue
-            lam, weight = hit
-            row[col_set.index_of(lam)] = weight
-        rows.append(row)
-    data = ExactMatrix.from_rows(len(row_set), len(col_set), rows)
+    col = col_set.index_of
+    rows = tuple([
+        tuple([(col(mu[:p] + (i + 1,) + mu[p + 1:]), mu.count(i))
+               for p, i in enumerate(mu)
+               if i < k and (p == 0 or mu[p - 1] != i)])
+        for mu in row_set])
+    data = ExactMatrix(len(row_set), len(col_set), rows)
     return IncidenceMatrix(k, d, n, row_set, col_set, data)
 
 
@@ -76,13 +74,17 @@ def truncate_columns(
 
 
 class BlockForm(Record):
-    __slots__ = _fields = ("top_left", "bottom_right", "bottom_left",
+    """`full` is A_{k,d,n}; `top_left` and `bottom_right` are A_{k,d-1,n-k}
+    and A_{k-1,d,n}, and `reassembles` says whether the diagonal blocks of
+    `full` equal them; `bottom_left` is its bottom-left block."""
+
+    __slots__ = _fields = ("full", "top_left", "bottom_right", "bottom_left",
                            "reassembles")
 
-    def __init__(self, top_left: IncidenceMatrix, bottom_right: IncidenceMatrix,
-                 bottom_left: ExactMatrix, reassembles: bool):
-        # top_left is A_{k, d-1, n-k}, bottom_right is A_{k-1, d, n}
-        self._set(top_left, bottom_right, bottom_left, reassembles)
+    def __init__(self, full: IncidenceMatrix, top_left: IncidenceMatrix,
+                 bottom_right: IncidenceMatrix, bottom_left: ExactMatrix,
+                 reassembles: bool):
+        self._set(full, top_left, bottom_right, bottom_left, reassembles)
 
 
 def block_form(k: int, d: int, n: int) -> BlockForm:
@@ -92,17 +94,19 @@ def block_form(k: int, d: int, n: int) -> BlockForm:
     are P(k,d-1,n-1-k) and P(k,d-1,n-k) with k prepended, so the grouping is
     one cut of A_{k,d,n} at the shape of A_{k,d-1,n-k}.  Raises CheckFailed
     unless the top-right block is identically zero, and reports whether the
-    diagonal blocks equal A_{k,d-1,n-k} and A_{k-1,d,n}.
+    diagonal blocks equal A_{k,d-1,n-k} and A_{k-1,d,n}; A_{k,d,n} is `full`.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
+    full = build_incidence(k, d, n)
     top_left = build_incidence(k, d - 1, n - k)
     bottom_right = build_incidence(k - 1, d, n)
-    tl, tr, bl, br = build_incidence(k, d, n).data.blocks(*top_left.shape)
+    tl, tr, bl, br = full.data.blocks(*top_left.shape)
     if any(tr.rows):
         raise CheckFailed(f"block form: nonzero top-right block in "
                           f"A_{{{k},{d},{n}}}")
     return BlockForm(
+        full=full,
         top_left=top_left,
         bottom_right=bottom_right,
         bottom_left=bl,

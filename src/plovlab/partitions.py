@@ -1,4 +1,4 @@
-"""Restricted partitions: enumeration, counting, ordering, and the bump calculus.
+"""Restricted partitions: enumeration, counting and ordering.
 
 A restricted partition is a weakly decreasing d-tuple of integers in [0, k]
 (trailing zeros explicit).  Partition sets are always listed in decreasing
@@ -131,19 +131,3 @@ def _count(k: int, d: int, n: int) -> int:
         _count_cache[key] = val
     return val
 
-
-def bump(mu: Partition, i: int, k: int) -> tuple[Partition, int] | None:
-    """Replace one part equal to i with i+1.
-
-    Returns (mu(i), weight e_i), or None when mu has no part equal to i
-    (which maps to a zero matrix entry).  Requires 0 <= i <= k-1.  The
-    first part equal to i is raised: every part before it is at least
-    i+1, so mu(i) is weakly decreasing as mu is.
-    """
-    if not 0 <= i <= k - 1:
-        raise ValueError(f"bump index {i} outside [0, {k - 1}]")
-    e_i = mu.count(i)
-    if e_i == 0:
-        return None
-    p = mu.index(i)
-    return mu[:p] + (i + 1,) + mu[p + 1:], e_i

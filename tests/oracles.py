@@ -23,7 +23,8 @@ from plovlab.dynamics import (
     unipotent_power,
 )
 from plovlab.exactmat import SparseMultiPoly
-from plovlab.partitions import enumerate_partitions, multiplicities, partition_set
+from plovlab.partitions import (Partition, enumerate_partitions, multiplicities,
+                                partition_set)
 from plovlab.symfun import CoeffVector
 
 
@@ -34,6 +35,40 @@ def brute_force_partitions(k, d, n):
         if sum(combo) == n:
             out.append(tuple(sorted(combo, reverse=True)))
     return sorted(set(out), reverse=True)
+
+
+def bump(mu: Partition, i: int, k: int) -> tuple[Partition, int] | None:
+    """Replace one part equal to i with i+1.
+
+    Returns (mu(i), weight e_i), or None when mu has no part equal to i
+    (which maps to a zero matrix entry).  Requires 0 <= i <= k-1.  The
+    first part equal to i is raised: every part before it is at least
+    i+1, so mu(i) is weakly decreasing as mu is.
+    """
+    if not 0 <= i <= k - 1:
+        raise ValueError(f"bump index {i} outside [0, {k - 1}]")
+    e_i = mu.count(i)
+    if e_i == 0:
+        return None
+    p = mu.index(i)
+    return mu[:p] + (i + 1,) + mu[p + 1:], e_i
+
+
+def incidence_by_bump(k, d, n):
+    """Dense A_{k,d,n} on the brute-force partition sets: each row mu probes
+    every i < k with `bump`, and a hit puts its weight at the column of mu(i)."""
+    cols = brute_force_partitions(k, d, n)
+    index = {lam: j for j, lam in enumerate(cols)}
+    dense = []
+    for mu in brute_force_partitions(k, d, n - 1):
+        row = [0] * len(cols)
+        for i in range(k):
+            hit = bump(mu, i, k)
+            if hit is not None:
+                lam, weight = hit
+                row[index[lam]] = weight
+        dense.append(row)
+    return dense
 
 
 def dense_rref(rows):

@@ -217,6 +217,61 @@ def test_kernel_report_bytes(capsys, d):
     assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_SHA256[d]
 
 
+TRUNCATED_CELL = ("reproduce", "table2", "--truncate", "2,1,1,1,1,1", "--n")
+# sha256 of the --deterministic stdout of each command, taken before the
+# incidence rows were built directly, without probing every part with bump
+REPORT_SHA256 = {
+    ("reproduce", "matrix-examples"):
+        "189506b29e7d751610e21bea55f22b9bbd5cbbe6a7fa569b6a15e7bbd3abcd03",
+    ("reproduce", "matrix-examples", "--format", "csv"):
+        "dc08b5d5324808d3f91521afa8939fb9ec3fbb2ebd575caeebee9218d9df1452",
+    ("reproduce", "table1"):
+        "8851dac3ecb4b44c1f7fbed1626d223f0b1137c24192d38b0d7e5b570be686ef",
+    ("reproduce", "table1", "--format", "csv"):
+        "ee7bb0d902b73dc9093d0544dc80201ef2041c8ccc5fee6428be644cfe1f2585",
+    TRUNCATED_CELL + ("30",):
+        "42d595078e093e41fab4ac658f9e8f405c6c20cb54d8c5d5baf053f9a6f4c9fb",
+    TRUNCATED_CELL + ("31",):
+        "1f545f0b5b30b64b85ce0b3de36fc571072c36efac722f89688292e2012a67bb",
+    TRUNCATED_CELL + ("32",):
+        "125ddfd1559eb0ab10b7b7c58586889fe7e49f1a0dd756a0af5b863315041b98",
+    TRUNCATED_CELL + ("33",):
+        "2c1041fe674cd6d4674bf2ca0031cdbe0c92c5e5e5488f069a7fea40ffaae4ce",
+    TRUNCATED_CELL + ("34",):
+        "411d491396e6f0357055c37f3cec71601814b6d3184371812e04723c92afee25",
+    TRUNCATED_CELL + ("35",):
+        "ba8496841a672bbc0a69bf49aade7fdec439a38865fd357f547504e18d9617cc",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_SHA256), ids=" ".join)
+def test_report_bytes(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--deterministic")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[argv]
+
+
+def test_table1_builds_each_matrix_once(capsys, monkeypatch):
+    # count the calls under every name the package binds build_incidence to
+    calls = []
+    inner = incidence.build_incidence
+
+    def counted(k, d, n):
+        calls.append((k, d, n))
+        return inner(k, d, n)
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "plovlab" or name.startswith("plovlab.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is inner:
+                monkeypatch.setattr(module, attr, counted)
+    code, _ = run_cli(capsys, "reproduce", "table1", "--deterministic")
+    assert code == 0
+    assert sorted(calls) == [(5, 3, 6), (5, 3, 7), (5, 4, 12), (6, 3, 6),
+                             (6, 4, 12)]
+
+
 def test_kernel_usage(capsys):
     assert main(["reproduce", "kernel", "--d", "99"]) == 2
 
@@ -282,6 +337,15 @@ def test_plov_entropy_rejected(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"type": "abelian", "g": 2, "A": [[2, 1], [1, 1]]}')
     assert main(["plov", "--model", str(path)]) == 1
+
+
+def test_failed_pipeline_check_names_the_model(capsys, tmp_path):
+    # the check's own text comes first, then the model's A
+    path = tmp_path / "model.json"
+    path.write_text('{"type": "abelian", "g": 2, "A": [[2, 1], [1, 1]]}')
+    err = check_failed_line(capsys, "plov", "--model", str(path))
+    assert err.startswith("check failed: action is not quasi-unipotent ")
+    assert err.endswith(" [model A = [[2, 1], [1, 1]]]\n")
 
 
 def check_failed_line(capsys, *argv):

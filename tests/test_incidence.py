@@ -20,7 +20,7 @@ from plovlab.incidence import (
 )
 from plovlab.partitions import PartitionSet, count, enumerate_partitions
 
-from oracles import dense_nullity, dense_rank
+from oracles import dense_nullity, dense_rank, incidence_by_bump
 
 
 def test_printed_matrices():
@@ -119,6 +119,21 @@ def test_build_incidence_k0_is_the_zero_block():
             build_incidence(k, d, 1)
     with pytest.raises(ValueError):
         block_form(0, 2, 1)
+
+
+def test_build_incidence_matches_bump_oracle():
+    # n runs from 0 to dk + 1, so the empty row and column sets and k = 0
+    # are covered along with every nonempty shape
+    for k in range(0, 7):
+        for d in range(1, 5):
+            for n in range(0, d * k + 2):
+                assert build_incidence(k, d, n).data.to_dense() == \
+                    incidence_by_bump(k, d, n), (k, d, n)
+
+
+def test_block_form_returns_the_matrix_it_cuts():
+    for k, d, n in ((6, 4, 12), (3, 2, 3), (2, 3, 4)):
+        assert block_form(k, d, n).full == build_incidence(k, d, n)
 
 
 def test_kappa_of():

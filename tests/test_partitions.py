@@ -1,7 +1,6 @@
 import pytest
 
 from plovlab.partitions import (
-    bump,
     count,
     enumerate_partitions,
     format_partition,
@@ -9,7 +8,7 @@ from plovlab.partitions import (
     partition_set,
 )
 
-from oracles import brute_force_partitions
+from oracles import brute_force_partitions, bump
 
 
 def test_enumeration_matches_brute_force():
