@@ -12,10 +12,11 @@ than raising ``SystemExit``.  A mismatch is either a report with
 ``"pass": false``, when a computed table differs from the golden one, or a
 claim that failed on an instance: the library raises ``CheckFailed``, and
 ``main`` prints one ``check failed: <message>`` line on stderr, with nothing
-on stdout, and returns 1.  Both kinds of stderr line are cut at the same
-length.  Reports are JSON (the CSV payload under ``--format csv``); with
---deterministic the wall-clock duration is omitted so identical flags give
-byte-identical output.
+on stdout, and returns 1.  A golden-table mismatch also prints one such
+line, after the report, naming the first cell that differs.  Every stderr
+line is cut at the same length.  Reports are JSON (the CSV payload under
+``--format csv``); with --deterministic the wall-clock duration is omitted
+so identical flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -96,9 +97,10 @@ def _check_out(path: str) -> int:
 
 
 def _report(args, results: dict, ok: bool, started: float,
-            csv: str | None = None) -> int:
+            csv: str | None = None, mismatch: str | None = None) -> int:
     """Write the JSON report, or the CSV payload under --format csv, to
-    stdout or --out, and return the exit code."""
+    stdout or --out, and return the exit code.  A mismatch, the first cell
+    that differs from a golden table, is then printed as a failed check."""
     if csv is not None and args.format == "csv":
         text = csv
     else:
@@ -123,7 +125,33 @@ def _report(args, results: dict, ok: bool, started: float,
                 fh.write(text)
         except OSError as exc:
             return _usage(f"cannot write --out {args.out}: {exc.strerror}")
+    if mismatch is not None:
+        return _usage(mismatch, MISMATCH)
     return 0 if ok else MISMATCH
+
+
+def _first_label(what: str, got, expected: list) -> str | None:
+    """Name the first position where two label lists differ, a missing
+    label shown as "none", or None when they are equal."""
+    got, expected = ([format_partition(p) for p in labels] + ["none"]
+                     for labels in (got, expected))
+    i = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+    return None if i is None else f"{what} {i}: {got[i]}, expected {expected[i]}"
+
+
+def _first_cell(what: str, m, expected: list[list[int]]) -> str | None:
+    """Name the first entry of the incidence matrix m that differs from the
+    dense matrix expected, by its row and column partitions, or None."""
+    got = m.data.to_dense()
+    if got == expected:
+        return None
+    if [len(r) for r in expected] != [m.data.ncols] * m.data.nrows:
+        return f"{what}: shape {m.data.nrows}x{m.data.ncols} differs from golden"
+    i, j = next((i, j) for i, (a, b) in enumerate(zip(got, expected))
+                for j, (x, y) in enumerate(zip(a, b)) if x != y)
+    return (f"{what} cell mu={format_partition(m.row_set[i])}, "
+            f"lambda={format_partition(m.col_set[j])}: "
+            f"entry {got[i][j]}, expected {expected[i][j]}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,52 +159,48 @@ def _report(args, results: dict, ok: bool, started: float,
 
 def _reproduce_matrix_examples(args, started):
     results = {}
-    ok = True
+    mismatch = None
     cases = {(5, 3, 6): golden.MATRIX_5_3_6, (5, 3, 7): golden.MATRIX_5_3_7}
     csv_chunks = []
     for (k, d, n), expected in cases.items():
         m = build_incidence(k, d, n)
-        got = m.data.to_dense()
-        match = got == expected
-        ok = ok and match
-        results[f"A_{k}_{d}_{n}"] = {"match": match, "entries": got}
+        cell = _first_cell(f"matrix-examples A_{{{k},{d},{n}}}", m, expected)
+        mismatch = mismatch or cell
+        results[f"A_{k}_{d}_{n}"] = {"match": cell is None,
+                                     "entries": m.data.to_dense()}
         csv_chunks.append(matrix_to_csv(m))
-    return _report(args, results, ok, started, "".join(csv_chunks))
+    return _report(args, results, mismatch is None, started,
+                   "".join(csv_chunks), mismatch)
 
 
 def _reproduce_table1(args, started):
     bf = block_form(6, 4, 12)
     full = bf.full
-    rows_ok = list(full.row_set) == golden.TABLE1_ROWS
-    cols_ok = list(full.col_set) == golden.TABLE1_COLS
-    entries_ok = full.data.to_dense() == [
-        [golden.TABLE1_ENTRIES.get((mu, lam), 0) for lam in full.col_set]
-        for mu in full.row_set]
+    entries = [[golden.TABLE1_ENTRIES.get((mu, lam), 0) for lam in full.col_set]
+               for mu in full.row_set]
     sub_536 = build_incidence(5, 3, 6)
     sub_537 = build_incidence(5, 3, 7)
     # dashed sub-blocks: bottom-right of the purple A_{6,3,6}, top-left of teal A_{5,4,12}
-    purple = bf.top_left.data.to_dense()
-    dashed1 = [row[1:] for row in purple]
-    teal = bf.bottom_right.data.to_dense()
-    dashed2 = [row[:6] for row in teal[:6]]
-    sub1_ok = dashed1 == sub_536.data.to_dense()
-    sub2_ok = dashed2 == sub_537.data.to_dense()
-    ok = (
-        rows_ok and cols_ok and entries_ok
-        and bf.reassembles and sub1_ok and sub2_ok
-        and full.shape == (16, 18)
-    )
-    results = {
-        "shape": list(full.shape),
-        "row_labels_match": rows_ok,
-        "col_labels_match": cols_ok,
-        "entries_match": entries_ok,
-        "top_right_zero": True,  # block_form raised CheckFailed otherwise
-        "diagonal_blocks_match": bf.reassembles,
-        "sub_block_A536": sub1_ok,
-        "sub_block_A537": sub2_ok,
+    dashed1 = [row[1:] for row in bf.top_left.data.to_dense()]
+    dashed2 = [row[:6] for row in bf.bottom_right.data.to_dense()[:6]]
+    # each check's first mismatch, None when it passes
+    checks = {
+        "row_labels_match": _first_label("table1 row", full.row_set,
+                                         golden.TABLE1_ROWS),
+        "col_labels_match": _first_label("table1 column", full.col_set,
+                                         golden.TABLE1_COLS),
+        "entries_match": _first_cell("table1", full, entries),
+        "diagonal_blocks_match": None if bf.reassembles else (
+            "table1: diagonal blocks differ from A_{6,3,6} and A_{5,4,12}"),
+        "sub_block_A536": _first_cell("table1 dashed A_{5,3,6}", sub_536, dashed1),
+        "sub_block_A537": _first_cell("table1 dashed A_{5,3,7}", sub_537, dashed2),
     }
-    return _report(args, results, ok, started, matrix_to_csv(full))
+    # the label checks fix the shape at the golden 16 x 18
+    mismatch = next(filter(None, checks.values()), None)
+    results = {"shape": list(full.shape),
+               **{name: found is None for name, found in checks.items()}}
+    return _report(args, results, mismatch is None, started,
+                   matrix_to_csv(full), mismatch)
 
 
 def _reproduce_table2(args, started):
@@ -219,17 +243,19 @@ def _reproduce_table2(args, started):
     dmax = d
     cells = {}
     csv_lines = ["d,e,nullity,expected,match"]
-    ok = True
+    mismatch = None
     for d in range(4, dmax + 1):
         for e in range(0, 6):
             got = nullity_truncated(d, d - 2, table2_tuple(d, 0), e)
             expected = golden.TABLE2[(d, e)]
             match = got == expected
-            ok = ok and match
+            if mismatch is None and not match:
+                mismatch = (f"table2 cell d={d}, e={e}: nullity {got}, "
+                            f"expected {expected}")
             cells[f"{d},{e}"] = {"nullity": got, "expected": expected, "match": match}
             csv_lines.append(f"{d},{e},{got},{expected},{match}")
-    return _report(args, {"cells": cells}, ok, started,
-                   "\n".join(csv_lines) + "\n")
+    return _report(args, {"cells": cells}, mismatch is None, started,
+                   "\n".join(csv_lines) + "\n", mismatch)
 
 
 def _reproduce_kernel(args, started):

@@ -1,7 +1,10 @@
 """Exact sparse integer matrices with deterministic rank and nullspace over Q.
 
-Every entry is a Python int; a Fraction or a float raises TypeError.  The
-rank and the nullspace each come from one modular elimination.  Rows are
+Every entry is a Python int by construction: ``incidence.build_incidence``
+and ``ExactMatrix.blocks`` are the only producers, and neither checks its
+entries again.  The validating constructors, which reject a Fraction or a
+float with TypeError, live in ``tests/oracles.py``.  The rank and the
+nullspace each come from one modular elimination.  Rows are
 reduced mod a prime p and eliminated column by column (the pivot of a column
 is the row with the fewest nonzeros, ties by arrival order).  The r pivots
 mod p never exceed the rank over Q, so the result is certified at once when
@@ -105,29 +108,6 @@ class ExactMatrix(Record):
             raise ValueError("row count mismatch")
         self._set(nrows, ncols, rows)
 
-    @staticmethod
-    def from_rows(nrows: int, ncols: int, row_dicts) -> "ExactMatrix":
-        """Build from an iterable of {col: int} dicts (zeros dropped); an
-        entry that is not an int, such as a Fraction or a float, raises
-        TypeError."""
-        rows = []
-        for rd in row_dicts:
-            row = tuple((c, v) for c, v in sorted(
-                (c, index(v)) for c, v in rd.items()) if v)
-            if row and (row[0][0] < 0 or row[-1][0] >= ncols):
-                raise ValueError("column index out of range")
-            rows.append(row)
-        return ExactMatrix(nrows, ncols, tuple(rows))
-
-    @staticmethod
-    def from_dense(data) -> "ExactMatrix":
-        data = [list(r) for r in data]
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        return ExactMatrix.from_rows(
-            nrows, ncols, ({j: v for j, v in enumerate(r)} for r in data)
-        )
-
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.ncols for _ in range(self.nrows)]
         for i, row in enumerate(self.rows):
@@ -156,34 +136,6 @@ class ExactMatrix(Record):
                 ExactMatrix(i, w, tuple(right[:i])),
                 ExactMatrix(h, j, tuple(left[i:])),
                 ExactMatrix(h, w, tuple(right[i:])))
-
-
-def assemble_block_lower(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
-    """M = [[A, 0], [B, C]]; shapes must compose."""
-    if a.ncols != b.ncols or b.nrows != c.nrows:
-        raise ValueError("block shapes do not compose")
-    n1 = a.ncols
-    rows = []
-    for row in a.rows:
-        rows.append(dict(row))
-    for rb, rc in zip(b.rows, c.rows):
-        d = dict(rb)
-        for col, v in rc:
-            d[col + n1] = v
-        rows.append(d)
-    return ExactMatrix.from_rows(a.nrows + b.nrows, n1 + c.ncols, rows)
-
-
-def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.nrows != b.nrows:
-        raise ValueError("row count mismatch")
-    rows = []
-    for ra, rb in zip(a.rows, b.rows):
-        d = dict(ra)
-        for col, v in rb:
-            d[col + a.ncols] = v
-        rows.append(d)
-    return ExactMatrix.from_rows(a.nrows, a.ncols + b.ncols, rows)
 
 
 def _integer_rows(m: ExactMatrix) -> list[dict[int, int]]:

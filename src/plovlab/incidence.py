@@ -18,8 +18,6 @@ from .exactmat import (
     ExactMatrix,
     Record,
     _primitive,
-    assemble_block_lower,
-    hstack,
     matrix_rank,
     nullspace_basis,
 )
@@ -123,26 +121,6 @@ def verify_full_rank(k: int, d: int, n: int) -> dict:
     expected = min(count(k, d, n - 1), count(k, d, n))
     return {"k": k, "d": d, "n": n, "rank": rank, "expected": expected,
             "pass": rank == expected}
-
-
-def block_nullity_formula(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> dict:
-    """Check nullity([[A,0],[B,C]]) = dim{x in ker A : Bx in range C} + nullity(C)."""
-    m = assemble_block_lower(a, b, c)
-    lhs = m.ncols - matrix_rank(m)
-    nullity_c = c.ncols - matrix_rank(c)
-    ker_a = nullspace_basis(a)
-    if ker_a:
-        bk = ExactMatrix.from_dense(
-            [[sum(v * x[col] for col, v in row) for x in ker_a]
-             for row in b.rows]
-        ) if b.nrows else ExactMatrix.from_rows(0, len(ker_a), [])
-        joint = hstack(bk, c)
-        # fibers over attainable x are affine translates of ker C
-        dim_compat = (joint.ncols - matrix_rank(joint)) - nullity_c
-    else:
-        dim_compat = 0
-    rhs = dim_compat + nullity_c
-    return {"lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
 
 
 def kappa_of(t: tuple[int, ...]) -> Partition:

@@ -19,14 +19,6 @@ def format_partition(p: Partition) -> str:
     return ",".join(str(x) for x in p)
 
 
-def multiplicities(p: Partition, k: int) -> list[int]:
-    """Multiplicity vector e with e[i] = number of parts equal to i, for 0 <= i <= k."""
-    e = [0] * (k + 1)
-    for part in p:
-        e[part] += 1
-    return e
-
-
 @lru_cache(maxsize=None)
 def enumerate_partitions(k: int, d: int, n: int) -> tuple[Partition, ...]:
     """All weakly decreasing d-tuples in [0, k] summing to n, in decreasing lex order.

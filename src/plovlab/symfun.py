@@ -20,7 +20,6 @@ from .partitions import (
     Partition,
     PartitionSet,
     enumerate_partitions,
-    multiplicities,
     partition_set,
 )
 
@@ -137,35 +136,6 @@ def mhat_expand(p: SparseMultiPoly, k: int, d: int, n: int) -> CoeffVector:
     return out
 
 
-def coeff_vector_poly(x: CoeffVector) -> SparseMultiPoly:
-    """The symmetric polynomial sum_lambda x_lambda mhat_lambda."""
-    terms = {}
-    for lam, c in zip(x.index, x.entries):
-        if c:
-            terms.update(dict.fromkeys(
-                _orbit(lam), Fraction(c) / prod(map(factorial, lam))))
-    return SparseMultiPoly(x.index.d, terms)
-
-
-def apply_derivation(x: CoeffVector) -> CoeffVector:
-    """Expand sum_i d/dz_i of the polynomial attached to x, one degree down.
-
-    Computed by direct differentiation of monomials, independently of the
-    incidence matrices: each term adds its d partial derivatives to one sum.
-    """
-    k, d, n = x.index.k, x.index.d, x.index.n
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for expo, c in coeff_vector_poly(x).terms.items():
-        for i, e in enumerate(expo):
-            if e:
-                lower = expo[:i] + (e - 1,) + expo[i + 1:]
-                out[lower] = out.get(lower, 0) + c * e
-    deriv = SparseMultiPoly(d, {e: v for e, v in out.items() if v})
-    return mhat_expand(deriv, k, d, n - 1)
-
-
 @lru_cache(maxsize=None)
 def _vandermonde_square(m: int) -> dict[Partition, int]:
     """Coefficients of prod_{i<j<=m} (z_i - z_j)^2 at the partitions of m(m-1).
@@ -235,16 +205,6 @@ def vandermonde_poly(r: int, d: int) -> SparseMultiPoly:
 def vandermonde_coeff_vector(r: int, d: int) -> CoeffVector:
     """Coefficients of the degree r(r+1) Vandermonde sum over P(2r, d, r(r+1))."""
     return mhat_expand(vandermonde_poly(r, d), 2 * r, d, r * (r + 1))
-
-
-def integrate_unit_cube(lam: Partition) -> Fraction:
-    """Exact integral of mhat_lambda over the unit cube [0,1]^d."""
-    d = len(lam)
-    e = multiplicities(lam, max(lam) if lam else 0)
-    denom = 1
-    for i, e_i in enumerate(e):
-        denom *= factorial(e_i) * factorial(i + 1) ** e_i
-    return Fraction(factorial(d), denom)
 
 
 def hilbert_product(d: int) -> Fraction:

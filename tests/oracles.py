@@ -2,13 +2,17 @@
 
 Everything here is written the dumb way on purpose: dense Gaussian
 elimination over Fraction, brute-force enumeration over product spaces and
-permutations.
+permutations.  Constructions that only tests reach live here too, not in
+the library: the validating matrix constructors `from_rows` and
+`from_dense`, the block assembly behind the block nullity formula, and the
+derivation and unit-cube integral of the acceptance tests.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
+from operator import index
 
 from plovlab.dynamics import (
     _int_det,
@@ -22,10 +26,10 @@ from plovlab.dynamics import (
     power_sum_polynomial,
     unipotent_power,
 )
-from plovlab.exactmat import SparseMultiPoly
-from plovlab.partitions import (Partition, enumerate_partitions, multiplicities,
-                                partition_set)
-from plovlab.symfun import CoeffVector
+from plovlab.exactmat import (ExactMatrix, SparseMultiPoly, matrix_rank,
+                               nullspace_basis)
+from plovlab.partitions import Partition, enumerate_partitions, partition_set
+from plovlab.symfun import CoeffVector, _orbit, mhat_expand
 
 
 def brute_force_partitions(k, d, n):
@@ -69,6 +73,85 @@ def incidence_by_bump(k, d, n):
                 row[index[lam]] = weight
         dense.append(row)
     return dense
+
+
+def multiplicities(p: Partition, k: int) -> list[int]:
+    """Multiplicity vector e with e[i] = number of parts equal to i, for 0 <= i <= k."""
+    e = [0] * (k + 1)
+    for part in p:
+        e[part] += 1
+    return e
+
+
+def from_rows(nrows: int, ncols: int, row_dicts) -> ExactMatrix:
+    """Build from an iterable of {col: int} dicts (zeros dropped); an
+    entry that is not an int, such as a Fraction or a float, raises
+    TypeError, and a column outside [0, ncols) raises ValueError."""
+    rows = []
+    for rd in row_dicts:
+        row = tuple((c, v) for c, v in sorted(
+            (c, index(v)) for c, v in rd.items()) if v)
+        if row and (row[0][0] < 0 or row[-1][0] >= ncols):
+            raise ValueError("column index out of range")
+        rows.append(row)
+    return ExactMatrix(nrows, ncols, tuple(rows))
+
+
+def from_dense(data) -> ExactMatrix:
+    """Build from a dense list of rows, through from_rows."""
+    data = [list(r) for r in data]
+    nrows = len(data)
+    ncols = len(data[0]) if nrows else 0
+    return from_rows(nrows, ncols, ({j: v for j, v in enumerate(r)} for r in data))
+
+
+def assemble_block_lower(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
+    """M = [[A, 0], [B, C]]; shapes must compose."""
+    if a.ncols != b.ncols or b.nrows != c.nrows:
+        raise ValueError("block shapes do not compose")
+    n1 = a.ncols
+    rows = []
+    for row in a.rows:
+        rows.append(dict(row))
+    for rb, rc in zip(b.rows, c.rows):
+        d = dict(rb)
+        for col, v in rc:
+            d[col + n1] = v
+        rows.append(d)
+    return from_rows(a.nrows + b.nrows, n1 + c.ncols, rows)
+
+
+def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """[A, B]; the row counts must agree."""
+    if a.nrows != b.nrows:
+        raise ValueError("row count mismatch")
+    rows = []
+    for ra, rb in zip(a.rows, b.rows):
+        d = dict(ra)
+        for col, v in rb:
+            d[col + a.ncols] = v
+        rows.append(d)
+    return from_rows(a.nrows, a.ncols + b.ncols, rows)
+
+
+def block_nullity_formula(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> dict:
+    """Check nullity([[A,0],[B,C]]) = dim{x in ker A : Bx in range C} + nullity(C)."""
+    m = assemble_block_lower(a, b, c)
+    lhs = m.ncols - matrix_rank(m)
+    nullity_c = c.ncols - matrix_rank(c)
+    ker_a = nullspace_basis(a)
+    if ker_a:
+        bk = from_dense(
+            [[sum(v * x[col] for col, v in row) for x in ker_a]
+             for row in b.rows]
+        ) if b.nrows else from_rows(0, len(ker_a), [])
+        joint = hstack(bk, c)
+        # fibers over attainable x are affine translates of ker C
+        dim_compat = (joint.ncols - matrix_rank(joint)) - nullity_c
+    else:
+        dim_compat = 0
+    rhs = dim_compat + nullity_c
+    return {"lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
 
 
 def dense_rref(rows):
@@ -284,6 +367,45 @@ def mhat_expand_by_sorting(p, k, d, n):
             mult *= factorial(a)
         entries.append(p.terms.get(lam, 0) * mult)
     return CoeffVector(index, tuple(entries))
+
+
+def coeff_vector_poly(x: CoeffVector) -> SparseMultiPoly:
+    """The symmetric polynomial sum_lambda x_lambda mhat_lambda."""
+    terms = {}
+    for lam, c in zip(x.index, x.entries):
+        if c:
+            terms.update(dict.fromkeys(
+                _orbit(lam), Fraction(c) / prod(map(factorial, lam))))
+    return SparseMultiPoly(x.index.d, terms)
+
+
+def apply_derivation(x: CoeffVector) -> CoeffVector:
+    """Expand sum_i d/dz_i of the polynomial attached to x, one degree down.
+
+    Computed by direct differentiation of monomials, independently of the
+    incidence matrices: each term adds its d partial derivatives to one sum.
+    """
+    k, d, n = x.index.k, x.index.d, x.index.n
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    out: dict[tuple[int, ...], Fraction] = {}
+    for expo, c in coeff_vector_poly(x).terms.items():
+        for i, e in enumerate(expo):
+            if e:
+                lower = expo[:i] + (e - 1,) + expo[i + 1:]
+                out[lower] = out.get(lower, 0) + c * e
+    deriv = SparseMultiPoly(d, {e: v for e, v in out.items() if v})
+    return mhat_expand(deriv, k, d, n - 1)
+
+
+def integrate_unit_cube(lam: Partition) -> Fraction:
+    """Exact integral of mhat_lambda over the unit cube [0,1]^d."""
+    d = len(lam)
+    e = multiplicities(lam, max(lam) if lam else 0)
+    denom = 1
+    for i, e_i in enumerate(e):
+        denom *= factorial(e_i) * factorial(i + 1) ** e_i
+    return Fraction(factorial(d), denom)
 
 
 def dense_matmul(a, b):

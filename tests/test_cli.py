@@ -7,10 +7,12 @@ import sys
 
 import pytest
 
-from plovlab import cli, incidence
+from plovlab import cli, golden, incidence
 from plovlab.cli import main
 from plovlab.exactmat import ExactMatrix
 from plovlab.partitions import CoeffVector
+
+from oracles import from_rows
 
 
 def run_cli(capsys, *argv):
@@ -34,7 +36,7 @@ def test_table1(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["results"]["shape"] == [16, 18]
-    assert report["results"]["top_right_zero"]
+    assert "top_right_zero" not in report["results"]
     assert report["results"]["sub_block_A536"]
     assert report["results"]["sub_block_A537"]
 
@@ -219,14 +221,16 @@ def test_kernel_report_bytes(capsys, d):
 
 TRUNCATED_CELL = ("reproduce", "table2", "--truncate", "2,1,1,1,1,1", "--n")
 # sha256 of the --deterministic stdout of each command, taken before the
-# incidence rows were built directly, without probing every part with bump
+# incidence rows were built directly, without probing every part with bump;
+# table1's JSON hash was taken again after its constant "top_right_zero"
+# field was dropped
 REPORT_SHA256 = {
     ("reproduce", "matrix-examples"):
         "189506b29e7d751610e21bea55f22b9bbd5cbbe6a7fa569b6a15e7bbd3abcd03",
     ("reproduce", "matrix-examples", "--format", "csv"):
         "dc08b5d5324808d3f91521afa8939fb9ec3fbb2ebd575caeebee9218d9df1452",
     ("reproduce", "table1"):
-        "8851dac3ecb4b44c1f7fbed1626d223f0b1137c24192d38b0d7e5b570be686ef",
+        "a67e147fa6bcf24ecc4690752ae0a076677121d3888d7ad9a3032bdc53179d8a",
     ("reproduce", "table1", "--format", "csv"):
         "ee7bb0d902b73dc9093d0544dc80201ef2041c8ccc5fee6428be644cfe1f2585",
     TRUNCATED_CELL + ("30",):
@@ -386,7 +390,7 @@ def test_failed_block_form_is_one_line(capsys, monkeypatch):
     def corrupted(self, i, j):
         tl, tr, bl, br = inner(self, i, j)
         if tr.nrows and tr.ncols:
-            tr = ExactMatrix.from_rows(tr.nrows, tr.ncols,
+            tr = from_rows(tr.nrows, tr.ncols,
                                        [{0: 1}] + [{}] * (tr.nrows - 1))
         return tl, tr, bl, br
 
@@ -394,6 +398,42 @@ def test_failed_block_form_is_one_line(capsys, monkeypatch):
     err = check_failed_line(capsys, "reproduce", "table1", "--deterministic")
     assert err == ("check failed: block form: nonzero top-right block in "
                    "A_{6,4,12}\n")
+
+
+@pytest.mark.parametrize("argv, name, change, line", [
+    (("table2", "--dmax", "5"), "TABLE2",
+     lambda t: {**t, (5, 1): 2, (5, 2): 1},
+     "table2 cell d=5, e=1: nullity 0, expected 2"),
+    (("table2", "--dmax", "4", "--format", "csv"), "TABLE2",
+     lambda t: {**t, (4, 0): 3},
+     "table2 cell d=4, e=0: nullity 2, expected 3"),
+    (("matrix-examples",), "MATRIX_5_3_7",
+     lambda m: m[:2] + [[0, 1, 5, 2, 0, 0]] + m[3:],
+     "matrix-examples A_{5,3,7} cell mu=4,1,1, lambda=4,3,0: entry 0, "
+     "expected 5"),
+    (("matrix-examples",), "MATRIX_5_3_6", lambda m: m[:4],
+     "matrix-examples A_{5,3,6}: shape 5x6 differs from golden"),
+    (("table1",), "TABLE1_ROWS", lambda r: r[:2] + [r[3], r[2]] + r[4:],
+     "table1 row 2: 6,3,2,0, expected 6,3,1,1"),
+    (("table1",), "TABLE1_COLS", lambda c: c[:-1],
+     "table1 column 17: 3,3,3,3, expected none"),
+    (("table1",), "TABLE1_ENTRIES", lambda e: {**e, ((6, 3, 1, 1), (6, 3, 3, 0)): 4},
+     "table1 cell mu=6,3,1,1, lambda=6,3,3,0: entry 0, expected 4"),
+])
+def test_golden_mismatch_names_its_cell(capsys, monkeypatch, argv, name,
+                                        change, line):
+    # a golden table that differs from the computed one: stdout is the
+    # report of the computed values and exit 1 as before, and one stderr
+    # line names the first cell that differs
+    monkeypatch.setattr(golden, name, change(getattr(golden, name)))
+    code = main(["reproduce", *argv, "--deterministic"])
+    captured = capsys.readouterr()
+    assert code == 1
+    if "csv" in argv:
+        assert ",False\n" in captured.out
+    else:
+        assert json.loads(captured.out)["pass"] is False
+    assert captured.err == f"check failed: {line}\n"
 
 
 @pytest.mark.parametrize("text", [

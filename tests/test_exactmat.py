@@ -6,13 +6,7 @@ import pytest
 
 from plovlab import exactmat
 from plovlab.dynamics import AbelianSurrogate, charpoly
-from plovlab.exactmat import (
-    ExactMatrix,
-    assemble_block_lower,
-    hstack,
-    matrix_rank,
-    nullspace_basis,
-)
+from plovlab.exactmat import ExactMatrix, matrix_rank, nullspace_basis
 from plovlab.incidence import (
     build_incidence,
     kappa_of,
@@ -22,7 +16,15 @@ from plovlab.incidence import (
 )
 from plovlab.symfun import vandermonde_coeff_vector, vandermonde_poly
 
-from oracles import dense_nullspace, dense_rank, vandermonde_square_product
+from oracles import (
+    assemble_block_lower,
+    dense_nullspace,
+    dense_rank,
+    from_dense,
+    from_rows,
+    hstack,
+    vandermonde_square_product,
+)
 
 
 def random_matrix(rng, nrows, ncols, density=0.5):
@@ -33,7 +35,7 @@ def random_matrix(rng, nrows, ncols, density=0.5):
             if rng.random() < density:
                 row[c] = rng.randint(-5, 5)
         rows.append(row)
-    return ExactMatrix.from_rows(nrows, ncols, rows)
+    return from_rows(nrows, ncols, rows)
 
 
 def test_rank_against_dense_oracle():
@@ -60,16 +62,16 @@ def test_nullspace_spans_kernel():
 
 
 def test_nullspace_normalization():
-    m = ExactMatrix.from_dense([[1, 1]])
+    m = from_dense([[1, 1]])
     basis = nullspace_basis(m)
     assert basis == [[1, -1]]
 
 
 def test_degenerate_shapes():
-    wide = ExactMatrix.from_rows(0, 3, [])
+    wide = from_rows(0, 3, [])
     assert matrix_rank(wide) == 0
     assert len(nullspace_basis(wide)) == 3
-    tall = ExactMatrix.from_rows(3, 0, [{}, {}, {}])
+    tall = from_rows(3, 0, [{}, {}, {}])
     assert matrix_rank(tall) == 0
     assert nullspace_basis(tall) == []
 
@@ -88,7 +90,7 @@ def test_exact_matrix_fields_are_read_only():
 
 
 def test_entry_and_submatrix():
-    m = ExactMatrix.from_dense([[1, 0, 2], [0, 3, 0]])
+    m = from_dense([[1, 0, 2], [0, 3, 0]])
     assert m.rows == (((0, 1), (2, 2)), ((1, 3),))
     assert m.to_dense() == [[1, 0, 2], [0, 3, 0]]
     tl, tr, bl, br = m.blocks(1, 2)
@@ -122,9 +124,9 @@ def test_blocks_match_dense_slicing():
 
 
 def test_block_assembly():
-    a = ExactMatrix.from_dense([[1, 2]])
-    b = ExactMatrix.from_dense([[3, 0], [0, 4]])
-    c = ExactMatrix.from_dense([[5], [6]])
+    a = from_dense([[1, 2]])
+    b = from_dense([[3, 0], [0, 4]])
+    c = from_dense([[5], [6]])
     m = assemble_block_lower(a, b, c)
     assert m.to_dense() == [[1, 2, 0], [3, 0, 5], [0, 4, 6]]
     h = hstack(b, c)
@@ -148,9 +150,9 @@ def test_rank_invariance():
         r = matrix_rank(m)
         shuffled = dense[:]
         rng.shuffle(shuffled)
-        assert matrix_rank(ExactMatrix.from_dense(shuffled)) == r
+        assert matrix_rank(from_dense(shuffled)) == r
         scaled = [[v * rng.randint(1, 5) for v in row] for row in dense]
-        assert matrix_rank(ExactMatrix.from_dense(scaled)) == r
+        assert matrix_rank(from_dense(scaled)) == r
 
 
 def count_calls(monkeypatch, name):
@@ -169,7 +171,7 @@ def count_calls(monkeypatch, name):
 def test_fallback_when_every_prime_divides(monkeypatch):
     # w * p1 * p2 vanishes mod every prime, so none certifies rank 2
     w, p1, p2 = exactmat._PRIMES
-    m = ExactMatrix.from_dense([[w * p1 * p2, 0], [0, 1]])
+    m = from_dense([[w * p1 * p2, 0], [0, 1]])
     calls = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 2
     assert len(calls) == 1
@@ -181,7 +183,7 @@ def test_rank_escalates_from_the_word_prime(monkeypatch):
     # w vanishes mod the word prime: one pivot there, and the left kernel
     # vector (1, 0) fails the exact check against the column (w, 0)
     w, p1, _ = exactmat._PRIMES
-    m = ExactMatrix.from_dense([[w, 0], [0, 1]])
+    m = from_dense([[w, 0], [0, 1]])
     echelons = count_calls(monkeypatch, "_modular_echelon")
     fallbacks = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 2
@@ -197,7 +199,7 @@ def test_escalation_to_the_second_prime(monkeypatch):
     while gcd(a, b) != 1:
         b += 1
     _, p1, p2 = exactmat._PRIMES
-    m = ExactMatrix.from_dense([[a, -b]])
+    m = from_dense([[a, -b]])
     calls = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 1
     echelons = count_calls(monkeypatch, "_modular_echelon")
@@ -224,7 +226,7 @@ def test_rank_escalates_on_the_left_kernel(monkeypatch):
         b += 1
     w, p1, p2 = exactmat._PRIMES
     assert exactmat._wang_denominator(-a * pow(b, -1, p1) % p1, p1, isqrt(p1 // 2))
-    m = ExactMatrix.from_dense([[b, b], [a, a]])
+    m = from_dense([[b, b], [a, a]])
     echelons = count_calls(monkeypatch, "_modular_echelon")
     fallbacks = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 1
@@ -291,7 +293,7 @@ def test_wrong_candidate_fails_the_exact_product(monkeypatch):
 def test_low_rank_candidate_takes_the_fallback(monkeypatch):
     # rank 1 of 3 columns: (1, 1, 0) is a kernel vector, but the word
     # prime rank falls one short of ncols - 1, so the basis is computed
-    m = ExactMatrix.from_dense([[1, -1, 0]])
+    m = from_dense([[1, -1, 0]])
     echelons = count_calls(monkeypatch, "_modular_echelon")
     basis = nullspace_basis(m, [1, 1, 0])
     assert [args[2] for args in echelons] == [2**30 - 35, 2**127 - 1]
@@ -303,7 +305,7 @@ def test_word_prime_rank_deficit_takes_the_fallback(monkeypatch):
     # the rank is 1: the bound certifies nothing, and the candidate is
     # checked by the usual route
     w = exactmat._PRIMES[0]
-    m = ExactMatrix.from_dense([[w, 0, 0], [0, 1, -1]])
+    m = from_dense([[w, 0, 0], [0, 1, -1]])
     echelons = count_calls(monkeypatch, "_modular_echelon")
     assert nullspace_basis(m, [0, 2, 2]) == [[0, 1, 1]]
     assert [args[2] for args in echelons] == [w, 2**127 - 1]
@@ -312,20 +314,20 @@ def test_word_prime_rank_deficit_takes_the_fallback(monkeypatch):
 def test_candidate_shapes():
     # 0 x 1: the whole line is the kernel; n x 0: no nonzero candidate;
     # a wrong length raises; a Fraction entry is not an int
-    assert nullspace_basis(ExactMatrix.from_rows(0, 1, []), [-4]) == [[1]]
-    tall = ExactMatrix.from_rows(2, 0, [{}, {}])
+    assert nullspace_basis(from_rows(0, 1, []), [-4]) == [[1]]
+    tall = from_rows(2, 0, [{}, {}])
     assert nullspace_basis(tall, []) == []
     with pytest.raises(ValueError):
-        nullspace_basis(ExactMatrix.from_dense([[1, 1]]), [1, -1, 0])
+        nullspace_basis(from_dense([[1, 1]]), [1, -1, 0])
     with pytest.raises(TypeError):
-        nullspace_basis(ExactMatrix.from_dense([[1, 1]]), [Fraction(1), -1])
+        nullspace_basis(from_dense([[1, 1]]), [Fraction(1), -1])
 
 
 def test_non_int_entries_raise():
     # a matrix is an integer matrix: a Fraction entry raises instead of
     # being stored, truncated, cleared or floor-divided
     with pytest.raises(TypeError):
-        ExactMatrix.from_rows(1, 2, [{0: 3, 1: Fraction(1, 2)}])
+        from_rows(1, 2, [{0: 3, 1: Fraction(1, 2)}])
     with pytest.raises(TypeError):
         AbelianSurrogate([[1, Fraction(1, 2)], [0, 1]])
     m = AbelianSurrogate([[1, 0], [0, 1]])

@@ -4,11 +4,10 @@ from random import Random
 import pytest
 
 from plovlab import golden
-from plovlab.exactmat import ExactMatrix, matrix_rank, nullspace_basis
+from plovlab.exactmat import matrix_rank, nullspace_basis
 from plovlab.incidence import (
     IncidenceMatrix,
     block_form,
-    block_nullity_formula,
     build_incidence,
     kappa_of,
     matrix_to_csv,
@@ -20,7 +19,14 @@ from plovlab.incidence import (
 )
 from plovlab.partitions import PartitionSet, count, enumerate_partitions
 
-from oracles import dense_nullity, dense_rank, incidence_by_bump
+from oracles import (
+    block_nullity_formula,
+    dense_nullity,
+    dense_rank,
+    from_dense,
+    from_rows,
+    incidence_by_bump,
+)
 
 
 def test_printed_matrices():
@@ -109,7 +115,7 @@ def test_build_incidence_k0_is_the_zero_block():
         for n in range(-1, 3):
             rs = PartitionSet(0, d, n - 1, enumerate_partitions(0, d, n - 1))
             cs = PartitionSet(0, d, n, enumerate_partitions(0, d, n))
-            zero = ExactMatrix.from_rows(len(rs), len(cs), [{} for _ in rs])
+            zero = from_rows(len(rs), len(cs), [{} for _ in rs])
             assert build_incidence(0, d, n) == IncidenceMatrix(
                 0, d, n, rs, cs, zero)
     assert build_incidence(0, 3, 0).shape == (0, 1)
@@ -186,11 +192,11 @@ def test_block_nullity_formula():
     rng = Random(3)
     for _ in range(20):
         n1, n2, m1, m2 = (rng.randint(1, 4) for _ in range(4))
-        a = ExactMatrix.from_dense(
+        a = from_dense(
             [[rng.randint(-2, 2) for _ in range(n1)] for _ in range(m1)])
-        b = ExactMatrix.from_dense(
+        b = from_dense(
             [[rng.randint(-2, 2) for _ in range(n1)] for _ in range(m2)])
-        c = ExactMatrix.from_dense(
+        c = from_dense(
             [[rng.randint(-2, 2) for _ in range(n2)] for _ in range(m2)])
         assert block_nullity_formula(a, b, c)["pass"]
 

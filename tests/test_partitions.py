@@ -4,11 +4,10 @@ from plovlab.partitions import (
     count,
     enumerate_partitions,
     format_partition,
-    multiplicities,
     partition_set,
 )
 
-from oracles import brute_force_partitions, bump
+from oracles import brute_force_partitions, bump, multiplicities
 
 
 def test_enumeration_matches_brute_force():

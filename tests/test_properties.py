@@ -13,8 +13,11 @@ from oracles import (  # noqa: E402
     TWISTS,
     action_matrix,
     closed_form,
+    coeff_vector_poly,
     direct_sum,
     distinct_permutations_by_sorting,
+    from_dense,
+    from_rows,
     intersect_rational,
     mhat_expand_by_sorting,
     mixed_determinant,
@@ -33,7 +36,6 @@ from plovlab.dynamics import (  # noqa: E402
     random_unimodular,
 )
 from plovlab.exactmat import (  # noqa: E402
-    ExactMatrix,
     SparseMultiPoly,
     _exact_kernel,
     _row_reduce,
@@ -41,7 +43,7 @@ from plovlab.exactmat import (  # noqa: E402
     nullspace_basis,
 )
 from plovlab.partitions import count, enumerate_partitions, partition_set  # noqa: E402
-from plovlab.symfun import CoeffVector, coeff_vector_poly, mhat_expand  # noqa: E402
+from plovlab.symfun import CoeffVector, mhat_expand  # noqa: E402
 
 SMALL = settings(max_examples=40, deadline=None)
 
@@ -76,8 +78,8 @@ def matrix_and_permutations(draw):
 def test_rank_invariant_under_permutations(case):
     dense, rows, cols = case
     permuted = [[dense[i][j] for j in cols] for i in rows]
-    assert (matrix_rank(ExactMatrix.from_dense(permuted))
-            == matrix_rank(ExactMatrix.from_dense(dense)))
+    assert (matrix_rank(from_dense(permuted))
+            == matrix_rank(from_dense(dense)))
 
 
 @st.composite
@@ -95,7 +97,7 @@ def sparse_integer_matrix(draw):
         st.integers(-3, 3).map(lambda v: v * (2**30 - 35)),
     )
     rows = [{j: draw(entry) for j in range(ncols)} for _ in range(nrows)]
-    return ExactMatrix.from_rows(nrows, ncols, rows)
+    return from_rows(nrows, ncols, rows)
 
 
 @SMALL
@@ -122,7 +124,7 @@ def shaped_integer_matrix(draw):
     )
     rows = [{j: 0 if i in zero_rows or j in zero_cols else draw(entry)
              for j in range(ncols)} for i in range(nrows)]
-    return ExactMatrix.from_rows(nrows, ncols, rows)
+    return from_rows(nrows, ncols, rows)
 
 
 def transpose(m):
@@ -130,7 +132,7 @@ def transpose(m):
     for i, row in enumerate(m.rows):
         for c, v in row:
             cols[c][i] = v
-    return ExactMatrix.from_rows(m.ncols, m.nrows, cols)
+    return from_rows(m.ncols, m.nrows, cols)
 
 
 @settings(max_examples=80, deadline=None)

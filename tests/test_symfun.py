@@ -11,10 +11,7 @@ from plovlab.partitions import enumerate_partitions, partition_set
 from plovlab.symfun import (
     CoeffVector,
     _vandermonde_square,
-    apply_derivation,
-    coeff_vector_poly,
     hilbert_product,
-    integrate_unit_cube,
     mhat_expand,
     mhat_poly,
     vandermonde_coeff_vector,
@@ -22,7 +19,10 @@ from plovlab.symfun import (
 )
 
 from oracles import (
+    apply_derivation,
+    coeff_vector_poly,
     distinct_permutations_by_sorting,
+    integrate_unit_cube,
     is_symmetric_by_swaps,
     mhat_expand_by_sorting,
     vandermonde_square_by_backtracking,
