@@ -8,15 +8,16 @@ all of them, ``--format`` only on the targets with a CSV payload
 Exit codes: 0 = all asserted checks pass, 1 = verification mismatch,
 2 = usage error.  Every usage error, from the parser or from a range check,
 is one ``error: <message>`` line on stderr, and ``main`` returns 2 rather
-than raising ``SystemExit``.  A mismatch is either a report with
-``"pass": false``, when a computed table differs from the golden one, or a
-claim that failed on an instance: the library raises ``CheckFailed``, and
-``main`` prints one ``check failed: <message>`` line on stderr, with nothing
-on stdout, and returns 1.  A golden-table mismatch also prints one such
-line, after the report, naming the first cell that differs.  Every stderr
-line is cut at the same length.  Reports are JSON (the CSV payload under
-``--format csv``); with --deterministic the wall-clock duration is omitted
-so identical flags give byte-identical output.
+than raising ``SystemExit``.  Every exit 1 prints one ``check failed:
+<message>`` line on stderr, naming the check and its instance.  The library
+returns computed values or raises ``CheckFailed``, and only this module
+decides what failed: a claim that fails on an instance reaches ``main``,
+which prints the line with nothing on stdout; a golden-table mismatch, or a
+``scan`` model whose pipeline failed, is the first mismatch that
+``_report`` prints after the report, which then holds ``"pass": false``.
+Every stderr line is cut at the same length.  Reports are JSON (the CSV
+payload under ``--format csv``); with --deterministic the wall-clock
+duration is omitted so identical flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -96,11 +97,12 @@ def _check_out(path: str) -> int:
     return 0
 
 
-def _report(args, results: dict, ok: bool, started: float,
+def _report(args, results: dict, started: float,
             csv: str | None = None, mismatch: str | None = None) -> int:
     """Write the JSON report, or the CSV payload under --format csv, to
-    stdout or --out, and return the exit code.  A mismatch, the first cell
-    that differs from a golden table, is then printed as a failed check."""
+    stdout or --out, and return the exit code.  A mismatch, the first
+    instance that failed, is then printed as a failed check, and the report
+    passes exactly when there is none."""
     if csv is not None and args.format == "csv":
         text = csv
     else:
@@ -112,7 +114,7 @@ def _report(args, results: dict, ok: bool, started: float,
                 if k not in ("func", "command") and v is not None
             },
             "results": results,
-            "pass": ok,
+            "pass": mismatch is None,
         }
         if not args.deterministic:
             report["duration_seconds"] = round(time.monotonic() - started, 3)
@@ -127,7 +129,7 @@ def _report(args, results: dict, ok: bool, started: float,
             return _usage(f"cannot write --out {args.out}: {exc.strerror}")
     if mismatch is not None:
         return _usage(mismatch, MISMATCH)
-    return 0 if ok else MISMATCH
+    return 0
 
 
 def _first_label(what: str, got, expected: list) -> str | None:
@@ -169,8 +171,7 @@ def _reproduce_matrix_examples(args, started):
         results[f"A_{k}_{d}_{n}"] = {"match": cell is None,
                                      "entries": m.data.to_dense()}
         csv_chunks.append(matrix_to_csv(m))
-    return _report(args, results, mismatch is None, started,
-                   "".join(csv_chunks), mismatch)
+    return _report(args, results, started, "".join(csv_chunks), mismatch)
 
 
 def _reproduce_table1(args, started):
@@ -199,8 +200,7 @@ def _reproduce_table1(args, started):
     mismatch = next(filter(None, checks.values()), None)
     results = {"shape": list(full.shape),
                **{name: found is None for name, found in checks.items()}}
-    return _report(args, results, mismatch is None, started,
-                   matrix_to_csv(full), mismatch)
+    return _report(args, results, started, matrix_to_csv(full), mismatch)
 
 
 def _reproduce_table2(args, started):
@@ -239,7 +239,7 @@ def _reproduce_table2(args, started):
             return _usage(f"--n must be between r(r+1) = {lo} and d*k = {hi}")
         got = nullity_truncated(d, r, t, n - lo)
         results = {"d": d, "r": r, "t": list(t), "n": n, "nullity": got}
-        return _report(args, results, True, started)
+        return _report(args, results, started)
     dmax = d
     cells = {}
     csv_lines = ["d,e,nullity,expected,match"]
@@ -254,7 +254,7 @@ def _reproduce_table2(args, started):
                             f"expected {expected}")
             cells[f"{d},{e}"] = {"nullity": got, "expected": expected, "match": match}
             csv_lines.append(f"{d},{e},{got},{expected},{match}")
-    return _report(args, {"cells": cells}, mismatch is None, started,
+    return _report(args, {"cells": cells}, started,
                    "\n".join(csv_lines) + "\n", mismatch)
 
 
@@ -270,7 +270,7 @@ def _reproduce_kernel(args, started):
         "kernel": [str(v) for v in rep["kernel"]],
         "kappa_entry": str(rep["kappa_entry"]),
     }
-    return _report(args, results, True, started)
+    return _report(args, results, started)
 
 
 def _reproduce_fullrank(args, started):
@@ -292,15 +292,9 @@ def _reproduce_fullrank(args, started):
             for d in range(2, dmax + 1):
                 for n in range(1, d * k + 1):
                     cases.append((k, d, n))
-    ok = True
-    failures = []
     for k, d, n in cases:
-        rep = verify_full_rank(k, d, n)
-        if not rep["pass"]:
-            ok = False
-            failures.append(rep)
-    results = {"instances": len(cases), "failures": failures}
-    return _report(args, results, ok, started)
+        verify_full_rank(k, d, n)
+    return _report(args, {"instances": len(cases)}, started)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +322,7 @@ def cmd_plov(args, started):
             raise ValueError(f"model has g = {model.g}; the pipeline needs g >= 2")
     except (ValueError, OSError) as exc:
         return _usage(str(exc))
-    report = run_pipeline(model)
-    return _report(args, report, report["pass"], started)
+    return _report(args, run_pipeline(model), started)
 
 
 def _jordan_types(d: int) -> list[tuple[int, ...]]:
@@ -345,11 +338,10 @@ def _scan_one(blocks, seed):
     try:
         report = run_pipeline(model)
         return {"jordan": list(blocks), "seed": seed, "plov": report["plov"],
-                "k": report["k"], "pass": report["pass"],
+                "k": report["k"],
                 "conjecture_lb": report["checks"]["conjecture_lb"]}
     except CheckFailed as exc:
-        return {"jordan": list(blocks), "seed": seed, "error": str(exc),
-                "pass": False}
+        return {"jordan": list(blocks), "seed": seed, "error": str(exc)}
 
 
 def cmd_scan(args, started):
@@ -360,18 +352,19 @@ def cmd_scan(args, started):
     types = _jordan_types(args.d)
     rows = [_scan_one(types[i % len(types)], args.seed + i)
             for i in range(args.count)]
-    passed = sum(1 for r in rows if r.get("pass"))
+    failed = [r for r in rows if "error" in r]
     plov_values = sorted({r["plov"] for r in rows if "plov" in r})
     conjecture_holds = all(r.get("conjecture_lb", False) for r in rows)
-    ok = passed == len(rows)
     results = {
         "models": len(rows),
-        "passed": passed,
+        "passed": len(rows) - len(failed),
         "observed_plov": plov_values,
         "conjecture_lb_holds": conjecture_holds,  # reported, never asserted
         "rows": rows,
     }
-    return _report(args, results, ok, started)
+    mismatch = next((f"scan model jordan={format_partition(r['jordan'])}, "
+                     f"seed={r['seed']}: {r['error']}" for r in failed), None)
+    return _report(args, results, started, mismatch=mismatch)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Rows are indexed by P(k,d,n-1) and columns by P(k,d,n), both in decreasing
 lexicographic order.  The (mu, lambda) entry counts the weighted ways of
 raising a single part of mu by one to reach lambda.  This module also builds
 the block decomposition, column truncations below a distinguished partition,
-and the rank/nullity verification reports.  The block form and the kernel
+and the rank and nullity checks.  The block form, full rank and the kernel
 theorem raise CheckFailed when the claim fails on an instance.
 """
 
@@ -112,15 +112,16 @@ def block_form(k: int, d: int, n: int) -> BlockForm:
     )
 
 
-def verify_full_rank(k: int, d: int, n: int) -> dict:
-    """rank(A_{k,d,n}) against min{p(k,d,n-1), p(k,d,n)}."""
+def verify_full_rank(k: int, d: int, n: int) -> None:
+    """rank(A_{k,d,n}) = min{p(k,d,n-1), p(k,d,n)}; raises CheckFailed
+    otherwise."""
     if not 1 <= n <= d * k:
         raise ValueError(f"n={n} outside [1, {d * k}]")
-    m = build_incidence(k, d, n)
-    rank = matrix_rank(m.data)
+    rank = matrix_rank(build_incidence(k, d, n).data)
     expected = min(count(k, d, n - 1), count(k, d, n))
-    return {"k": k, "d": d, "n": n, "rank": rank, "expected": expected,
-            "pass": rank == expected}
+    if rank != expected:
+        raise CheckFailed(f"full rank of A_{{{k},{d},{n}}}: rank {rank}, "
+                          f"expected {expected}")
 
 
 def kappa_of(t: tuple[int, ...]) -> Partition:

@@ -9,7 +9,7 @@ import pytest
 
 from plovlab import cli, golden, incidence
 from plovlab.cli import main
-from plovlab.exactmat import ExactMatrix
+from plovlab.exactmat import CheckFailed, ExactMatrix
 from plovlab.partitions import CoeffVector
 
 from oracles import from_rows
@@ -223,7 +223,10 @@ TRUNCATED_CELL = ("reproduce", "table2", "--truncate", "2,1,1,1,1,1", "--n")
 # sha256 of the --deterministic stdout of each command, taken before the
 # incidence rows were built directly, without probing every part with bump;
 # table1's JSON hash was taken again after its constant "top_right_zero"
-# field was dropped
+# field was dropped; the plov, scan and fullrank hashes were taken after
+# their always-true "pass", "parity", "gap" and "upper_bound" fields and
+# fullrank's always-empty "failures" left the reports, and kernel --d 4 is
+# its KERNEL_SHA256 pin
 REPORT_SHA256 = {
     ("reproduce", "matrix-examples"):
         "189506b29e7d751610e21bea55f22b9bbd5cbbe6a7fa569b6a15e7bbd3abcd03",
@@ -245,6 +248,16 @@ REPORT_SHA256 = {
         "411d491396e6f0357055c37f3cec71601814b6d3184371812e04723c92afee25",
     TRUNCATED_CELL + ("35",):
         "ba8496841a672bbc0a69bf49aade7fdec439a38865fd357f547504e18d9617cc",
+    ("plov", "--abelian-blocks", "3,1"):
+        "b5d8d5c3addd7963cfd3c7e5ab173a54f6387930a951def3c188bb940ece6be4",
+    ("plov", "--abelian-blocks", "4"):
+        "e061f5a6d65a6ebff665bd1fdf2a29c8be33687d86995de3fcdba9a6c0fce659",
+    ("scan", "--d", "3", "--count", "4", "--seed", "9"):
+        "3c603990b69e64b24baf0e3a13cf5afb95dfab23260cc42fb668bb70a51c3602",
+    ("reproduce", "fullrank", "--d", "3"):
+        "b7a4c1d721fcea7b542b4cb57e9e175a150894c247d12ffca93ce1732234b5ca",
+    ("reproduce", "kernel", "--d", "4"):
+        "5ea18bd828044f7c0558bf14b4c14e151bce3871171f60e67d029abe5c8ab15d",
 }
 
 
@@ -383,6 +396,15 @@ def test_failed_kernel_check_is_one_line(capsys, monkeypatch):
     assert err.startswith("check failed: kernel theorem at d=6: ")
 
 
+def test_failed_full_rank_is_one_line(capsys, monkeypatch):
+    # a rank one below the bound fails the sweep at its first instance:
+    # nothing on stdout and one line naming it
+    inner = incidence.matrix_rank
+    monkeypatch.setattr(incidence, "matrix_rank", lambda m: inner(m) - 1)
+    err = check_failed_line(capsys, "reproduce", "fullrank", "--deterministic")
+    assert err == "check failed: full rank of A_{1,2,1}: rank 0, expected 1\n"
+
+
 def test_failed_block_form_is_one_line(capsys, monkeypatch):
     # a nonzero top-right block of A_{6,4,12} fails Table 1's block form
     inner = ExactMatrix.blocks
@@ -492,7 +514,7 @@ def test_plov_model_entry_at_bit_cap(capsys, tmp_path):
     code, out = run_cli(capsys, "plov", "--model", str(path), "--deterministic")
     assert code == 0
     results = json.loads(out)["results"]
-    assert results["pass"] and (results["k"], results["plov"]) == (10, 36)
+    assert (results["k"], results["plov"]) == (10, 36)
 
 
 @pytest.mark.parametrize("source", ["blocks", "model"])
@@ -533,6 +555,31 @@ def test_scan_gap_d3(capsys):
     report = json.loads(out)
     for p in report["results"]["observed_plov"]:
         assert not (5 < p < 9)
+
+
+def test_failed_scan_model_is_one_line(capsys, monkeypatch):
+    # one model's pipeline fails: the report still lists every row, the
+    # failed one with its "error", and one line names its Jordan type and
+    # seed
+    inner = cli.run_pipeline
+
+    def failing(model):
+        if model.jordan == (2, 1):
+            raise CheckFailed("injected")
+        return inner(model)
+
+    monkeypatch.setattr(cli, "run_pipeline", failing)
+    code = main(["scan", "--d", "3", "--count", "4", "--seed", "9",
+                 "--deterministic"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    assert report["pass"] is False
+    assert report["results"]["passed"] == 3
+    assert report["results"]["rows"][1] == {
+        "jordan": [2, 1], "seed": 10, "error": "injected"}
+    assert captured.err == (
+        "check failed: scan model jordan=2,1, seed=10: injected\n")
 
 
 def test_scan_usage(capsys):

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from plovlab import exactmat
-from plovlab.dynamics import AbelianSurrogate, charpoly
+from plovlab.dynamics import AbelianSurrogate, charpoly, mat_identity
 from plovlab.exactmat import ExactMatrix, matrix_rank, nullspace_basis
 from plovlab.incidence import (
     build_incidence,
@@ -332,7 +332,7 @@ def test_non_int_entries_raise():
         AbelianSurrogate([[1, Fraction(1, 2)], [0, 1]])
     m = AbelianSurrogate([[1, 0], [0, 1]])
     with pytest.raises(TypeError):
-        m.intersect([m.H, [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]])
+        m.intersect([mat_identity(2), [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]])
     with pytest.raises(TypeError):
         charpoly([[Fraction(1, 2)]])
 

@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 
-from plovlab import golden
-from plovlab.exactmat import matrix_rank, nullspace_basis
+from plovlab import golden, incidence
+from plovlab.exactmat import CheckFailed, matrix_rank, nullspace_basis
 from plovlab.incidence import (
     IncidenceMatrix,
     block_form,
@@ -74,10 +74,19 @@ def test_full_rank_matches_oracle():
 
 
 def test_verify_full_rank():
-    rep = verify_full_rank(5, 3, 6)
-    assert rep["pass"] and rep["rank"] == 5
+    assert verify_full_rank(5, 3, 6) is None  # CheckFailed otherwise
+    assert matrix_rank(build_incidence(5, 3, 6).data) == 5
     with pytest.raises(ValueError):
         verify_full_rank(5, 3, 0)
+
+
+def test_verify_full_rank_raises_on_a_wrong_rank(monkeypatch):
+    # a rank one below the bound fails the claim, naming the instance
+    inner = incidence.matrix_rank
+    monkeypatch.setattr(incidence, "matrix_rank", lambda m: inner(m) - 1)
+    with pytest.raises(CheckFailed) as exc:
+        verify_full_rank(5, 3, 6)
+    assert str(exc.value) == "full rank of A_{5,3,6}: rank 4, expected 5"
 
 
 def test_truncate_columns():

@@ -180,6 +180,48 @@ def test_assertion_error_use_is_reported():
         (2, "raise"), (3, "except"), (4, "raise"), (5, "except")]
 
 
+def pass_key_uses(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, "key", "subscript" or "get") of each use of the string "pass"
+    as a dict display key, a subscript, or the key of a ``get`` call."""
+    def is_pass(node):
+        return isinstance(node, ast.Constant) and node.value == "pass"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            found += [(key.lineno, "key") for key in node.keys if is_pass(key)]
+        elif isinstance(node, ast.Subscript) and is_pass(node.slice):
+            found.append((node.lineno, "subscript"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args
+              and is_pass(node.args[0])):
+            found.append((node.lineno, "get"))
+    return sorted(found)
+
+
+def test_only_the_cli_reads_or_writes_pass():
+    # a library function returns what it computed or raises CheckFailed;
+    # whether a report passes is decided once, by cli._report
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "cli.py":
+            uses += [f"{path.name}:{line} {kind}"
+                     for line, kind in pass_key_uses(parse(path))]
+    assert uses == []
+
+
+def test_pass_key_use_is_reported():
+    # a display key, a subscript read or write and a get are found; another
+    # key, the pass statement and "pass" as a plain value are not
+    tree = ast.parse("report = {'pass': True, 'ok': 'pass'}\n"
+                     "report['pass'] = False\n"
+                     "if report['pass'] or row.get('pass'):\n"
+                     "    pass\n"
+                     "print('pass', report['ok'], row.get('ok'))\n")
+    assert pass_key_uses(tree) == [
+        (1, "key"), (2, "subscript"), (3, "get"), (3, "subscript")]
+
+
 # Public library definitions that no library code references, each with the
 # reason it stays
 UNREFERENCED_ALLOWED = {
