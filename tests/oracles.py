@@ -4,8 +4,9 @@ Everything here is written the dumb way on purpose: dense Gaussian
 elimination over Fraction, brute-force enumeration over product spaces and
 permutations.  Constructions that only tests reach live here too, not in
 the library: the validating matrix constructors `from_rows` and
-`from_dense`, the block assembly behind the block nullity formula, and the
-derivation and unit-cube integral of the acceptance tests.
+`from_dense`, the block assembly behind the block nullity formula, the
+derivation and unit-cube integral of the acceptance tests, and the bucket
+echelon that the library's modular elimination is checked against.
 """
 
 from fractions import Fraction
@@ -152,6 +153,50 @@ def block_nullity_formula(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> dic
         dim_compat = 0
     rhs = dim_compat + nullity_c
     return {"lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
+
+
+def bucket_echelon(rows, ncols, p):
+    """Echelon form mod p of integer rows by leading-column buckets, the
+    scheme `exactmat._modular_echelon` used before its row-at-a-time
+    elimination: at each column in turn the pivot is the row with the fewest
+    nonzeros (ties by arrival order), and every other row of the bucket is
+    cancelled against it and re-bucketed by `min` of its new keys.  Same
+    contract: pivots as (col, row_dict) in increasing column order, each
+    scaled to pivot entry -1 and stored without it."""
+    buckets = {}
+    seq = 0
+
+    def insert(row):
+        nonlocal seq
+        buckets.setdefault(min(row), []).append((len(row), seq, row))
+        seq += 1
+
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        if row:
+            insert(row)
+
+    pivots = []
+    for col in range(ncols):
+        group = buckets.pop(col, None)
+        if not group:
+            continue
+        group.sort()  # seq is unique, so no two rows are compared
+        piv = group[0][2]
+        neg_inv = p - pow(piv.pop(col), -1, p)
+        piv = {c: v * neg_inv % p for c, v in piv.items()}
+        pivots.append((col, piv))
+        for _, _, r in group[1:]:
+            q = r.pop(col)
+            for c, v in piv.items():
+                w = (r.get(c, 0) + q * v) % p
+                if w:
+                    r[c] = w
+                else:
+                    del r[c]
+            if r:
+                insert(r)
+    return pivots
 
 
 def dense_rref(rows):

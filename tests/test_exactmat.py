@@ -4,13 +4,14 @@ from random import Random
 
 import pytest
 
-from plovlab import exactmat
+from plovlab import exactmat, golden
 from plovlab.dynamics import AbelianSurrogate, charpoly, mat_identity
 from plovlab.exactmat import ExactMatrix, matrix_rank, nullspace_basis
 from plovlab.incidence import (
     build_incidence,
     kappa_of,
     nullity_truncated,
+    table2_tuple,
     truncate_columns,
     verify_kernel_dim_one,
 )
@@ -18,6 +19,7 @@ from plovlab.symfun import vandermonde_coeff_vector, vandermonde_poly
 
 from oracles import (
     assemble_block_lower,
+    bucket_echelon,
     dense_nullspace,
     dense_rank,
     from_dense,
@@ -344,3 +346,106 @@ def test_vandermonde_square_monomial_count():
         assert len(vandermonde_square_product(m).terms) == expected
         assert len(vandermonde_poly(m - 1, m).terms) == expected
     assert len(vandermonde_poly(5, 6).terms) == 56183
+
+
+WORD, MERSENNE = 2**30 - 35, 2**127 - 1
+
+
+def assert_same_echelon(rows, ncols, p):
+    """``_modular_echelon`` and the bucket oracle give the same pivot
+    columns and the same lifted kernel basis (or both no basis)."""
+    new = exactmat._modular_echelon(rows, ncols, p)
+    old = bucket_echelon(rows, ncols, p)
+    assert [c for c, _ in new] == [c for c, _ in old]
+    assert (exactmat._lift_kernel(rows, new, ncols, p)
+            == exactmat._lift_kernel(rows, old, ncols, p))
+    return new
+
+
+def random_rows(rng, nrows, ncols, p):
+    """Sparse integer rows with zero rows, rows that vanish mod p, rows
+    that are integer combinations of earlier ones, and entries that vanish
+    mod p next to ones that do not."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1 or not ncols:
+            rows.append({})
+        elif kind < 0.2:
+            rows.append({c: p * rng.randint(1, 3) for c in range(ncols)
+                         if rng.random() < 0.4})
+        elif kind < 0.4 and rows:
+            row = {}
+            for _ in range(2):
+                a, other = rng.randint(-2, 2), rng.choice(rows)
+                for c, v in other.items():
+                    row[c] = row.get(c, 0) + a * v
+            rows.append(row)
+        else:
+            rows.append({c: rng.choice((rng.randint(-4, 4), p))
+                         for c in range(ncols) if rng.random() < 0.35})
+    return rows
+
+
+@pytest.mark.parametrize("p", [WORD, MERSENNE])
+def test_echelon_matches_bucket_echelon_on_random_rows(p):
+    rng = Random(p % 1000)
+    for _ in range(150):
+        nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+        assert_same_echelon(random_rows(rng, nrows, ncols, p), ncols, p)
+    assert assert_same_echelon([], 4, p) == []
+    assert assert_same_echelon([{}, {}], 0, p) == []
+    assert assert_same_echelon([{}, {1: p}, {0: 2 * p, 2: -p}], 3, p) == []
+
+
+def test_echelon_matches_bucket_echelon_on_table2_cells():
+    # the 24 cells d = 4..7, e = 0..5, in the rank's transposed orientation
+    for d in range(4, 8):
+        r = d - 2
+        for e in range(6):
+            m = build_incidence(2 * r, d, r * (r + 1) + e)
+            sub, _ = truncate_columns(m, kappa_of(table2_tuple(d, 0)))
+            rows = exactmat._integer_rows(sub)
+            cols = exactmat._transpose(rows, sub.ncols)
+            pivots = assert_same_echelon(cols, len(rows), WORD)
+            assert sub.ncols - len(pivots) == golden.TABLE2[(d, e)]
+
+
+def test_echelon_matches_bucket_echelon_on_kernel_matrices():
+    # the rows mod 2^127 - 1, as the nullspace eliminates them, and the
+    # transpose mod the word prime, as the candidate's rank bound does
+    for d in range(2, 7):
+        sub, v = kernel_matrix(d)
+        rows = exactmat._integer_rows(sub)
+        pivots = assert_same_echelon(rows, sub.ncols, MERSENNE)
+        assert exactmat._lift_kernel(rows, pivots, sub.ncols, MERSENNE) == [
+            exactmat._primitive(v)]
+        cols = exactmat._transpose(rows, sub.ncols)
+        assert len(assert_same_echelon(cols, len(rows), WORD)) == sub.ncols - 1
+
+
+def test_row_order_leaves_rank_kernel_and_pivots_unchanged():
+    # rows 1 and 2 share their leading column 1 and row 2 - row 1 is row 3,
+    # so whichever of them comes last cancels to zero before rows 4 and 5
+    # (leading column 0) are taken: an entry it left in the accumulator
+    # would leak into them
+    dense = [[0, 0, 0, 1, 2, 1],
+             [0, 1, 3, 0, 1, 0],
+             [0, 1, 2, 1, 3, 1],
+             [0, 0, -1, 1, 2, 1],
+             [1, 0, 5, 0, 0, 2],
+             [1, 2, 0, 0, 1, 0]]
+    rank, basis = matrix_rank(from_dense(dense)), nullspace_basis(from_dense(dense))
+    assert rank == dense_rank(dense) == 5 and len(basis) == 1
+    rows = [dict(enumerate(r)) for r in dense]
+    pivot_cols = [c for c, _ in exactmat._modular_echelon(rows, 6, WORD)]
+    rng = Random(41)
+    for _ in range(40):
+        rng.shuffle(dense)
+        m = from_dense(dense)
+        assert matrix_rank(m) == rank and nullspace_basis(m) == basis
+        rows = [dict(enumerate(r)) for r in dense]
+        for p in (WORD, MERSENNE):
+            assert [c for c, _ in exactmat._modular_echelon(rows, 6, p)] == pivot_cols
+            assert len(exactmat._modular_echelon(
+                exactmat._transpose(rows, 6), 6, p)) == rank
