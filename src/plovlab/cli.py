@@ -237,7 +237,7 @@ def _reproduce_table2(args, started):
         n = lo if args.n is None else args.n
         if not lo <= n <= hi:
             return _usage(f"--n must be between r(r+1) = {lo} and d*k = {hi}")
-        got = nullity_truncated(d, r, t, n - lo)
+        got = nullity_truncated(t, n - lo)
         results = {"d": d, "r": r, "t": list(t), "n": n, "nullity": got}
         return _report(args, results, started)
     dmax = d
@@ -246,7 +246,7 @@ def _reproduce_table2(args, started):
     mismatch = None
     for d in range(4, dmax + 1):
         for e in range(0, 6):
-            got = nullity_truncated(d, d - 2, table2_tuple(d, 0), e)
+            got = nullity_truncated(table2_tuple(d, 0), e)
             expected = golden.TABLE2[(d, e)]
             match = got == expected
             if mismatch is None and not match:

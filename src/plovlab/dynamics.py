@@ -6,7 +6,8 @@ divisor classes is the automorphism.  The pipeline replaces the action by a
 unipotent power, takes the nilpotent logarithm L, evaluates the
 intersection numbers w_lambda of the log-twisted classes L^i H,
 interpolates the top self-intersection of the sum of pullbacks as an exact
-polynomial in n, and reads off the polynomial volume growth as its degree.
+polynomial in n, kept as its ascending Fraction coefficients with no
+trailing zero, and reads off the polynomial volume growth as its degree.
 The concrete models are abelian surrogates: the lattice Z^g with an integer
 unimodular A acting by S -> A^T S A on symmetric g x g matrices, which are
 the classes and carry the polarized-determinant intersection form.  Each
@@ -38,41 +39,6 @@ class ModelError(CheckFailed):
     """A model violates an assumption of the pipeline."""
 
 
-# ---------------------------------------------------------------------------
-# exact univariate polynomials in n
-
-class UnivariatePoly(Record):
-    """Polynomial in n with rational coefficients, ascending by power."""
-
-    __slots__ = _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[Fraction, ...] = ()):
-        self._set(coeffs)
-
-    @staticmethod
-    def from_coeffs(coeffs) -> "UnivariatePoly":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return UnivariatePoly(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def coeff(self, m: int) -> Fraction:
-        return self.coeffs[m] if 0 <= m < len(self.coeffs) else Fraction(0)
-
-    def scale(self, c) -> "UnivariatePoly":
-        return UnivariatePoly.from_coeffs([v * Fraction(c) for v in self.coeffs])
-
-    def __call__(self, n) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
-        return acc
-
-
 # The Faulhaber power sums no longer enter the pipeline (delta_polynomial
 # sums the orbit of U).  They stay here for the test oracle
 # tests/oracles.delta_multinomial_fraction, and because the benchmark's
@@ -87,19 +53,19 @@ def _bernoulli(m: int) -> Fraction:
     )
 
 
-def power_sum_polynomial(i: int) -> UnivariatePoly:
-    """S_i with S_i(n-1) = sum_{m=0}^{n-1} m^i, as a polynomial in n.
+def power_sum_polynomial(i: int) -> tuple[Fraction, ...]:
+    """S_i with S_i(n-1) = sum_{m=0}^{n-1} m^i, as its ascending
+    coefficients in n.
 
-    Faulhaber via Bernoulli polynomials: (B_{i+1}(n) - B_{i+1}(0)) / (i+1).
+    Faulhaber via Bernoulli polynomials: (B_{i+1}(n) - B_{i+1}(0)) / (i+1),
+    whose n^m coefficient is C(i+1, m) B_{i+1-m} / (i+1) for m >= 1; the
+    constant term is 0 and the top one 1/(i+1).
     """
     if i < 0:
         raise ValueError("i must be nonnegative")
     deg = i + 1
-    coeffs = [Fraction(0)] * (deg + 1)
-    for j in range(deg + 1):
-        coeffs[deg - j] += Fraction(comb(deg, j)) * _bernoulli(j)
-    coeffs[0] -= _bernoulli(deg)  # subtract B_{i+1}(0)
-    return UnivariatePoly.from_coeffs(coeffs).scale(Fraction(1, deg))
+    return (Fraction(0),) + tuple(comb(deg, m) * _bernoulli(deg - m) / deg
+                                  for m in range(1, deg + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +420,10 @@ def verify_linear_system(model, n: int) -> None:
         raise ModelError(f"linear system violated at (k={k}, d={model.d}, n={n})")
 
 
-def delta_polynomial(model) -> UnivariatePoly:
-    """The volume polynomial Delta(n) = (sum_{m<n} U^m H)^d, exactly; its
-    degree is the plov.
+def delta_polynomial(model) -> tuple[Fraction, ...]:
+    """The volume polynomial Delta(n) = (sum_{m<n} U^m H)^d, exactly, as its
+    ascending coefficients with no trailing zero; its degree, the length
+    less one, is the plov.
 
     The intersection of d equal classes S is d! det(S), so Delta takes the
     integer values d! det(sum_{m<n} U^m H) at n = 1 .. N, read off a running
@@ -495,8 +462,9 @@ def delta_polynomial(model) -> UnivariatePoly:
     for j in range(points - 1, -1, -1):
         acc = [a - (j + 1) * b for a, b in zip([0] + acc, acc + [0])]
         acc[0] += newton[j] * (common // factorial(j))
-    prep["delta"] = UnivariatePoly.from_coeffs(
-        [Fraction(c, common) for c in acc])
+    while acc[-1] == 0:
+        acc.pop()
+    prep["delta"] = tuple([Fraction(c, common) for c in acc])
     return prep["delta"]
 
 
@@ -525,8 +493,9 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
     r = k // 2
     prep = _prepared(model)
     w = prep["w"]
-    # w at (k, 0, ..., 0) is nonzero, so the support below k is not empty
-    kappa = max(lam for lam in w if lam[0] <= k)
+    # every key has parts in [0, K], K = k, and w at (k, 0, ..., 0) is
+    # nonzero, so the table is not empty
+    kappa = max(w)
     t = tuple(kappa.count(2 * j) for j in range(r + 1))
     if sum(t) != d or 0 in t or w[kappa] <= 0:
         raise ModelError(
@@ -575,15 +544,17 @@ def hilbert_top_coefficient_check(model) -> None:
     k = degree_growth_exponent(model)
     if k != 2 * d - 2:
         raise ValueError("requires maximal degree growth k = 2d-2")
-    top = delta_polynomial(model).coeff(d * d)
+    delta = delta_polynomial(model)
     # two independent routes: the top coefficient comes from the orbit sum
     # of U, and w_kappa from the determinant table of the classes L^i H
     # (find_distinguished_kappa certifies it against intersect)
     w_kappa = _prepared(model)["w"].get(kappa_of(tuple([1] * d)), 0)
     expected = w_kappa * hilbert_product(d)
-    if top != expected:
-        raise ModelError(f"Hilbert closed form mismatch at d={d}: top "
-                         f"coefficient {top}, expected {expected}")
+    if (len(delta) - 1, delta[-1]) != (d * d, expected):
+        raise ModelError(
+            f"Hilbert closed form mismatch at d={d}: degree {len(delta) - 1} "
+            f"with top coefficient {delta[-1]}, expected degree {d * d} "
+            f"with top coefficient {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +649,8 @@ def run_pipeline(model: AbelianSurrogate) -> dict:
     try:
         d = model.d
         k = degree_growth_exponent(model)
-        poly = delta_polynomial(model)
-        plov = poly.degree
+        delta = delta_polynomial(model)
+        plov = len(delta) - 1
         report: dict = {
             "g": model.g,
             "d": d,
@@ -688,7 +659,7 @@ def run_pipeline(model: AbelianSurrogate) -> dict:
             "plov": plov,
             "kappa": None,
             "t": None,
-            "top_coefficient": str(poly.coeffs[-1]),
+            "top_coefficient": str(delta[-1]),
             "checks": {"conjecture_lb": check_principles(d, k, plov),
                        "hilbert": None},
         }

@@ -100,18 +100,20 @@ class CheckFailed(ValueError):
 
 class ExactMatrix(Record):
     """Sparse integer matrix; rows hold (col, value) pairs with strictly
-    increasing column indices and no explicit zeros.  Degenerate 0 x m and
-    m x 0 shapes are legal."""
+    increasing column indices and no explicit zeros.  The row count is
+    len(rows); ncols is stored, since trailing zero columns appear in no
+    row.  Degenerate 0 x m and m x 0 shapes are legal."""
 
-    __slots__ = _fields = ("nrows", "ncols", "rows")
+    __slots__ = _fields = ("ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int,
-                 rows: tuple[tuple[Entry, ...], ...]):
-        if nrows < 0 or ncols < 0:
-            raise ValueError("negative shape")
-        if len(rows) != nrows:
-            raise ValueError("row count mismatch")
-        self._set(nrows, ncols, rows)
+    def __init__(self, ncols: int, rows: tuple[tuple[Entry, ...], ...]):
+        if ncols < 0:
+            raise ValueError("negative column count")
+        self._set(ncols, rows)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.ncols for _ in range(self.nrows)]
@@ -131,16 +133,18 @@ class ExactMatrix(Record):
         top right, bottom left, bottom right), each renumbered from 0.  Each
         row splits at one bisection; a cut outside the matrix raises
         ValueError."""
+        if not (0 <= i <= self.nrows and 0 <= j <= self.ncols):
+            raise ValueError(f"cut ({i}, {j}) outside the matrix")
         left, right = [], []
         for row in self.rows:
             s = bisect_left(row, (j,))
             left.append(row[:s])
             right.append(tuple([(c - j, v) for c, v in row[s:]]))
-        w, h = self.ncols - j, self.nrows - i
-        return (ExactMatrix(i, j, tuple(left[:i])),
-                ExactMatrix(i, w, tuple(right[:i])),
-                ExactMatrix(h, j, tuple(left[i:])),
-                ExactMatrix(h, w, tuple(right[i:])))
+        w = self.ncols - j
+        return (ExactMatrix(j, tuple(left[:i])),
+                ExactMatrix(w, tuple(right[:i])),
+                ExactMatrix(j, tuple(left[i:])),
+                ExactMatrix(w, tuple(right[i:])))
 
 
 def _integer_rows(m: ExactMatrix) -> list[dict[int, int]]:

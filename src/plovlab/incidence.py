@@ -4,8 +4,9 @@ Rows are indexed by P(k,d,n-1) and columns by P(k,d,n), both in decreasing
 lexicographic order.  The (mu, lambda) entry counts the weighted ways of
 raising a single part of mu by one to reach lambda.  This module also builds
 the block decomposition, column truncations below a distinguished partition,
-and the rank and nullity checks.  The block form, full rank and the kernel
-theorem raise CheckFailed when the claim fails on an instance.
+and the rank and nullity checks; a Table 2 cell is named by its tuple t and
+its offset e alone.  The block form, full rank and the kernel theorem raise
+CheckFailed when the claim fails on an instance.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def build_incidence(k: int, d: int, n: int) -> IncidenceMatrix:
                for p, i in enumerate(mu)
                if i < k and (p == 0 or mu[p - 1] != i)])
         for mu in row_set])
-    data = ExactMatrix(len(row_set), len(col_set), rows)
+    data = ExactMatrix(len(col_set), rows)
     return IncidenceMatrix(k, d, n, row_set, col_set, data)
 
 
@@ -145,12 +146,11 @@ def table2_tuple(d: int, ell: int) -> tuple[int, ...]:
     return tuple(t)
 
 
-def nullity_truncated(d: int, r: int, t: tuple[int, ...], e: int) -> int:
-    """Nullity of the truncated matrix A_{2r,d,r(r+1)+e} below kappa(t)."""
-    if len(t) != r + 1 or sum(t) != d:
-        raise ValueError("t must be a positive (r+1)-tuple summing to d")
-    n = r * (r + 1) + e
-    m = build_incidence(2 * r, d, n)
+def nullity_truncated(t: tuple[int, ...], e: int) -> int:
+    """Nullity of the truncated matrix A_{2r,d,r(r+1)+e} below kappa(t),
+    for d = sum(t) and r = len(t) - 1."""
+    r = len(t) - 1
+    m = build_incidence(2 * r, sum(t), r * (r + 1) + e)
     sub, kept = truncate_columns(m, kappa_of(t))
     return len(kept) - matrix_rank(sub)
 
@@ -165,7 +165,7 @@ def verify_kernel_dim_one(d: int) -> dict:
     m = build_incidence(2 * d - 2, d, d * (d - 1))
     sub, kept = truncate_columns(m, kappa)
     v = vandermonde_coeff_vector(d - 1, d)
-    v_trunc = [v.entries[v.index.index_of(lam)] for lam in kept]
+    v_trunc = [v[lam] for lam in kept]
     # with v as the candidate, a rank bound mod the word prime and the exact
     # product sub v = 0 certify the kernel; no basis is eliminated
     basis = nullspace_basis(sub, v_trunc)
@@ -175,14 +175,13 @@ def verify_kernel_dim_one(d: int) -> dict:
         raise CheckFailed(
             f"kernel theorem at d={d}: the truncated kernel has dimension "
             f"{len(basis)} and is not spanned by the Vandermonde vector")
-    kappa_entry = v.entries[v.index.index_of(kappa)]
+    kappa_entry = v[kappa]
     expected_entry = prod(factorial(2 * j) for j in range(1, d))
     if kappa_entry != expected_entry:
         raise CheckFailed(
             f"kernel theorem at d={d}: Vandermonde entry {kappa_entry} at "
             f"kappa = {format_partition(kappa)}, expected {expected_entry}")
     return {
-        "d": d,
         "nullity": 1,
         "kernel": basis[0],
         "kappa": kappa,

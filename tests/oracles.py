@@ -87,7 +87,8 @@ def multiplicities(p: Partition, k: int) -> list[int]:
 def from_rows(nrows: int, ncols: int, row_dicts) -> ExactMatrix:
     """Build from an iterable of {col: int} dicts (zeros dropped); an
     entry that is not an int, such as a Fraction or a float, raises
-    TypeError, and a column outside [0, ncols) raises ValueError."""
+    TypeError, and a column outside [0, ncols) or a row count other than
+    nrows raises ValueError."""
     rows = []
     for rd in row_dicts:
         row = tuple((c, v) for c, v in sorted(
@@ -95,7 +96,9 @@ def from_rows(nrows: int, ncols: int, row_dicts) -> ExactMatrix:
         if row and (row[0][0] < 0 or row[-1][0] >= ncols):
             raise ValueError("column index out of range")
         rows.append(row)
-    return ExactMatrix(nrows, ncols, tuple(rows))
+    if len(rows) != nrows:
+        raise ValueError("row count mismatch")
+    return ExactMatrix(ncols, tuple(rows))
 
 
 def from_dense(data) -> ExactMatrix:
@@ -513,6 +516,15 @@ def nilpotent_exp(l):
     return out
 
 
+def poly_at(coeffs, n):
+    """The polynomial with the ascending coefficients coeffs at n, by
+    Horner."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
+
+
 def fraction_poly_mul(a, b):
     """Product of two ascending coefficient lists, every entry a Fraction."""
     if not a or not b:
@@ -530,12 +542,10 @@ def delta_multinomial_fraction(model):
     prod (S_i/i!)^{e_i}, with every product and sum taken in Fractions."""
     d = model.d
     k = degree_growth_exponent(model)
-    s_over_fact = [[Fraction(c) / factorial(i) for c in power_sum_polynomial(i).coeffs]
+    s_over_fact = [[c / factorial(i) for c in power_sum_polynomial(i)]
                    for i in range(k + 1)]
     total = []
     for lam, w in _prepared(model)["w"].items():
-        if w == 0 or lam[0] > k:
-            continue
         e = multiplicities(lam, k)
         term = [Fraction(factorial(d)) * w]
         for i, e_i in enumerate(e):

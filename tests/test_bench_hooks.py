@@ -70,7 +70,7 @@ def test_exactmat_spans_are_called(monkeypatch):
 
     ranks = count_calls(monkeypatch, "matrix_rank")
     kernels = count_calls(monkeypatch, "nullspace_basis")
-    assert nullity_truncated(5, 3, (2, 1, 1, 1), 0) == 3
+    assert nullity_truncated((2, 1, 1, 1), 0) == 3
     assert (len(ranks), len(kernels)) == (1, 0)
     assert verify_kernel_dim_one(4)["nullity"] == 1
     assert (len(ranks), len(kernels)) == (1, 1)

@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -653,3 +655,48 @@ def test_import_loads_no_dataclasses():
     # functions only in the modules that this import loads, and the kernel
     # workload times functions of symfun
     assert "plovlab.symfun" in added
+
+
+# one command of each kind, each run under two interpreters
+PORTABLE_COMMANDS = (
+    ("reproduce", "table1", "--format", "csv"),
+    ("reproduce", "table2", "--truncate", "2,1,1", "--n", "6"),
+    ("reproduce", "kernel", "--d", "5"),
+    ("plov", "--abelian-blocks", "4,1"),
+    ("scan", "--d", "4", "--count", "8"),
+)
+
+
+def oldest_python():
+    """An interpreter of the oldest Python that pyproject.toml accepts, or
+    None: a pyenv-installed one first, then one on PATH, each checked by
+    running it."""
+    root = Path(__file__).parent.parent
+    text = (root / "pyproject.toml").read_text()
+    version = re.search(r'requires-python = ">=(\d+\.\d+)"', text).group(1)
+    pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    candidates = sorted(pyenv.glob(f"versions/{version}.*/bin/python"))
+    candidates.append(shutil.which(f"python{version}"))
+    probe = "import sys; print('%d.%d' % sys.version_info[:2])"
+    for exe in filter(None, candidates):
+        out = subprocess.run([exe, "-c", probe], capture_output=True, text=True)
+        if out.stdout.strip() == version:
+            return str(exe)
+    return None
+
+
+def test_oldest_supported_python_prints_the_same_bytes():
+    # requires-python admits an older Python than the one the suite runs
+    # on; the --deterministic output must not depend on which one
+    exe = oldest_python()
+    if exe is None:
+        pytest.skip("no interpreter of the oldest supported Python found")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    for argv in PORTABLE_COMMANDS:
+        old, new = [(p.returncode, p.stdout, p.stderr) for p in (
+            subprocess.run([python, "-m", "plovlab.cli", *argv,
+                            "--deterministic"], env=env, capture_output=True)
+            for python in (exe, sys.executable))]
+        assert old == new, argv
+        assert old[0] == 0 and old[1], argv

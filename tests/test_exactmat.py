@@ -78,17 +78,18 @@ def test_degenerate_shapes():
     assert nullspace_basis(tall) == []
 
 
-@pytest.mark.parametrize("nrows, ncols, rows", [(-1, 0, ()), (2, 1, ((),))])
-def test_exact_matrix_rejects_bad_shape(nrows, ncols, rows):
+def test_exact_matrix_rejects_bad_shape():
     with pytest.raises(ValueError):
-        ExactMatrix(nrows, ncols, rows)
+        ExactMatrix(-1, ())
 
 
 def test_exact_matrix_fields_are_read_only():
-    m = ExactMatrix(1, 1, (((0, 1),),))
+    m = ExactMatrix(1, (((0, 1),),))
     with pytest.raises(AttributeError):
         m.nrows = 2
-    assert m == ExactMatrix(1, 1, (((0, 1),),)) and m.nrows == 1
+    with pytest.raises(AttributeError):
+        m.ncols = 2
+    assert m == ExactMatrix(1, (((0, 1),),)) and m.nrows == 1
 
 
 def test_entry_and_submatrix():
@@ -245,7 +246,7 @@ def test_table2_rank_lifts_one_left_kernel_vector(monkeypatch):
     # lifted vector
     echelons = count_calls(monkeypatch, "_modular_echelon")
     fallbacks = count_calls(monkeypatch, "_row_reduce")
-    assert nullity_truncated(7, 5, (2, 1, 1, 1, 1, 1), 1) == 4
+    assert nullity_truncated((2, 1, 1, 1, 1, 1), 1) == 4
     assert [args[2] for args in echelons] == [2**30 - 35]
     assert fallbacks == []
 

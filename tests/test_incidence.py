@@ -173,7 +173,7 @@ def test_nullity_truncated_small_against_oracle():
             r = d - 2
             m = build_incidence(2 * r, d, r * (r + 1) + e)
             sub, kept = truncate_columns(m, kappa_of(t))
-            assert nullity_truncated(d, r, t, e) == dense_nullity(
+            assert nullity_truncated(t, e) == dense_nullity(
                 sub.to_dense(), len(kept))
 
 
@@ -194,7 +194,7 @@ def test_nullity_vanishing_family():
         for ell in range(0, r + 1):
             start = max(d // 2 - 1, ell + 1)
             for e in range(start, start + 2):
-                assert nullity_truncated(d, r, table2_tuple(d, ell), e) == 0
+                assert nullity_truncated(table2_tuple(d, ell), e) == 0
 
 
 def test_block_nullity_formula():
@@ -228,6 +228,14 @@ def test_kernel_dim_one_small():
         for j in range(1, d):
             expected *= factorial(2 * j)
         assert rep["kappa_entry"] == expected
+
+
+def test_kernel_matrix_is_the_all_ones_cell():
+    # the kernel theorem's matrix is the t = 1^d, e = 0 cell: its nullity
+    # by the transposed rank agrees with the candidate-certified kernel
+    for d in range(2, 7):
+        assert nullity_truncated((1,) * d, 0) == 1, d
+        assert verify_kernel_dim_one(d)["nullity"] == 1, d
 
 
 def test_kernel_d2_vector():
