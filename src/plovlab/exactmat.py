@@ -1,55 +1,48 @@
-"""Exact sparse integer matrices with deterministic rank and nullspace over Q.
+"""Exact sparse integer matrices with a deterministic rank over Q.
 
 Every entry is a Python int by construction: ``incidence.build_incidence``
 and ``ExactMatrix.blocks`` are the only producers, and neither checks its
 entries again.  The validating constructors, which reject a Fraction or a
-float with TypeError, live in ``tests/oracles.py``.  The rank and the
-nullspace each come from one modular elimination.  Rows are
-reduced mod a prime p and eliminated one at a time, in decreasing leading
-column: each is cancelled against the pivots already held, in increasing
-column order, and becomes the pivot of the first column that has none.  The
-pivot columns, and so the rank and every kernel vector below, do not depend
-on that order; it sets only the fill and the time.  The r pivots
-mod p never exceed the rank over Q, so the result is certified at once when
-r is the number of nonzero rows or of columns.  Otherwise, for each free
-column f, the kernel vector with x_f = 1 and every other free entry 0 is
+float with TypeError, live in ``tests/oracles.py``.
+
+The rank is the one elimination.  It eliminates the transpose (rank A =
+rank A^T): the columns of A become the rows, with one column per nonzero
+row of A.  Rows are reduced mod a prime p and eliminated one at a time, in
+decreasing leading column: each is cancelled against the pivots already
+held, in increasing column order, and becomes the pivot of the first
+column that has none.  The pivot columns, and so the rank, do not depend on
+that order; it sets only the fill and the time.  The r pivots mod p never
+exceed the rank over Q, so r is certified at once when it is the number of
+nonzero rows or of nonzero columns of A.  Otherwise, for each free column
+f, the left kernel vector with x_f = 1 and every other free entry 0 is
 solved mod p, lifted to integers over one common denominator by Wang's
-rational reconstruction, and checked exactly against every row.  These
-vectors are independent, so the nullity over Q is the number of free columns
-and the pivot columns are the exact ones; the lifted vectors are the exact
-basis.  A failed certificate escalates through the primes of ``_PRIMES`` and
-then falls back to the fraction-free ``_row_reduce``, which divides every
-updated row by the gcd of its entries.
+rational reconstruction, and checked exactly against every column of A.
+These vectors are independent, so they certify r.  A failed certificate
+escalates through the primes of ``_PRIMES`` and then falls back to the
+fraction-free ``_row_reduce``, which divides every updated row by the gcd
+of its entries.
 
 The rank starts at the word-size prime 2^30 - 35, where residues are
 one-digit ints and their products two-digit ints; a lifted vector there has
-entries and a common denominator of at most about 2^14.5.  The nullspace
-starts at 2^127 - 1, since the kernel vectors it returns have larger
-entries.  The choice of prime changes only the speed: every certificate is
-exact.
+entries and a common denominator of at most about 2^14.5.  The choice of
+prime changes only the speed: every certificate is exact.  On the
+truncated Table 2 matrices the transpose is 1.3 to 4 times as fast as
+eliminating the rows at d = 7 and about 3 times at d = 8, e = 0; at e = 1,
+where only the left kernel lifts mod 2^30 - 35, it is 8 to 10 times
+(d = 7) and 45 times (d = 8) as fast.
 
-A caller that knows a kernel vector can pass it to ``nullspace_basis`` as a
-candidate.  If the candidate is nonzero, m times it is exactly zero and the
-rank's echelon mod the word-size prime has ncols - 1 pivots, the nullity is
-exactly one and the candidate spans the kernel, with no lift at all.  The
-nullspace starts at 2^127 - 1 only when no candidate certifies.
-
-The nullspace eliminates the rows, because its basis is defined by their
-free columns.  The rank eliminates the transpose instead (rank A = rank
-A^T): the columns of A become the rows, with one column per nonzero row of
-A, so its certificate is an exactly checked left kernel.  On the truncated
-Table 2 matrices this is 1.3 to 4 times as fast as eliminating the rows
-at d = 7 and about 3 times at d = 8, e = 0; at e = 1, where only the left
-kernel lifts mod 2^30 - 35, it is 8 to 10 times (d = 7) and 45 times
-(d = 8) as fast.  Everything is exact; no floating point anywhere.
+The kernel theorem needs no basis: ``nullspace_basis`` certifies that a
+given int vector x spans the kernel.  It does when x is nonzero, m x is
+exactly zero and the transposed echelon mod the word-size prime has
+ncols - 1 pivots, with no lift at all; when that bound falls short, the
+exact rank decides.  Everything is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import index
 
 Entry = tuple[int, int]
@@ -220,8 +213,8 @@ def _row_reduce(m: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
 # Primes of the modular path.  A kernel vector lifts when its entries and
 # their common denominator are at most isqrt(p // 2): about 2^14.5 for the
 # word-size prime 2^30 - 35, 2^63 for 2^127 - 1 and 2^260 for 2^521 - 1.
-# The rank starts at the word-size prime, and so does a nullspace
-# candidate's rank bound; the nullspace's own elimination skips it.
+# The rank starts at the word-size prime, and so does a kernel candidate's
+# rank bound.
 _PRIMES = (2**30 - 35, 2**127 - 1, 2**521 - 1)
 
 
@@ -341,84 +334,42 @@ def _transposed_echelon(m: ExactMatrix):
     return cols, len(rows), _modular_echelon(cols, len(rows), _PRIMES[0])
 
 
-def _eliminate(m: ExactMatrix, kernel: bool) -> tuple[int, list[list[int]]]:
-    """Rank over Q and, when ``kernel`` is set, the nullspace basis.
+def matrix_rank(m: ExactMatrix) -> int:
+    """Exact rank over the rationals; deterministic.
 
-    The nullspace eliminates the rows of m; the rank alone starts from
-    ``_transposed_echelon``.  Modular elimination gives r pivots with
-    r <= rank.  r = the number of columns eliminated, or, for the rank
-    alone, of rows, certifies r at once; otherwise exactly checked kernel
-    vectors do (of the transpose: left kernel vectors of m).  The rank
-    starts at the first prime, the nullspace at the second.  A failed
+    Starts from ``_transposed_echelon``: r pivots mod p, r <= rank.  r = the
+    number of nonzero rows or of nonzero columns of m certifies r at once;
+    otherwise exactly checked left kernel vectors of m do.  A failed
     certificate tries the next prime, and after the last one the
     fraction-free path on m.
     """
-    if kernel:
-        rows, ncols, pivots = _integer_rows(m), m.ncols, None
-    else:
-        rows, ncols, pivots = _transposed_echelon(m)
-    for p in _PRIMES[1:] if kernel else _PRIMES:
+    cols, ncols, pivots = _transposed_echelon(m)
+    for p in _PRIMES:
         if pivots is None:
-            pivots = _modular_echelon(rows, ncols, p)
-        if len(pivots) == ncols or (not kernel and len(pivots) == len(rows)):
-            return len(pivots), []
-        basis = _lift_kernel(rows, pivots, ncols, p)
-        if basis is not None:
-            return len(pivots), basis if kernel else []
+            pivots = _modular_echelon(cols, ncols, p)
+        if (len(pivots) in (ncols, len(cols))
+                or _lift_kernel(cols, pivots, ncols, p) is not None):
+            return len(pivots)
         pivots = None
-    pivots = _row_reduce(m)
-    return len(pivots), _exact_kernel(pivots, m.ncols) if kernel else []
+    return len(_row_reduce(m))
 
 
-def matrix_rank(m: ExactMatrix) -> int:
-    """Exact rank over the rationals; deterministic."""
-    return _eliminate(m, kernel=False)[0]
+def nullspace_basis(m: ExactMatrix, candidate) -> list[list[int]]:
+    """[x made primitive] if the int vector x = ``candidate`` spans the
+    kernel of m, else [].
 
-
-def nullspace_basis(m: ExactMatrix, candidate=None) -> list[list[int]]:
-    """Deterministic kernel basis.
-
-    One vector per free column, free columns in increasing order; each vector
-    is scaled to coprime integer entries with first nonzero entry positive.
-    Degenerate shapes: an m x 0 matrix has an empty nullspace; a 0 x m matrix
-    has the full space (identity-style basis).
-
-    ``candidate``, an int vector of length ncols, only changes the speed.
-    When it is nonzero, m times it is exactly zero and the transposed
-    echelon mod the word-size prime has ncols - 1 pivots, the nullity is
-    one: at most one because rank mod p <= rank over Q, at least one
-    because of the candidate.  The basis is then the candidate made
-    primitive, with no elimination mod 2^127 - 1; otherwise it is computed
-    as without a candidate.
+    It does when x is nonzero, m x is exactly zero and the rank is
+    ncols - 1: nullity at least one because of x and at most one because
+    of the rank.  The rank bound is the transposed echelon mod the
+    word-size prime, whose pivot count never exceeds the rank over Q; when
+    it falls short, ``matrix_rank`` decides.  A wrong length raises
+    ValueError and a non-int entry TypeError.
     """
-    if candidate is not None:
-        x = [index(v) for v in candidate]
-        if (not any(m.matvec(x)) and any(x)
-                and len(_transposed_echelon(m)[2]) == m.ncols - 1):
-            return [_primitive(x)]
-    return _eliminate(m, kernel=True)[1]
-
-
-def _exact_kernel(pivots, ncols: int) -> list[list[int]]:
-    """Kernel basis from the pivots of ``_row_reduce``, by back-substitution
-    over Q; every sum starts from Fraction(0), so the division is exact."""
-    pivot_set = {c for c, _ in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        # back-substitute pivot variables in reverse pivot order
-        for c, row in reversed(pivots):
-            s = sum((v * x[j] for j, v in row.items() if j != c), Fraction(0))
-            x[c] = -s / row[c]
-        basis.append(_normalize(x))
-    return basis
-
-
-def _normalize(x: list[Fraction]) -> list[int]:
-    mult = lcm(*(v.denominator for v in x))
-    return _primitive([int(v * mult) for v in x])
+    x = [index(v) for v in candidate]
+    spans = (not any(m.matvec(x)) and any(x)
+             and (len(_transposed_echelon(m)[2]) == m.ncols - 1
+                  or matrix_rank(m) == m.ncols - 1))
+    return [_primitive(x)] if spans else []
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -438,5 +389,5 @@ class SparseMultiPoly(Record):
 
     __slots__ = _fields = ("arity", "terms")
 
-    def __init__(self, arity: int, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, arity: int, terms: dict):
         self._set(arity, terms)

@@ -14,25 +14,22 @@ from __future__ import annotations
 import io
 from math import factorial, prod
 
-from .exactmat import (
-    CheckFailed,
-    ExactMatrix,
-    Record,
-    _primitive,
-    matrix_rank,
-    nullspace_basis,
-)
+from .exactmat import (CheckFailed, ExactMatrix, Record, matrix_rank,
+                       nullspace_basis)
 from .partitions import (Partition, PartitionSet, count, format_partition,
                          partition_set)
 from .symfun import vandermonde_coeff_vector
 
 
 class IncidenceMatrix(Record):
-    __slots__ = _fields = ("k", "d", "n", "row_set", "col_set", "data")
+    """A_{k,d,n} with its row set P(k,d,n-1) and column set P(k,d,n), which
+    hold k, d and n."""
 
-    def __init__(self, k: int, d: int, n: int, row_set: PartitionSet,
-                 col_set: PartitionSet, data: ExactMatrix):
-        self._set(k, d, n, row_set, col_set, data)
+    __slots__ = _fields = ("row_set", "col_set", "data")
+
+    def __init__(self, row_set: PartitionSet, col_set: PartitionSet,
+                 data: ExactMatrix):
+        self._set(row_set, col_set, data)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -55,7 +52,7 @@ def build_incidence(k: int, d: int, n: int) -> IncidenceMatrix:
                if i < k and (p == 0 or mu[p - 1] != i)])
         for mu in row_set])
     data = ExactMatrix(len(col_set), rows)
-    return IncidenceMatrix(k, d, n, row_set, col_set, data)
+    return IncidenceMatrix(row_set, col_set, data)
 
 
 def truncate_columns(
@@ -63,9 +60,9 @@ def truncate_columns(
 ) -> tuple[ExactMatrix, list[Partition]]:
     """Keep exactly the columns lambda with lambda <= kappa in lex order.
     The columns decrease, so these are the suffix from the first such lambda."""
-    if len(kappa) != m.d:
+    if len(kappa) != m.col_set.d:
         raise ValueError("kappa must have d parts")
-    if any(part > m.k for part in kappa):
+    if any(part > m.col_set.k for part in kappa):
         raise ValueError("kappa parts must be at most k")
     cols = m.col_set.members
     start = next((j for j, lam in enumerate(cols) if lam <= kappa), len(cols))
@@ -157,7 +154,8 @@ def nullity_truncated(t: tuple[int, ...], e: int) -> int:
 
 def verify_kernel_dim_one(d: int) -> dict:
     """Truncated staircase kernel: nullity one, spanned by the Vandermonde
-    vector; raises CheckFailed otherwise."""
+    vector, as ``nullspace_basis`` certifies; raises CheckFailed otherwise,
+    naming the exact nullity."""
     if d < 2:
         raise ValueError("d must be at least 2")
     t = tuple([1] * d)
@@ -165,16 +163,14 @@ def verify_kernel_dim_one(d: int) -> dict:
     m = build_incidence(2 * d - 2, d, d * (d - 1))
     sub, kept = truncate_columns(m, kappa)
     v = vandermonde_coeff_vector(d - 1, d)
-    v_trunc = [v[lam] for lam in kept]
-    # with v as the candidate, a rank bound mod the word prime and the exact
-    # product sub v = 0 certify the kernel; no basis is eliminated
-    basis = nullspace_basis(sub, v_trunc)
-    # both sides are primitive with a positive first nonzero entry, so they
-    # are equal exactly when the nullity is one and v spans the kernel
-    if basis != [_primitive(v_trunc)]:
+    # a rank bound mod the word prime and the exact product sub v = 0
+    # certify that v spans the kernel; no basis is eliminated
+    basis = nullspace_basis(sub, [v[lam] for lam in kept])
+    if not basis:
         raise CheckFailed(
             f"kernel theorem at d={d}: the truncated kernel has dimension "
-            f"{len(basis)} and is not spanned by the Vandermonde vector")
+            f"{len(kept) - matrix_rank(sub)} and is not spanned by the "
+            f"Vandermonde vector")
     kappa_entry = v[kappa]
     expected_entry = prod(factorial(2 * j) for j in range(1, d))
     if kappa_entry != expected_entry:
@@ -192,7 +188,8 @@ def verify_kernel_dim_one(d: int) -> dict:
 def matrix_to_csv(m: IncidenceMatrix) -> str:
     """Integer CSV, header "k,d,n,rows,cols", rows in decreasing-lex order."""
     buf = io.StringIO()
-    buf.write(f"{m.k},{m.d},{m.n},{m.data.nrows},{m.data.ncols}\n")
+    cols = m.col_set
+    buf.write(f"{cols.k},{cols.d},{cols.n},{m.data.nrows},{m.data.ncols}\n")
     for row in m.data.to_dense():
         buf.write(",".join(map(str, row)) + "\n")
     return buf.getvalue()

@@ -27,8 +27,7 @@ from plovlab.dynamics import (
     power_sum_polynomial,
     unipotent_power,
 )
-from plovlab.exactmat import (ExactMatrix, SparseMultiPoly, matrix_rank,
-                               nullspace_basis)
+from plovlab.exactmat import ExactMatrix, SparseMultiPoly, matrix_rank
 from plovlab.partitions import Partition, enumerate_partitions, partition_set
 from plovlab.symfun import CoeffVector, _orbit, mhat_expand
 
@@ -143,7 +142,7 @@ def block_nullity_formula(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> dic
     m = assemble_block_lower(a, b, c)
     lhs = m.ncols - matrix_rank(m)
     nullity_c = c.ncols - matrix_rank(c)
-    ker_a = nullspace_basis(a)
+    ker_a = [cleared(x) for x in dense_nullspace(a.to_dense(), a.ncols)]
     if ker_a:
         bk = from_dense(
             [[sum(v * x[col] for col, v in row) for x in ker_a]
@@ -258,6 +257,13 @@ def dense_nullspace(rows, ncols):
             v[c] = -rref[r][f]
         basis.append(v)
     return basis
+
+
+def cleared(v):
+    """A Fraction vector times the lcm of its denominators: an int vector
+    on the same line."""
+    mult = lcm(*(x.denominator for x in v))
+    return [int(x * mult) for x in v]
 
 
 def dense_det(rows):

@@ -385,7 +385,7 @@ def check_failed_line(capsys, *argv):
 def test_failed_kernel_check_is_one_line(capsys, monkeypatch):
     # one Vandermonde entry off by one: the truncated kernel is still one
     # vector, which the changed vector no longer spans; the line names the
-    # check and d and holds no vector
+    # check, d and the exact nullity, and holds no vector
     inner = incidence.vandermonde_coeff_vector
 
     def off_by_one(r, d):
@@ -394,8 +394,10 @@ def test_failed_kernel_check_is_one_line(capsys, monkeypatch):
         return CoeffVector(v.index, v.entries[:-1] + (v.entries[-1] + 1,))
 
     monkeypatch.setattr(incidence, "vandermonde_coeff_vector", off_by_one)
-    err = check_failed_line(capsys, "reproduce", "kernel", "--d", "6")
-    assert err.startswith("check failed: kernel theorem at d=6: ")
+    err = check_failed_line(capsys, "reproduce", "kernel", "--d", "4")
+    assert err == ("check failed: kernel theorem at d=4: the truncated kernel "
+                   "has dimension 1 and is not spanned by the Vandermonde "
+                   "vector\n")
 
 
 def test_failed_full_rank_is_one_line(capsys, monkeypatch):

@@ -20,6 +20,8 @@ from plovlab.symfun import vandermonde_coeff_vector, vandermonde_poly
 from oracles import (
     assemble_block_lower,
     bucket_echelon,
+    cleared,
+    dense_nullity,
     dense_nullspace,
     dense_rank,
     from_dense,
@@ -50,32 +52,46 @@ def test_rank_against_dense_oracle():
 
 
 def test_nullspace_spans_kernel():
+    # each vector of the oracle's kernel basis spans the kernel exactly
+    # when the nullity is one
     rng = Random(23)
+    nullities = set()
     for _ in range(40):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 7)
         m = random_matrix(rng, nrows, ncols)
-        basis = nullspace_basis(m)
-        assert len(basis) == ncols - matrix_rank(m)
-        for v in basis:
-            assert all(x == 0 for x in m.matvec(v))
-        oracle = dense_nullspace(m.to_dense(), ncols)
-        assert len(basis) == len(oracle)
+        oracle = [cleared(x) for x in dense_nullspace(m.to_dense(), ncols)]
+        nullities.add(min(len(oracle), 2))
+        for x in oracle:
+            assert not any(m.matvec(x))
+            expected = [exactmat._primitive(x)] if len(oracle) == 1 else []
+            assert nullspace_basis(m, x) == expected
+    assert nullities == {0, 1, 2}
 
 
-def test_nullspace_normalization():
-    m = from_dense([[1, 1]])
-    basis = nullspace_basis(m)
-    assert basis == [[1, -1]]
+def test_nullspace_normalization(monkeypatch):
+    # the candidate is divided by the gcd of its entries and its first
+    # nonzero entry made positive; 80-bit entries, far above any lift
+    # bound, need no lift and no prime but the word prime
+    assert nullspace_basis(from_dense([[1, 1]]), [-3, 3]) == [[1, -1]]
+    rng = Random(3)
+    a, b = rng.getrandbits(80) | 1 << 79, rng.getrandbits(80) | 1 << 79
+    while gcd(a, b) != 1:
+        b += 1
+    echelons = count_calls(monkeypatch, "_modular_echelon")
+    assert nullspace_basis(from_dense([[a, -b]]), [-2 * b, -2 * a]) == [[b, a]]
+    assert [args[2] for args in echelons] == [2**30 - 35]
 
 
 def test_degenerate_shapes():
+    # a 0 x 3 matrix has nullity 3, so no vector spans its kernel; a 3 x 0
+    # matrix has no nonzero vector
     wide = from_rows(0, 3, [])
     assert matrix_rank(wide) == 0
-    assert len(nullspace_basis(wide)) == 3
+    assert nullspace_basis(wide, [1, 0, 0]) == []
     tall = from_rows(3, 0, [{}, {}, {}])
     assert matrix_rank(tall) == 0
-    assert nullspace_basis(tall) == []
+    assert nullspace_basis(tall, []) == []
 
 
 def test_exact_matrix_rejects_bad_shape():
@@ -172,13 +188,16 @@ def count_calls(monkeypatch, name):
 
 
 def test_fallback_when_every_prime_divides(monkeypatch):
-    # w * p1 * p2 vanishes mod every prime, so none certifies rank 2
+    # w * p1 * p2 vanishes mod every prime, so none certifies rank 2; with a
+    # third column, a kernel candidate's word prime bound falls short too,
+    # and the fraction-free rank certifies it
     w, p1, p2 = exactmat._PRIMES
     m = from_dense([[w * p1 * p2, 0], [0, 1]])
     calls = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 2
     assert len(calls) == 1
-    assert nullspace_basis(m) == []
+    m = from_dense([[w * p1 * p2, 0, 0], [0, 1, -1]])
+    assert nullspace_basis(m, [0, 3, 3]) == [[0, 1, 1]]
     assert len(calls) == 2
 
 
@@ -192,29 +211,6 @@ def test_rank_escalates_from_the_word_prime(monkeypatch):
     assert matrix_rank(m) == 2
     assert [args[2] for args in echelons] == [w, p1]
     assert fallbacks == []
-
-
-def test_escalation_to_the_second_prime(monkeypatch):
-    # the kernel of [a, -b] is (b, a); 80-bit entries do not lift mod
-    # 2^127 - 1 but do mod 2^521 - 1
-    rng = Random(3)
-    a, b = rng.getrandbits(80) | 1 << 79, rng.getrandbits(80) | 1 << 79
-    while gcd(a, b) != 1:
-        b += 1
-    _, p1, p2 = exactmat._PRIMES
-    m = from_dense([[a, -b]])
-    calls = count_calls(monkeypatch, "_row_reduce")
-    assert matrix_rank(m) == 1
-    echelons = count_calls(monkeypatch, "_modular_echelon")
-    assert nullspace_basis(m) == [[b, a]]
-    assert [args[2] for args in echelons] == [p1, p2]
-    assert calls == []
-    # with p1 the nullspace's last prime, its failed lift falls back
-    monkeypatch.setattr(exactmat, "_PRIMES", exactmat._PRIMES[:2])
-    echelons.clear()
-    assert nullspace_basis(m) == [[b, a]]
-    assert [args[2] for args in echelons] == [p1]
-    assert len(calls) == 1
 
 
 def test_rank_escalates_on_the_left_kernel(monkeypatch):
@@ -254,7 +250,7 @@ def test_table2_rank_lifts_one_left_kernel_vector(monkeypatch):
 def test_kernel_is_certified_by_the_word_prime_rank(monkeypatch):
     # the Vandermonde vector is the candidate: one echelon mod the word
     # prime 2^30 - 35 gives rank ncols - 1, and the exact product is zero,
-    # so nothing is eliminated mod 2^127 - 1 and nothing falls back
+    # so no other prime is tried and nothing falls back
     echelons = count_calls(monkeypatch, "_modular_echelon")
     fallbacks = count_calls(monkeypatch, "_row_reduce")
     assert verify_kernel_dim_one(6)["nullity"] == 1  # CheckFailed otherwise
@@ -272,56 +268,62 @@ def kernel_matrix(d):
 
 
 def test_candidate_certifies_nullity_one(monkeypatch):
+    # one echelon mod the word prime and no call of the exact rank
     sub, v = kernel_matrix(4)
+    assert dense_nullity(sub.to_dense(), sub.ncols) == 1
     echelons = count_calls(monkeypatch, "_modular_echelon")
+    ranks = count_calls(monkeypatch, "matrix_rank")
     basis = nullspace_basis(sub, [-3 * x for x in v])
+    assert basis == [exactmat._primitive(v)]
     assert [args[2] for args in echelons] == [2**30 - 35]
-    echelons.clear()
-    assert basis == nullspace_basis(sub) == [exactmat._primitive(v)]
-    assert [args[2] for args in echelons] == [2**127 - 1]
+    assert ranks == []
 
 
 def test_wrong_candidate_fails_the_exact_product(monkeypatch):
     # one entry of v off by one: the product is nonzero, so the candidate
-    # is dropped before any echelon and the nullspace starts at 2^127 - 1
+    # is rejected before any echelon
     sub, v = kernel_matrix(4)
     i = next(i for i, x in enumerate(v) if x)
     wrong = v[:i] + [v[i] + 1] + v[i + 1:]
     assert any(sub.matvec(wrong))
     echelons = count_calls(monkeypatch, "_modular_echelon")
-    assert nullspace_basis(sub, wrong) == [exactmat._primitive(v)]
-    assert [args[2] for args in echelons] == [2**127 - 1]
+    assert nullspace_basis(sub, wrong) == []
+    assert echelons == []
 
 
 def test_low_rank_candidate_takes_the_fallback(monkeypatch):
     # rank 1 of 3 columns: (1, 1, 0) is a kernel vector, but the word
-    # prime rank falls one short of ncols - 1, so the basis is computed
+    # prime bound falls one short of ncols - 1, and so does the exact rank,
+    # certified at once by the one nonzero row: the nullity is 2
     m = from_dense([[1, -1, 0]])
     echelons = count_calls(monkeypatch, "_modular_echelon")
-    basis = nullspace_basis(m, [1, 1, 0])
-    assert [args[2] for args in echelons] == [2**30 - 35, 2**127 - 1]
-    assert basis == nullspace_basis(m) == [[1, 1, 0], [0, 0, 1]]
+    assert nullspace_basis(m, [1, 1, 0]) == []
+    assert [args[2] for args in echelons] == [2**30 - 35] * 2
 
 
 def test_word_prime_rank_deficit_takes_the_fallback(monkeypatch):
     # rank 2 of 3 columns over Q, but w vanishes mod the word prime, where
-    # the rank is 1: the bound certifies nothing, and the candidate is
-    # checked by the usual route
+    # the rank is 1: the bound certifies nothing, and the exact rank,
+    # which escalates to 2^127 - 1, certifies the candidate
     w = exactmat._PRIMES[0]
     m = from_dense([[w, 0, 0], [0, 1, -1]])
     echelons = count_calls(monkeypatch, "_modular_echelon")
+    ranks = count_calls(monkeypatch, "matrix_rank")
     assert nullspace_basis(m, [0, 2, 2]) == [[0, 1, 1]]
-    assert [args[2] for args in echelons] == [w, 2**127 - 1]
+    assert [args[2] for args in echelons] == [w, w, 2**127 - 1]
+    assert len(ranks) == 1
 
 
 def test_candidate_shapes():
     # 0 x 1: the whole line is the kernel; n x 0: no nonzero candidate;
-    # a wrong length raises; a Fraction entry is not an int
+    # a wrong length raises, the zero vector included; a Fraction entry is
+    # not an int
     assert nullspace_basis(from_rows(0, 1, []), [-4]) == [[1]]
     tall = from_rows(2, 0, [{}, {}])
     assert nullspace_basis(tall, []) == []
-    with pytest.raises(ValueError):
-        nullspace_basis(from_dense([[1, 1]]), [1, -1, 0])
+    for wrong in ([1, -1, 0], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            nullspace_basis(from_dense([[1, 1]]), wrong)
     with pytest.raises(TypeError):
         nullspace_basis(from_dense([[1, 1]]), [Fraction(1), -1])
 
@@ -413,8 +415,9 @@ def test_echelon_matches_bucket_echelon_on_table2_cells():
 
 
 def test_echelon_matches_bucket_echelon_on_kernel_matrices():
-    # the rows mod 2^127 - 1, as the nullspace eliminates them, and the
-    # transpose mod the word prime, as the candidate's rank bound does
+    # the rows mod 2^127 - 1, whose one lifted vector is the Vandermonde
+    # vector, and the transpose mod the word prime, as the candidate's
+    # rank bound eliminates it
     for d in range(2, 7):
         sub, v = kernel_matrix(d)
         rows = exactmat._integer_rows(sub)
@@ -436,15 +439,16 @@ def test_row_order_leaves_rank_kernel_and_pivots_unchanged():
              [0, 0, -1, 1, 2, 1],
              [1, 0, 5, 0, 0, 2],
              [1, 2, 0, 0, 1, 0]]
-    rank, basis = matrix_rank(from_dense(dense)), nullspace_basis(from_dense(dense))
-    assert rank == dense_rank(dense) == 5 and len(basis) == 1
+    m, x = from_dense(dense), cleared(dense_nullspace(dense, 6)[0])
+    rank, basis = matrix_rank(m), nullspace_basis(m, x)
+    assert rank == dense_rank(dense) == 5 and basis == [exactmat._primitive(x)]
     rows = [dict(enumerate(r)) for r in dense]
     pivot_cols = [c for c, _ in exactmat._modular_echelon(rows, 6, WORD)]
     rng = Random(41)
     for _ in range(40):
         rng.shuffle(dense)
         m = from_dense(dense)
-        assert matrix_rank(m) == rank and nullspace_basis(m) == basis
+        assert matrix_rank(m) == rank and nullspace_basis(m, x) == basis
         rows = [dict(enumerate(r)) for r in dense]
         for p in (WORD, MERSENNE):
             assert [c for c, _ in exactmat._modular_echelon(rows, 6, p)] == pivot_cols

@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
     TWISTS,
     action_matrix,
+    cleared,
     closed_form,
     coeff_vector_poly,
+    dense_nullity,
+    dense_nullspace,
     direct_sum,
     distinct_permutations_by_sorting,
     from_dense,
@@ -37,7 +40,7 @@ from plovlab.dynamics import (  # noqa: E402
 )
 from plovlab.exactmat import (  # noqa: E402
     SparseMultiPoly,
-    _exact_kernel,
+    _primitive,
     _row_reduce,
     matrix_rank,
     nullspace_basis,
@@ -85,8 +88,8 @@ def test_rank_invariant_under_permutations(case):
 @st.composite
 def sparse_integer_matrix(draw):
     """Mostly zeros; some entries vanish mod the word prime 2^30 - 35, where
-    the rank starts, or mod 2^127 - 1, where the nullspace starts, so that
-    each has to escalate."""
+    the rank starts, or mod 2^127 - 1, its next prime, so that it has to
+    escalate or fall back."""
     nrows = draw(st.integers(0, 7))
     ncols = draw(st.integers(0, 7))
     entry = st.one_of(
@@ -103,9 +106,7 @@ def sparse_integer_matrix(draw):
 @SMALL
 @given(sparse_integer_matrix())
 def test_modular_rank_matches_fraction_free(m):
-    pivots = _row_reduce(m)
-    assert matrix_rank(m) == len(pivots)
-    assert nullspace_basis(m) == _exact_kernel(pivots, m.ncols)
+    assert matrix_rank(m) == len(_row_reduce(m))
 
 
 @st.composite
@@ -144,27 +145,44 @@ def test_rank_of_transpose_matches_fraction_free(m):
 @st.composite
 def matrix_and_candidate(draw):
     """A matrix of any nullity and shape, with a candidate kernel vector: a
-    combination of its kernel basis times +-k, a random vector or zero."""
+    combination of the oracle's kernel basis cleared to integers, times
+    +-k, a random vector or zero.  Half of the matrices with a kernel get
+    rows that leave only the line of one kernel vector u: for a p with
+    u_p != 0, the rows s (u_p e_i - u_i e_p) vanish on u's line alone.  The
+    scale s is 1 or the word prime 2^30 - 35, where the rows vanish and
+    the word prime rank bound falls short more often."""
     m = draw(shaped_integer_matrix())
+    basis = dense_nullspace(m.to_dense(), m.ncols)
+    if basis and draw(st.booleans()):
+        u = cleared(basis[0])
+        p = next(i for i, v in enumerate(u) if v)
+        s = draw(st.sampled_from((1, 2**30 - 35)))
+        extra = [{i: s * u[p], p: -s * u[i]} for i in range(m.ncols) if i != p]
+        m = from_rows(m.nrows + len(extra), m.ncols,
+                      [dict(row) for row in m.rows] + extra)
+        basis = dense_nullspace(m.to_dense(), m.ncols)
     kind = draw(st.sampled_from(("kernel", "random", "zero")))
     if kind == "zero":
         return m, [0] * m.ncols
     if kind == "random":
         return m, draw(st.lists(st.integers(-4, 4), min_size=m.ncols,
                                 max_size=m.ncols))
-    basis = nullspace_basis(m)
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis),
                            max_size=len(basis)))
     k = draw(st.sampled_from((1, -1))) * draw(st.integers(1, 5))
-    return m, [k * sum(c * x[j] for c, x in zip(coeffs, basis))
-               for j in range(m.ncols)]
+    return m, [k * v for v in cleared(
+        [sum(c * x[j] for c, x in zip(coeffs, basis)) for j in range(m.ncols)])]
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrix_and_candidate())
-def test_candidate_changes_only_the_speed(case):
-    m, candidate = case
-    assert nullspace_basis(m, candidate) == nullspace_basis(m)
+def test_nullspace_basis_matches_dense_nullity(case):
+    # the candidate spans the kernel exactly when it is a nonzero kernel
+    # vector and the nullity is one
+    m, x = case
+    spans = (any(x) and not any(m.matvec(x))
+             and dense_nullity(m.to_dense(), m.ncols) == 1)
+    assert nullspace_basis(m, x) == ([_primitive(x)] if spans else [])
 
 
 @st.composite

@@ -335,3 +335,30 @@ def test_test_import_is_reported():
     assert [(line, m) for line, m in absolute_imports(tree)
             if m in TEST_MODULES] == [
         (1, "oracles"), (2, "tests"), (3, "oracles"), (4, "tests")]
+
+
+def fraction_importers(modules: dict[str, ast.Module]) -> list[str]:
+    """The modules that import ``fractions``, plainly or from it."""
+    return sorted(name for name, tree in modules.items()
+                  if any(module == "fractions"
+                         for _, module in absolute_imports(tree)))
+
+
+def test_only_true_ratios_import_fractions():
+    # every matrix is an integer matrix: Fraction stays where a value is a
+    # true ratio, the w-table and the volume polynomial (dynamics) and the
+    # symmetric-function coefficients (symfun)
+    modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert fraction_importers(modules) == ["dynamics", "symfun"]
+
+
+def test_fraction_importer_is_reported():
+    # a plain and a from-import of fractions are found, dotted or aliased;
+    # another module and a name merely called Fraction are not
+    trees = {"plain": "import fractions as f\n",
+             "from": "from fractions import Fraction\n",
+             "other": "from math import gcd\nFraction = int\n",
+             "relative": "from .fractions import Fraction\n"}
+    assert fraction_importers({name: ast.parse(text)
+                               for name, text in trees.items()}) == [
+        "from", "plain"]
