@@ -191,8 +191,6 @@ def _reproduce_table1(args, started):
         "col_labels_match": _first_label("table1 column", full.col_set,
                                          golden.TABLE1_COLS),
         "entries_match": _first_cell("table1", full, entries),
-        "diagonal_blocks_match": None if bf.reassembles else (
-            "table1: diagonal blocks differ from A_{6,3,6} and A_{5,4,12}"),
         "sub_block_A536": _first_cell("table1 dashed A_{5,3,6}", sub_536, dashed1),
         "sub_block_A537": _first_cell("table1 dashed A_{5,3,7}", sub_537, dashed2),
     }

@@ -24,7 +24,7 @@ from math import comb, factorial, gcd, lcm
 from operator import add, index, mul, sub
 from random import Random
 
-from .exactmat import CheckFailed, Record
+from .exactmat import CheckFailed
 from .incidence import build_incidence, kappa_of
 from .partitions import CoeffVector, Partition, format_partition, partition_set
 from .symfun import hilbert_product
@@ -468,16 +468,9 @@ def delta_polynomial(model) -> tuple[Fraction, ...]:
     return prep["delta"]
 
 
-class DistinguishedPartition(Record):
-    __slots__ = _fields = ("t", "kappa")
-
-    def __init__(self, t: tuple[int, ...], kappa: Partition):
-        self._set(t, kappa)
-
-
-def find_distinguished_kappa(model) -> DistinguishedPartition:
-    """The positive tuple t with w positive at kappa(t) and vanishing above
-    it.
+def find_distinguished_kappa(model) -> tuple[tuple[int, ...], Partition]:
+    """(t, kappa(t)) for the positive tuple t with w positive at kappa(t)
+    and vanishing above it.
 
     Such a kappa(t) is the lex-largest partition with parts at most k in the
     support of w, so it is read off the top of the table: t_j counts the
@@ -513,7 +506,7 @@ def find_distinguished_kappa(model) -> DistinguishedPartition:
         raise ModelError(f"boundedness violated: {weighted}")
     if t[r] > (d - r + 1) // 2:
         raise ModelError(f"t_r = {t[r]} above floor((d-r+1)/2)")
-    return DistinguishedPartition(t, kappa)
+    return t, kappa
 
 
 def check_principles(d: int, k: int, plov: int) -> bool:
@@ -666,9 +659,9 @@ def run_pipeline(model: AbelianSurrogate) -> dict:
         if k >= 2:
             # kappa first: its intersect certificate names a wrong w_kappa
             # before the linear systems that read it
-            dist = find_distinguished_kappa(model)
-            report["kappa"] = format_partition(dist.kappa)
-            report["t"] = list(dist.t)
+            t, kappa = find_distinguished_kappa(model)
+            report["kappa"] = format_partition(kappa)
+            report["t"] = list(t)
             for n in range(1, d * k + 1):
                 verify_linear_system(model, n)
         if k == 2 * d - 2:

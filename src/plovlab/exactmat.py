@@ -51,16 +51,23 @@ Entry = tuple[int, int]
 class Record:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``_fields``, lists them in ``__slots__``
-    and stores them with ``_set`` from its ``__init__``.  Two records of the
-    same class are equal, and hash alike, when their fields are equal.
-    Assigning or deleting an attribute raises AttributeError.
+    A subclass names its fields in ``_fields`` and lists them in
+    ``__slots__``; the constructor takes one value per field, in that order,
+    and raises TypeError naming the fields on any other count.  A subclass
+    defines ``__init__`` only to check its values before calling this one.
+    Two records of the same class are equal, and hash alike, when their
+    fields are equal.  Assigning or deleting an attribute raises
+    AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _set(self, *values) -> None:
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"({', '.join(self._fields)}), got {len(values)} "
+                            f"values")
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
@@ -102,7 +109,7 @@ class ExactMatrix(Record):
     def __init__(self, ncols: int, rows: tuple[tuple[Entry, ...], ...]):
         if ncols < 0:
             raise ValueError("negative column count")
-        self._set(ncols, rows)
+        super().__init__(ncols, rows)
 
     @property
     def nrows(self) -> int:
@@ -388,6 +395,3 @@ class SparseMultiPoly(Record):
     reads its terms; it carries no arithmetic."""
 
     __slots__ = _fields = ("arity", "terms")
-
-    def __init__(self, arity: int, terms: dict):
-        self._set(arity, terms)

@@ -16,8 +16,7 @@ from math import factorial, prod
 
 from .exactmat import (CheckFailed, ExactMatrix, Record, matrix_rank,
                        nullspace_basis)
-from .partitions import (Partition, PartitionSet, count, format_partition,
-                         partition_set)
+from .partitions import Partition, count, format_partition, partition_set
 from .symfun import vandermonde_coeff_vector
 
 
@@ -26,10 +25,6 @@ class IncidenceMatrix(Record):
     hold k, d and n."""
 
     __slots__ = _fields = ("row_set", "col_set", "data")
-
-    def __init__(self, row_set: PartitionSet, col_set: PartitionSet,
-                 data: ExactMatrix):
-        self._set(row_set, col_set, data)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -41,8 +36,6 @@ def build_incidence(k: int, d: int, n: int) -> IncidenceMatrix:
     Row mu raises the first part equal to each distinct part i < k, with
     weight the multiplicity of i; an earlier part gives a lex-larger column,
     so each row comes out sorted.  At k = 0 the matrix is zero."""
-    if k < 0 or d < 1:
-        raise ValueError("k must be nonnegative and d positive")
     row_set = partition_set(k, d, n - 1)
     col_set = partition_set(k, d, n)
     col = col_set.index_of
@@ -71,16 +64,10 @@ def truncate_columns(
 
 class BlockForm(Record):
     """`full` is A_{k,d,n}; `top_left` and `bottom_right` are A_{k,d-1,n-k}
-    and A_{k-1,d,n}, and `reassembles` says whether the diagonal blocks of
-    `full` equal them; `bottom_left` is its bottom-left block."""
+    and A_{k-1,d,n}, which `block_form` checked against its diagonal
+    blocks."""
 
-    __slots__ = _fields = ("full", "top_left", "bottom_right", "bottom_left",
-                           "reassembles")
-
-    def __init__(self, full: IncidenceMatrix, top_left: IncidenceMatrix,
-                 bottom_right: IncidenceMatrix, bottom_left: ExactMatrix,
-                 reassembles: bool):
-        self._set(full, top_left, bottom_right, bottom_left, reassembles)
+    __slots__ = _fields = ("full", "top_left", "bottom_right")
 
 
 def block_form(k: int, d: int, n: int) -> BlockForm:
@@ -89,25 +76,23 @@ def block_form(k: int, d: int, n: int) -> BlockForm:
     In decreasing lex order the prepend-k partitions come first, and they
     are P(k,d-1,n-1-k) and P(k,d-1,n-k) with k prepended, so the grouping is
     one cut of A_{k,d,n} at the shape of A_{k,d-1,n-k}.  Raises CheckFailed
-    unless the top-right block is identically zero, and reports whether the
-    diagonal blocks equal A_{k,d-1,n-k} and A_{k-1,d,n}; A_{k,d,n} is `full`.
+    unless the top-right block is identically zero and the diagonal blocks
+    equal A_{k,d-1,n-k} and A_{k-1,d,n}.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
     full = build_incidence(k, d, n)
     top_left = build_incidence(k, d - 1, n - k)
     bottom_right = build_incidence(k - 1, d, n)
-    tl, tr, bl, br = full.data.blocks(*top_left.shape)
+    tl, tr, _, br = full.data.blocks(*top_left.shape)
     if any(tr.rows):
         raise CheckFailed(f"block form: nonzero top-right block in "
                           f"A_{{{k},{d},{n}}}")
-    return BlockForm(
-        full=full,
-        top_left=top_left,
-        bottom_right=bottom_right,
-        bottom_left=bl,
-        reassembles=tl == top_left.data and br == bottom_right.data,
-    )
+    if tl != top_left.data or br != bottom_right.data:
+        raise CheckFailed(
+            f"block form: diagonal blocks of A_{{{k},{d},{n}}} differ from "
+            f"A_{{{k},{d - 1},{n - k}}} and A_{{{k - 1},{d},{n}}}")
+    return BlockForm(full, top_left, bottom_right)
 
 
 def verify_full_rank(k: int, d: int, n: int) -> None:

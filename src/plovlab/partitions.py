@@ -46,9 +46,6 @@ class PartitionSet(Record):
     _fields = ("k", "d", "n", "members")
     __slots__ = _fields + ("_idx",)
 
-    def __init__(self, k: int, d: int, n: int, members: tuple[Partition, ...]):
-        self._set(k, d, n, members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -83,7 +80,7 @@ class CoeffVector(Record):
     def __init__(self, index: PartitionSet, entries: tuple):
         if len(entries) != len(index):
             raise ValueError("entry count must match the index set")
-        self._set(index, entries)
+        super().__init__(index, entries)
 
     def __getitem__(self, lam: Partition):
         return self.entries[self.index.index_of(lam)]

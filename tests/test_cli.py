@@ -225,17 +225,18 @@ TRUNCATED_CELL = ("reproduce", "table2", "--truncate", "2,1,1,1,1,1", "--n")
 # sha256 of the --deterministic stdout of each command, taken before the
 # incidence rows were built directly, without probing every part with bump;
 # table1's JSON hash was taken again after its constant "top_right_zero"
-# field was dropped; the plov, scan and fullrank hashes were taken after
-# their always-true "pass", "parity", "gap" and "upper_bound" fields and
-# fullrank's always-empty "failures" left the reports, and kernel --d 4 is
-# its KERNEL_SHA256 pin
+# field was dropped, and again after its constant "diagonal_blocks_match"
+# was, since block_form raises on a wrong diagonal block; the plov, scan and
+# fullrank hashes were taken after their always-true "pass", "parity", "gap"
+# and "upper_bound" fields and fullrank's always-empty "failures" left the
+# reports, and kernel --d 4 is its KERNEL_SHA256 pin
 REPORT_SHA256 = {
     ("reproduce", "matrix-examples"):
         "189506b29e7d751610e21bea55f22b9bbd5cbbe6a7fa569b6a15e7bbd3abcd03",
     ("reproduce", "matrix-examples", "--format", "csv"):
         "dc08b5d5324808d3f91521afa8939fb9ec3fbb2ebd575caeebee9218d9df1452",
     ("reproduce", "table1"):
-        "a67e147fa6bcf24ecc4690752ae0a076677121d3888d7ad9a3032bdc53179d8a",
+        "577d5cbf40e491b358e1194d6f4b821e85638b60f5cd14c3eef225cf15ea5d29",
     ("reproduce", "table1", "--format", "csv"):
         "ee7bb0d902b73dc9093d0544dc80201ef2041c8ccc5fee6428be644cfe1f2585",
     TRUNCATED_CELL + ("30",):
@@ -424,6 +425,23 @@ def test_failed_block_form_is_one_line(capsys, monkeypatch):
     err = check_failed_line(capsys, "reproduce", "table1", "--deterministic")
     assert err == ("check failed: block form: nonzero top-right block in "
                    "A_{6,4,12}\n")
+
+
+def test_wrong_diagonal_block_is_one_line(capsys, monkeypatch):
+    # a top-left block of A_{6,4,12} other than A_{6,3,6} fails Table 1's
+    # block form
+    inner = ExactMatrix.blocks
+
+    def corrupted(self, i, j):
+        tl, tr, bl, br = inner(self, i, j)
+        if tl.nrows and tl.ncols:
+            tl = from_rows(tl.nrows, tl.ncols, [{0: 7}] + [{}] * (tl.nrows - 1))
+        return tl, tr, bl, br
+
+    monkeypatch.setattr(ExactMatrix, "blocks", corrupted)
+    err = check_failed_line(capsys, "reproduce", "table1", "--deterministic")
+    assert err == ("check failed: block form: diagonal blocks of A_{6,4,12} "
+                   "differ from A_{6,3,6} and A_{5,4,12}\n")
 
 
 @pytest.mark.parametrize("argv, name, change, line", [

@@ -550,13 +550,9 @@ def test_delta_polynomial_identity_action():
 
 def test_find_distinguished_kappa():
     m = AbelianSurrogate(jordan_matrix((4,)), jordan=(4,))
-    dist = find_distinguished_kappa(m)
-    assert dist.t == (1, 1, 1, 1)
-    assert dist.kappa == (6, 4, 2, 0)
+    assert find_distinguished_kappa(m) == ((1, 1, 1, 1), (6, 4, 2, 0))
     m2 = AbelianSurrogate(jordan_matrix((3, 1)), jordan=(3, 1))
-    dist2 = find_distinguished_kappa(m2)
-    assert dist2.t == (2, 1, 1)
-    assert dist2.kappa == (4, 2, 0, 0)
+    assert find_distinguished_kappa(m2) == ((2, 1, 1), (4, 2, 0, 0))
 
 
 def test_find_distinguished_kappa_k0_error():

@@ -57,8 +57,9 @@ def test_table1_nullity():
 
 
 def test_block_form_table1():
-    bf = block_form(6, 4, 12)  # CheckFailed on a nonzero top-right block
-    assert bf.reassembles
+    # returns without raising: the top-right block is zero and the diagonal
+    # blocks are A_{6,3,6} and A_{5,4,12}
+    bf = block_form(6, 4, 12)
     assert bf.top_left.shape == (5, 7)
     assert bf.bottom_right.shape == (11, 11)
 
@@ -67,8 +68,9 @@ def test_block_form_small_cases():
     for k in range(1, 5):
         for d in range(2, 5):
             for n in range(1, d * k + 1):
-                # CheckFailed on a nonzero top-right block
-                assert block_form(k, d, n).reassembles
+                # returns without raising: CheckFailed on a nonzero
+                # top-right block or a wrong diagonal block
+                block_form(k, d, n)
 
 
 def test_full_rank_matches_oracle():
@@ -220,8 +222,9 @@ def test_block_nullity_formula_on_incidence():
         for d in range(2, 4):
             for n in range(k + 2, d * k + 1):
                 bf = block_form(k, d, n)
+                bottom_left = bf.full.data.blocks(*bf.top_left.shape)[2]
                 rep = block_nullity_formula(
-                    bf.top_left.data, bf.bottom_left, bf.bottom_right.data)
+                    bf.top_left.data, bottom_left, bf.bottom_right.data)
                 assert rep["pass"]
 
 

@@ -1,6 +1,9 @@
 import pytest
 
+from plovlab.exactmat import ExactMatrix
+from plovlab.incidence import BlockForm
 from plovlab.partitions import (
+    PartitionSet,
     count,
     enumerate_partitions,
     format_partition,
@@ -84,6 +87,15 @@ def test_partition_set_is_a_value():
     assert a != partition_set(5, 3, 7)
     with pytest.raises(AttributeError):
         a.members = ()
+    # one value per field: Record's constructor names the fields, and a
+    # checking __init__ such as ExactMatrix's has the fields as parameters
+    with pytest.raises(TypeError, match=r"\(k, d, n, members\), got 3"):
+        PartitionSet(1, 2, 3)
+    with pytest.raises(TypeError):
+        ExactMatrix(2, (), ())
+    with pytest.raises(TypeError,
+                       match=r"\(full, top_left, bottom_right\), got 1"):
+        BlockForm(a)
 
 
 def test_index_of():

@@ -130,6 +130,58 @@ def test_uncalled_definition_is_reported():
         "m.Base.unused", "m.Child.also_unused", "m.Hooked", "m.helper"]
 
 
+def store_only_inits(modules: dict[str, ast.Module]) -> list[str]:
+    """The qualified name of each subclass of ``Record``, directly or
+    through another class of the modules, that defines ``__init__`` with no
+    ``raise`` in its body: such an ``__init__`` only stores its arguments,
+    which ``Record``'s own constructor does."""
+    classes = [(f"{module}.{node.name}", node) for module, tree in modules.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for _, node in classes}
+
+    def is_record(name):
+        return any(base == "Record" or is_record(base)
+                   for base in bases.get(name, ()))
+
+    return sorted(
+        name for name, node in classes if is_record(node.name)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                and not any(isinstance(n, ast.Raise) for n in ast.walk(item))
+                for item in node.body))
+
+
+def test_records_define_init_only_to_check():
+    # Record's constructor stores the fields; a subclass's __init__ exists
+    # only to reject bad values before calling it
+    modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert store_only_inits(modules) == []
+
+
+def test_store_only_init_is_reported():
+    # a store-only __init__ is found, on a direct or an indirect subclass; a
+    # checking __init__, a record without one and another class are not
+    tree = ast.parse("class Record:\n"
+                     "    def __init__(self, *values): pass\n"
+                     "class Stored(Record):\n"
+                     "    def __init__(self, a, b):\n"
+                     "        super().__init__(a, b)\n"
+                     "class Checked(Record):\n"
+                     "    def __init__(self, a):\n"
+                     "        if a < 0:\n"
+                     "            raise ValueError('negative')\n"
+                     "        super().__init__(a)\n"
+                     "class Plain(Record):\n"
+                     "    _fields = ('a',)\n"
+                     "class Deeper(Checked):\n"
+                     "    def __init__(self, a):\n"
+                     "        super().__init__(a)\n"
+                     "class Other:\n"
+                     "    def __init__(self, a):\n"
+                     "        self.a = a\n")
+    assert store_only_inits({"m": tree}) == ["m.Deeper", "m.Stored"]
+
+
 def assertion_error_uses(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, "raise" or "except") of each raise of AssertionError, bare or
     called, and of each handler that catches it, alone or in a tuple."""
