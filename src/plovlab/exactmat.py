@@ -18,9 +18,9 @@ f, the left kernel vector with x_f = 1 and every other free entry 0 is
 solved mod p, lifted to integers over one common denominator by Wang's
 rational reconstruction, and checked exactly against every column of A.
 These vectors are independent, so they certify r.  A failed certificate
-escalates through the primes of ``_PRIMES`` and then falls back to the
-fraction-free ``_row_reduce``, which divides every updated row by the gcd
-of its entries.
+escalates through the primes of ``_PRIMES``; after the last one, the same
+elimination runs once more mod a Mersenne prime above the Hadamard bound of
+the rows, where the pivot count is the rank with no certificate.
 
 The rank starts at the word-size prime 2^30 - 35, where residues are
 one-digit ints and their products two-digit ints; a lifted vector there has
@@ -161,68 +161,34 @@ def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     return [col for col in cols if col]
 
 
-def _row_reduce(m: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
-    """Fraction-free elimination on the integer rows.
-
-    Rows are bucketed by leading column; at each column the pivot is the row
-    with the fewest nonzeros (ties by arrival order), and every other row
-    with that leading column is eliminated and re-bucketed.  Updated rows are
-    divided by their entry gcd.  Returns pivots as (col, row_dict) in
-    increasing column order.  ``_modular_echelon`` takes one row at a time
-    instead; this bucket scheme is kept as the independent exact fallback,
-    reached only when no prime of ``_PRIMES`` certifies.
-    """
-    buckets: dict[int, list[tuple[int, int, dict[int, int]]]] = {}
-    seq = 0
-
-    def insert(row: dict[int, int]):
-        nonlocal seq
-        lead = min(row)
-        buckets.setdefault(lead, []).append((len(row), seq, row))
-        seq += 1
-
-    for row in _integer_rows(m):
-        insert(row)
-
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for col in range(m.ncols):
-        group = buckets.pop(col, None)
-        if not group:
-            continue
-        group.sort(key=lambda t: (t[0], t[1]))
-        piv = group[0][2]
-        p = piv[col]
-        pivots.append((col, piv))
-        for _, _, r in group[1:]:
-            q = r[col]
-            new: dict[int, int] = {}
-            for c, v in r.items():
-                if c != col:
-                    new[c] = p * v
-            for c, v in piv.items():
-                if c == col:
-                    continue
-                w = new.get(c, 0) - q * v
-                if w:
-                    new[c] = w
-                else:
-                    new.pop(c, None)
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                insert(new)
-    return pivots
-
-
 # Primes of the modular path.  A kernel vector lifts when its entries and
 # their common denominator are at most isqrt(p // 2): about 2^14.5 for the
 # word-size prime 2^30 - 35, 2^63 for 2^127 - 1 and 2^260 for 2^521 - 1.
 # The rank starts at the word-size prime, and so does a kernel candidate's
 # rank bound.
 _PRIMES = (2**30 - 35, 2**127 - 1, 2**521 - 1)
+
+# The exponents e of the Mersenne primes 2^e - 1 above the last of
+# ``_PRIMES`` (OEIS A000043), from which the rank's last step takes its prime.
+_MERSENNE_EXPONENTS = (607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+                       11213, 19937, 21701, 23209, 44497, 86243, 110503,
+                       132049, 216091)
+
+
+def _hadamard_prime(rows: list[dict[int, int]]) -> int:
+    """The least Mersenne prime of ``_MERSENNE_EXPONENTS`` above the
+    Hadamard bound H = prod |row| of the integer rows.
+
+    Each row has sum v^2 < 2^b, b the bit length of that sum, so
+    H < 2^(B/2) for B the sum of the b; every e > ceil(B / 2) gives
+    2^e - 1 > H.  A bound above the table raises ValueError."""
+    half = (sum(sum(v * v for v in row.values()).bit_length()
+                for row in rows) + 1) // 2
+    for e in _MERSENNE_EXPONENTS:
+        if e > half:
+            return 2**e - 1
+    raise ValueError(f"Hadamard bound 2^{half} above every Mersenne prime "
+                     f"of the rank's table")
 
 
 def _modular_echelon(rows: list[dict[int, int]], ncols: int, p: int):
@@ -332,33 +298,32 @@ def _lift_kernel(
     return basis
 
 
-def _transposed_echelon(m: ExactMatrix):
-    """The transpose of m as integer rows, its column count (the nonzero
-    rows of m) and its echelon mod the word-size prime.  The pivot count is
-    the rank of m mod that prime, so it is at most the rank over Q."""
+def _transposed(m: ExactMatrix):
+    """The transpose of m as integer rows and its column count, the number
+    of nonzero rows of m."""
     rows = _integer_rows(m)
-    cols = _transpose(rows, m.ncols)
-    return cols, len(rows), _modular_echelon(cols, len(rows), _PRIMES[0])
+    return _transpose(rows, m.ncols), len(rows)
 
 
 def matrix_rank(m: ExactMatrix) -> int:
     """Exact rank over the rationals; deterministic.
 
-    Starts from ``_transposed_echelon``: r pivots mod p, r <= rank.  r = the
-    number of nonzero rows or of nonzero columns of m certifies r at once;
-    otherwise exactly checked left kernel vectors of m do.  A failed
-    certificate tries the next prime, and after the last one the
-    fraction-free path on m.
+    Eliminates the transpose mod each prime p of ``_PRIMES`` in turn: r
+    pivots mod p, r <= rank.  r = the number of nonzero rows or of nonzero
+    columns of m certifies r at once; otherwise exactly checked left kernel
+    vectors of m do.  When no p certifies, the transpose is eliminated once
+    more, mod ``_hadamard_prime``.  That prime exceeds every minor of m, by
+    Hadamard's inequality |det M| <= prod |row of M|, so no nonzero minor
+    vanishes mod it and its pivot count is the rank.  The certificate makes
+    a ladder prime's count exact; the bound makes the last prime's exact.
     """
-    cols, ncols, pivots = _transposed_echelon(m)
+    cols, ncols = _transposed(m)
     for p in _PRIMES:
-        if pivots is None:
-            pivots = _modular_echelon(cols, ncols, p)
+        pivots = _modular_echelon(cols, ncols, p)
         if (len(pivots) in (ncols, len(cols))
                 or _lift_kernel(cols, pivots, ncols, p) is not None):
             return len(pivots)
-        pivots = None
-    return len(_row_reduce(m))
+    return len(_modular_echelon(cols, ncols, _hadamard_prime(cols)))
 
 
 def nullspace_basis(m: ExactMatrix, candidate) -> list[list[int]]:
@@ -374,7 +339,8 @@ def nullspace_basis(m: ExactMatrix, candidate) -> list[list[int]]:
     """
     x = [index(v) for v in candidate]
     spans = (not any(m.matvec(x)) and any(x)
-             and (len(_transposed_echelon(m)[2]) == m.ncols - 1
+             and (len(_modular_echelon(*_transposed(m), _PRIMES[0]))
+                  == m.ncols - 1
                   or matrix_rank(m) == m.ncols - 1))
     return [_primitive(x)] if spans else []
 

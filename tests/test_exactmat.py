@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from random import Random
 
 import pytest
@@ -188,17 +188,30 @@ def count_calls(monkeypatch, name):
 
 
 def test_fallback_when_every_prime_divides(monkeypatch):
-    # w * p1 * p2 vanishes mod every prime, so none certifies rank 2; with a
-    # third column, a kernel candidate's word prime bound falls short too,
-    # and the fraction-free rank certifies it
+    # w * p1 * p2 vanishes mod every prime of the ladder, so none certifies
+    # rank 2, and the last step reads it mod 2^1279 - 1, the least Mersenne
+    # prime of the table above the Hadamard bound; with a third column, a
+    # kernel candidate's word prime bound falls short too, and the exact
+    # rank takes the same path
     w, p1, p2 = exactmat._PRIMES
     m = from_dense([[w * p1 * p2, 0], [0, 1]])
-    calls = count_calls(monkeypatch, "_row_reduce")
+    echelons = count_calls(monkeypatch, "_modular_echelon")
     assert matrix_rank(m) == 2
-    assert len(calls) == 1
+    p = echelons[-1][2]
+    assert [args[2] for args in echelons] == [w, p1, p2, 2**1279 - 1]
+    assert p * p > prod(sum(v * v for v in row) for row in m.to_dense())
     m = from_dense([[w * p1 * p2, 0, 0], [0, 1, -1]])
     assert nullspace_basis(m, [0, 3, 3]) == [[0, 1, 1]]
-    assert len(calls) == 2
+    assert [args[2] for args in echelons[4:]] == [w, w, p1, p2, p]
+
+
+def test_last_step_beyond_the_table_raises(monkeypatch):
+    # the Hadamard bound of the matrix above is about 2^679: a table that
+    # stops at 2^607 - 1 has no prime for it
+    w, p1, p2 = exactmat._PRIMES
+    monkeypatch.setattr(exactmat, "_MERSENNE_EXPONENTS", (607,))
+    with pytest.raises(ValueError, match="Hadamard bound 2"):
+        matrix_rank(from_dense([[w * p1 * p2, 0], [0, 1]]))
 
 
 def test_rank_escalates_from_the_word_prime(monkeypatch):
@@ -207,10 +220,8 @@ def test_rank_escalates_from_the_word_prime(monkeypatch):
     w, p1, _ = exactmat._PRIMES
     m = from_dense([[w, 0], [0, 1]])
     echelons = count_calls(monkeypatch, "_modular_echelon")
-    fallbacks = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 2
     assert [args[2] for args in echelons] == [w, p1]
-    assert fallbacks == []
 
 
 def test_rank_escalates_on_the_left_kernel(monkeypatch):
@@ -218,7 +229,8 @@ def test_rank_escalates_on_the_left_kernel(monkeypatch):
     # rank needs its left kernel (a, -b).  Its 80-bit entries are far above
     # the word prime's lift bound; mod 2^127 - 1 a smaller fraction matches
     # -a/b and only the exact check against the columns rejects it; the
-    # entries lift mod 2^521 - 1
+    # entries lift mod 2^521 - 1.  With the ladder cut there, the last step
+    # reads rank 1 mod 2^607 - 1, the first prime of the table
     rng = Random(3)
     a, b = rng.getrandbits(80) | 1 << 79, rng.getrandbits(80) | 1 << 79
     while gcd(a, b) != 1:
@@ -227,13 +239,11 @@ def test_rank_escalates_on_the_left_kernel(monkeypatch):
     assert exactmat._wang_denominator(-a * pow(b, -1, p1) % p1, p1, isqrt(p1 // 2))
     m = from_dense([[b, b], [a, a]])
     echelons = count_calls(monkeypatch, "_modular_echelon")
-    fallbacks = count_calls(monkeypatch, "_row_reduce")
     assert matrix_rank(m) == 1
     assert [args[2] for args in echelons] == [w, p1, p2]
-    assert fallbacks == []
     monkeypatch.setattr(exactmat, "_PRIMES", (w, p1))
     assert matrix_rank(m) == 1
-    assert len(fallbacks) == 1
+    assert [args[2] for args in echelons[3:]] == [w, p1, 2**607 - 1]
 
 
 def test_table2_rank_lifts_one_left_kernel_vector(monkeypatch):
@@ -241,21 +251,58 @@ def test_table2_rank_lifts_one_left_kernel_vector(monkeypatch):
     # certified by one elimination mod the word prime 2^30 - 35 and one
     # lifted vector
     echelons = count_calls(monkeypatch, "_modular_echelon")
-    fallbacks = count_calls(monkeypatch, "_row_reduce")
     assert nullity_truncated((2, 1, 1, 1, 1, 1), 1) == 4
     assert [args[2] for args in echelons] == [2**30 - 35]
-    assert fallbacks == []
 
 
 def test_kernel_is_certified_by_the_word_prime_rank(monkeypatch):
     # the Vandermonde vector is the candidate: one echelon mod the word
     # prime 2^30 - 35 gives rank ncols - 1, and the exact product is zero,
-    # so no other prime is tried and nothing falls back
+    # so no other prime is tried
     echelons = count_calls(monkeypatch, "_modular_echelon")
-    fallbacks = count_calls(monkeypatch, "_row_reduce")
     assert verify_kernel_dim_one(6)["nullity"] == 1  # CheckFailed otherwise
     assert [args[2] for args in echelons] == [2**30 - 35]
-    assert fallbacks == []
+
+
+def lucas_lehmer(e):
+    """Whether 2^e - 1 is prime, for an odd prime e."""
+    m, s = 2**e - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def test_mersenne_table_starts_above_the_ladder():
+    # the exponents increase from past the ladder's last prime 2^521 - 1
+    # through 216091 and are prime; the Lucas-Lehmer test rejects 2^e - 1
+    # at the primes e = 11 and 523
+    es = exactmat._MERSENNE_EXPONENTS
+    assert exactmat._PRIMES[-1] == 2**521 - 1 < 2**es[0] - 1
+    assert list(es) == sorted(set(es)) and es[-1] == 216091
+    assert all(e % q for e in es for q in range(2, isqrt(e) + 1))
+    assert lucas_lehmer(521) and not lucas_lehmer(11) and not lucas_lehmer(523)
+
+
+@pytest.mark.parametrize("e", [
+    e if e <= 4423 else pytest.param(e, marks=pytest.mark.extended)
+    for e in exactmat._MERSENNE_EXPONENTS if e <= 19937])
+def test_mersenne_exponent_gives_a_prime(e):
+    assert lucas_lehmer(e)
+
+
+def test_hadamard_prime_exceeds_every_minor():
+    # p^2 > prod sum v^2, which bounds the square of every minor, checked
+    # exactly on seeded rows whose Hadamard bound lies far above 2^607
+    rng = Random(5)
+    for nrows, bits in ((6, 200), (20, 64), (40, 90), (9, 400)):
+        rows = [{c: (rng.getrandbits(bits) | 1) * rng.choice((1, -1))
+                 for c in rng.sample(range(8), rng.randint(1, 8))}
+                for _ in range(nrows)]
+        bound = prod(sum(v * v for v in row.values()) for row in rows)
+        p = exactmat._hadamard_prime(rows)
+        e = p.bit_length()
+        assert e in exactmat._MERSENNE_EXPONENTS and p == 2**e - 1
+        assert bound.bit_length() > 2000 and p * p > bound
 
 
 def kernel_matrix(d):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
 import pytest
 
@@ -17,6 +18,7 @@ from oracles import (  # noqa: E402
     coeff_vector_poly,
     dense_nullity,
     dense_nullspace,
+    dense_rank,
     direct_sum,
     distinct_permutations_by_sorting,
     from_dense,
@@ -38,10 +40,10 @@ from plovlab.dynamics import (  # noqa: E402
     random_conjugate,
     random_unimodular,
 )
+from plovlab import exactmat  # noqa: E402
 from plovlab.exactmat import (  # noqa: E402
     SparseMultiPoly,
     _primitive,
-    _row_reduce,
     matrix_rank,
     nullspace_basis,
 )
@@ -89,7 +91,7 @@ def test_rank_invariant_under_permutations(case):
 def sparse_integer_matrix(draw):
     """Mostly zeros; some entries vanish mod the word prime 2^30 - 35, where
     the rank starts, or mod 2^127 - 1, its next prime, so that it has to
-    escalate or fall back."""
+    escalate."""
     nrows = draw(st.integers(0, 7))
     ncols = draw(st.integers(0, 7))
     entry = st.one_of(
@@ -105,8 +107,8 @@ def sparse_integer_matrix(draw):
 
 @SMALL
 @given(sparse_integer_matrix())
-def test_modular_rank_matches_fraction_free(m):
-    assert matrix_rank(m) == len(_row_reduce(m))
+def test_modular_rank_matches_dense_rank(m):
+    assert matrix_rank(m) == dense_rank(m.to_dense())
 
 
 @st.composite
@@ -138,8 +140,18 @@ def transpose(m):
 
 @settings(max_examples=80, deadline=None)
 @given(shaped_integer_matrix())
-def test_rank_of_transpose_matches_fraction_free(m):
-    assert matrix_rank(m) == matrix_rank(transpose(m)) == len(_row_reduce(m))
+def test_rank_of_transpose_matches_dense_rank(m):
+    assert (matrix_rank(m) == matrix_rank(transpose(m))
+            == dense_rank(m.to_dense()))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(sparse_integer_matrix(), shaped_integer_matrix()))
+def test_hadamard_prime_rank_matches_dense_rank(m):
+    # with no prime on the ladder, every rank is read mod the Mersenne prime
+    # above the Hadamard bound, with no certificate
+    with patch.object(exactmat, "_PRIMES", ()):
+        assert matrix_rank(m) == dense_rank(m.to_dense())
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Static checks on the library's source, parsed with ``ast``."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -387,6 +388,37 @@ def test_test_import_is_reported():
     assert [(line, m) for line, m in absolute_imports(tree)
             if m in TEST_MODULES] == [
         (1, "oracles"), (2, "tests"), (3, "oracles"), (4, "tests")]
+
+
+def non_stdlib_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, top-level module) of each absolute import from outside the
+    standard library."""
+    return [(line, module) for line, module in absolute_imports(tree)
+            if module not in sys.stdlib_module_names]
+
+
+def test_library_imports_only_the_standard_library():
+    # the runtime is stdlib-only: pyproject.toml declares no dependency,
+    # and no library module imports one
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.name}:{line} {module}"
+                  for line, module in non_stdlib_imports(parse(path))]
+    assert found == []
+
+
+def test_third_party_import_is_reported():
+    # plain, dotted, aliased and from-imports of a third-party module are
+    # found; the standard library, __future__ and a relative import are not
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path, numpy as np\n"
+                     "from sympy.matrices import Matrix\n"
+                     "from fractions import Fraction\n"
+                     "def f():\n"
+                     "    import gmpy2\n"
+                     "from . import exactmat\n")
+    assert non_stdlib_imports(tree) == [
+        (2, "numpy"), (3, "sympy"), (6, "gmpy2")]
 
 
 def fraction_importers(modules: dict[str, ast.Module]) -> list[str]:
