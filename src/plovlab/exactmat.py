@@ -35,7 +35,8 @@ The kernel theorem needs no basis: ``nullspace_basis`` certifies that a
 given int vector x spans the kernel.  It does when x is nonzero, m x is
 exactly zero and the transposed echelon mod the word-size prime has
 ncols - 1 pivots, with no lift at all; when that bound falls short, the
-exact rank decides.  Everything is exact; no floating point anywhere.
+exact rank decides, starting from that echelon.  Everything is exact; no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -305,6 +306,25 @@ def _transposed(m: ExactMatrix):
     return _transpose(rows, m.ncols), len(rows)
 
 
+def _rank(
+    cols: list[dict[int, int]],
+    ncols: int,
+    pivots: list[tuple[int, dict[int, int]]] | None = None,
+) -> int:
+    """``matrix_rank`` of the matrix whose transpose has the integer rows
+    cols, over ncols columns.  ``pivots``, when given, is the echelon of
+    cols mod the first prime of ``_PRIMES``, and is used in place of
+    eliminating them again there."""
+    for p in _PRIMES:
+        if pivots is None:
+            pivots = _modular_echelon(cols, ncols, p)
+        if (len(pivots) in (ncols, len(cols))
+                or _lift_kernel(cols, pivots, ncols, p) is not None):
+            return len(pivots)
+        pivots = None
+    return len(_modular_echelon(cols, ncols, _hadamard_prime(cols)))
+
+
 def matrix_rank(m: ExactMatrix) -> int:
     """Exact rank over the rationals; deterministic.
 
@@ -317,13 +337,7 @@ def matrix_rank(m: ExactMatrix) -> int:
     vanishes mod it and its pivot count is the rank.  The certificate makes
     a ladder prime's count exact; the bound makes the last prime's exact.
     """
-    cols, ncols = _transposed(m)
-    for p in _PRIMES:
-        pivots = _modular_echelon(cols, ncols, p)
-        if (len(pivots) in (ncols, len(cols))
-                or _lift_kernel(cols, pivots, ncols, p) is not None):
-            return len(pivots)
-    return len(_modular_echelon(cols, ncols, _hadamard_prime(cols)))
+    return _rank(*_transposed(m))
 
 
 def nullspace_basis(m: ExactMatrix, candidate) -> list[list[int]]:
@@ -334,15 +348,18 @@ def nullspace_basis(m: ExactMatrix, candidate) -> list[list[int]]:
     ncols - 1: nullity at least one because of x and at most one because
     of the rank.  The rank bound is the transposed echelon mod the
     word-size prime, whose pivot count never exceeds the rank over Q; when
-    it falls short, ``matrix_rank`` decides.  A wrong length raises
-    ValueError and a non-int entry TypeError.
+    it falls short, the exact rank decides, starting from that echelon.  A
+    wrong length raises ValueError and a non-int entry TypeError.
     """
     x = [index(v) for v in candidate]
-    spans = (not any(m.matvec(x)) and any(x)
-             and (len(_modular_echelon(*_transposed(m), _PRIMES[0]))
-                  == m.ncols - 1
-                  or matrix_rank(m) == m.ncols - 1))
-    return [_primitive(x)] if spans else []
+    if any(m.matvec(x)) or not any(x):
+        return []
+    cols, ncols = _transposed(m)
+    pivots = _modular_echelon(cols, ncols, _PRIMES[0])
+    if (len(pivots) == m.ncols - 1
+            or _rank(cols, ncols, pivots) == m.ncols - 1):
+        return [_primitive(x)]
+    return []
 
 
 def _primitive(ints: list[int]) -> list[int]:

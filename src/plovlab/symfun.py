@@ -9,6 +9,7 @@ the combinatorics and the intersection-number computations.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -140,45 +141,57 @@ def mhat_expand(p: SparseMultiPoly, k: int, d: int, n: int) -> CoeffVector:
 def _vandermonde_square(m: int) -> dict[Partition, int]:
     """Coefficients of prod_{i<j<=m} (z_i - z_j)^2 at the partitions of m(m-1).
 
-    The Vandermonde product is det(z_i^(m-j)) = sum over permutations a of
-    the staircase delta = (m-1, ..., 0) of sgn(a) z^a, so its square has
-    coefficient sum sgn(a) sgn(b) over the pairs with a + b = lambda.  The
-    pairs are counted by backtracking over positions; a value v placed after
-    the c smaller values already used adds c inversions.  The signed count
-    of completions depends only on the parts still to place and the values
-    still free, so it is memoised on them, across all lambda of one call.
-    Only nonzero coefficients are kept, one per partition in
-    P(2m-2, m, m(m-1)).
+    With delta = (m-1, ..., 0), the coefficient at lambda is
+
+        c_lambda = prod_v mult_v(lambda)! * sum of sgn(pi) over the pi in S_m
+                   with sort(delta + pi delta) = lambda.
+
+    The Vandermonde product is det(z_i^(m-j)) = sum over sigma in S_m of
+    sgn(sigma) z^(sigma delta), so its square is the sum over pairs
+    (sigma, tau) of sgn(sigma) sgn(tau) z^(sigma delta + tau delta).  Put
+    tau = sigma pi: then sigma delta + tau delta = sigma(delta + pi delta)
+    and sgn(sigma) sgn(tau) = sgn(pi).  For a fixed pi, the sigma that take
+    delta + pi delta to lambda are the |Stab lambda| = prod mult! that fix
+    lambda.
+
+    One pass over S_m places a value v at each position i, from a bitmask
+    of the values still free, and flips the sign once for each free value
+    above v: an inversion against delta's decreasing order.  The last two
+    positions are placed together.  The signed sums are keyed by their
+    increasing sort.  Only nonzero coefficients are kept, one per partition
+    in P(2m-2, m, m(m-1)), in that order.
     """
-    full = (1 << m) - 1
-    memo: dict[tuple[Partition, int, int], int] = {}
+    if m == 1:  # the empty product; the pass below places two positions
+        return {(0,): 1}
+    sums: dict[Partition, int] = {}
+    get = sums.get
+    exps = [0] * m
 
-    def signed_pairs(rest: Partition, free_a: int, free_b: int) -> int:
-        if not rest:
-            return 1
-        key = (rest, free_a, free_b)
-        total = memo.get(key)
-        if total is not None:
-            return total
-        total = 0
-        part = rest[0]
-        for a in range(max(0, part - m + 1), min(part, m - 1) + 1):
-            b = part - a
-            if not (free_a >> a) & 1 or not (free_b >> b) & 1:
-                continue
-            # values below a (resp. b) already used sit left of this position
-            flips = (a - (free_a & ((1 << a) - 1)).bit_count()
-                     + b - (free_b & ((1 << b) - 1)).bit_count())
-            sub = signed_pairs(rest[1:], free_a & ~(1 << a), free_b & ~(1 << b))
-            total += -sub if flips & 1 else sub
-        memo[key] = total
-        return total
+    def place(i: int, free: int, sign: int) -> None:
+        top = m - 1 - i  # delta_i
+        if i == m - 2:
+            low = free & -free
+            u, w = low.bit_length() - 1, (free ^ low).bit_length() - 1
+            # u at i has w above it still free; w at i has none
+            exps[i], exps[i + 1] = top + u, top - 1 + w
+            key = tuple(sorted(exps))
+            sums[key] = get(key, 0) - sign
+            exps[i], exps[i + 1] = top + w, top - 1 + u
+            key = tuple(sorted(exps))
+            sums[key] = get(key, 0) + sign
+            return
+        for v in range(m):
+            if (free >> v) & 1:
+                rest = free ^ (1 << v)
+                exps[i] = top + v
+                place(i + 1, rest, -sign if (rest >> v).bit_count() & 1 else sign)
 
+    place(0, (1 << m) - 1, 1)
     out = {}
     for lam in enumerate_partitions(2 * m - 2, m, m * (m - 1)):
-        c = signed_pairs(lam, full, full)
+        c = get(lam[::-1])
         if c:
-            out[lam] = c
+            out[lam] = c * prod(map(factorial, Counter(lam).values()))
     return out
 
 

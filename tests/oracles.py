@@ -358,6 +358,50 @@ def distinct_permutations_by_sorting(items):
     return sorted(set(permutations(items)), reverse=True)
 
 
+def vandermonde_square_by_pairs(m):
+    """The partition coefficients of prod_{i<j<=m} (z_i - z_j)^2, each the
+    signed count of staircase permutation pairs (a, b) with a + b = lambda.
+
+    The Vandermonde product is det(z_i^(m-j)) = sum over permutations a of
+    the staircase delta = (m-1, ..., 0) of sgn(a) z^a, so its square has
+    coefficient sum sgn(a) sgn(b) over the pairs with a + b = lambda.  The
+    pairs are counted by backtracking over positions; a value v placed after
+    the c smaller values already used adds c inversions.  The signed count
+    of completions depends only on the parts still to place and the values
+    still free, so it is memoised on them, across all lambda of one call.
+    """
+    full = (1 << m) - 1
+    memo = {}
+
+    def signed_pairs(rest, free_a, free_b):
+        if not rest:
+            return 1
+        key = (rest, free_a, free_b)
+        total = memo.get(key)
+        if total is not None:
+            return total
+        total = 0
+        part = rest[0]
+        for a in range(max(0, part - m + 1), min(part, m - 1) + 1):
+            b = part - a
+            if not (free_a >> a) & 1 or not (free_b >> b) & 1:
+                continue
+            # values below a (resp. b) already used sit left of this position
+            flips = (a - (free_a & ((1 << a) - 1)).bit_count()
+                     + b - (free_b & ((1 << b) - 1)).bit_count())
+            sub = signed_pairs(rest[1:], free_a & ~(1 << a), free_b & ~(1 << b))
+            total += -sub if flips & 1 else sub
+        memo[key] = total
+        return total
+
+    out = {}
+    for lam in enumerate_partitions(2 * m - 2, m, m * (m - 1)):
+        c = signed_pairs(lam, full, full)
+        if c:
+            out[lam] = c
+    return out
+
+
 def vandermonde_square_by_backtracking(m):
     """The partition coefficients of prod_{i<j<=m} (z_i - z_j)^2, each the
     signed count of staircase permutation pairs (a, b) with a + b = lambda,

@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from random import Random
 
 import pytest
@@ -26,6 +27,7 @@ from oracles import (
     is_symmetric_by_swaps,
     mhat_expand_by_sorting,
     vandermonde_square_by_backtracking,
+    vandermonde_square_by_pairs,
     vandermonde_square_product,
     vandermonde_subset_sum,
 )
@@ -206,6 +208,29 @@ def test_vandermonde_square_matches_product():
 def test_vandermonde_square_matches_backtracking():
     for m in range(1, 7):
         assert _vandermonde_square(m) == vandermonde_square_by_backtracking(m), m
+
+
+# the table sizes m of the squared Vandermonde: m = 9 is extended
+TABLE_SIZES = [*range(1, 9), pytest.param(9, marks=pytest.mark.extended)]
+
+
+@pytest.mark.parametrize("m", TABLE_SIZES)
+def test_vandermonde_square_matches_pair_count(m):
+    assert _vandermonde_square(m) == vandermonde_square_by_pairs(m)
+
+
+@pytest.mark.parametrize("m", TABLE_SIZES)
+def test_vandermonde_square_closed_forms(m):
+    # the leading term z^(2 delta) has coefficient 1; the constant term of
+    # prod_{i != j} (1 - z_i / z_j), at z^((m-1)^m), is (-1)^(m(m-1)/2) m!
+    # (Dyson's constant term with a = 1); and the square vanishes at
+    # (1, ..., 1), so the coefficients weighted by orbit size sum to 0
+    table = _vandermonde_square(m)
+    assert table[tuple(range(2 * m - 2, -1, -2))] == 1
+    assert table[(m - 1,) * m] == (-1) ** (m * (m - 1) // 2) * factorial(m)
+    if m >= 2:
+        assert sum(c * factorial(m) // prod(map(factorial, Counter(lam).values()))
+                   for lam, c in table.items()) == 0
 
 
 def test_vandermonde_poly_matches_subset_sum():
