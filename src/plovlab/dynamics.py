@@ -18,7 +18,6 @@ ModelError, a CheckFailed that names the check and the instance.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from operator import add, index, mul, sub
@@ -46,6 +45,7 @@ class ModelError(CheckFailed):
 # to the tests once that list is re-keyed.
 @lru_cache(maxsize=None)
 def _bernoulli(m: int) -> Fraction:
+    from fractions import Fraction
     if m == 0:
         return Fraction(1)
     return Fraction(-1, m + 1) * sum(
@@ -61,6 +61,7 @@ def power_sum_polynomial(i: int) -> tuple[Fraction, ...]:
     whose n^m coefficient is C(i+1, m) B_{i+1-m} / (i+1) for m >= 1; the
     constant term is 0 and the top one 1/(i+1).
     """
+    from fractions import Fraction
     if i < 0:
         raise ValueError("i must be nonnegative")
     deg = i + 1
@@ -198,6 +199,7 @@ def nilpotent_log(u: list[list[int]]) -> list[list[Fraction]]:
     The integer powers N^i of N = U - I are summed with the integer weights
     (-1)^{i+1} c/i, c = lcm(1..g), and the sum is divided by c once.
     """
+    from fractions import Fraction
     g = len(u)
     c = lcm(*range(1, g + 1))
     n = mat_sub(u, mat_identity(g))
@@ -351,6 +353,7 @@ def _prepared(model):
     determinant by `_det_table`, divided by c^{|lambda|}.  Only the nonzero
     w_lambda are stored; every other w_lambda is zero.
     """
+    from fractions import Fraction
     cache = getattr(model, "_pipeline_cache", None)
     if cache is None:
         p, v = unipotent_power(model.a)
@@ -438,6 +441,7 @@ def delta_polynomial(model) -> tuple[Fraction, ...]:
     Hilbert check compares two independent routes.  The result is kept in
     the per-model cache, so a second call reads it back.
     """
+    from fractions import Fraction
     prep = _prepared(model)
     if "delta" in prep:
         return prep["delta"]
@@ -479,6 +483,7 @@ def find_distinguished_kappa(model) -> tuple[tuple[int, ...], Partition]:
     `intersect` of the classes (cL)^{kappa_j} H, a polarization sum over
     their subsets of exactly 2^d determinants, divided by c^|kappa|.
     """
+    from fractions import Fraction
     d = model.d
     k = degree_growth_exponent(model)
     if k < 2:

@@ -148,20 +148,6 @@ class ExactMatrix(Record):
                 ExactMatrix(w, tuple(right[i:])))
 
 
-def _integer_rows(m: ExactMatrix) -> list[dict[int, int]]:
-    """The nonzero rows of m as {col: value} dicts."""
-    return [dict(row) for row in m.rows if row]
-
-
-def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
-    """The nonzero columns of the given rows, as rows indexed by row position."""
-    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            cols[c][i] = v
-    return [col for col in cols if col]
-
-
 # Primes of the modular path.  A kernel vector lifts when its entries and
 # their common denominator are at most isqrt(p // 2): about 2^14.5 for the
 # word-size prime 2^30 - 35, 2^63 for 2^127 - 1 and 2^260 for 2^521 - 1.
@@ -299,11 +285,17 @@ def _lift_kernel(
     return basis
 
 
-def _transposed(m: ExactMatrix):
-    """The transpose of m as integer rows and its column count, the number
-    of nonzero rows of m."""
-    rows = _integer_rows(m)
-    return _transpose(rows, m.ncols), len(rows)
+def _transposed(m: ExactMatrix) -> tuple[list[dict[int, int]], int]:
+    """The transpose of m as integer rows and its column count: one
+    {position: value} row per nonzero column of m, positions counting the
+    nonzero rows of m, and the number of those rows.  Built straight from
+    the tuple rows of m."""
+    nonzero = [row for row in m.rows if row]
+    cols: list[dict[int, int]] = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(nonzero):
+        for c, v in row:
+            cols[c][i] = v
+    return [col for col in cols if col], len(nonzero)
 
 
 def _rank(

@@ -38,9 +38,9 @@ def build_incidence(k: int, d: int, n: int) -> IncidenceMatrix:
     so each row comes out sorted.  At k = 0 the matrix is zero."""
     row_set = partition_set(k, d, n - 1)
     col_set = partition_set(k, d, n)
-    col = col_set.index_of
+    col = col_set._index()
     rows = tuple([
-        tuple([(col(mu[:p] + (i + 1,) + mu[p + 1:]), mu.count(i))
+        tuple([(col[mu[:p] + (i + 1,) + mu[p + 1:]], mu.count(i))
                for p, i in enumerate(mu)
                if i < k and (p == 0 or mu[p - 1] != i)])
         for mu in row_set])

@@ -10,8 +10,8 @@ the combinatorics and the intersection-number computations.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial, prod
 from operator import itemgetter
 
@@ -77,6 +77,7 @@ def _orbit(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def mhat_poly(lam: Partition) -> SparseMultiPoly:
     """Sum of z^alpha / alpha! over distinct rearrangements alpha of lam."""
+    from fractions import Fraction
     coef = Fraction(1, prod(map(factorial, lam)))
     return SparseMultiPoly(len(lam), dict.fromkeys(_orbit(lam), coef))
 
@@ -211,7 +212,7 @@ def vandermonde_poly(r: int, d: int) -> SparseMultiPoly:
         if s > r + 1 or lam[:r + 1] not in block:
             continue
         coef = comb(d - s, r + 1 - s) * block[lam[:r + 1]]
-        terms.update(dict.fromkeys(_orbit(lam), coef))
+        terms.update(zip(_orbit(lam), repeat(coef)))
     return SparseMultiPoly(d, terms)
 
 
@@ -222,6 +223,7 @@ def vandermonde_coeff_vector(r: int, d: int) -> CoeffVector:
 
 def hilbert_product(d: int) -> Fraction:
     """prod_{j=1}^{d-1} (j!)^3 / ((2j)! (d+j)!)."""
+    from fractions import Fraction
     if d < 2:
         raise ValueError("d must be at least 2")
     out = Fraction(1)

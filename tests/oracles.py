@@ -108,6 +108,15 @@ def from_dense(data) -> ExactMatrix:
     return from_rows(nrows, ncols, ({j: v for j, v in enumerate(r)} for r in data))
 
 
+def dense_transposed(m: ExactMatrix):
+    """The transpose of m by way of its dense form: the nonzero columns
+    over the nonzero rows, as {row position: value} dicts, and the number
+    of nonzero rows."""
+    dense = [r for r in m.to_dense() if any(r)]
+    cols = [{i: v for i, v in enumerate(col) if v} for col in zip(*dense)]
+    return [col for col in cols if col], len(dense)
+
+
 def assemble_block_lower(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
     """M = [[A, 0], [B, C]]; shapes must compose."""
     if a.ncols != b.ncols or b.nrows != c.nrows:

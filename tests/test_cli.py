@@ -657,24 +657,61 @@ def test_out_unwritable_fails_before_work(capsys, tmp_path, monkeypatch):
     assert not fresh.exists() and kept.read_text() == "old"
 
 
-def test_import_loads_no_dataclasses():
-    # in a fresh interpreter, because pytest itself imports these modules
+def loaded_modules(code):
+    """The modules a fresh interpreter holds after running code, read from
+    the last line of its stderr, since code may print to stdout.  A fresh
+    interpreter, because pytest itself imports these modules."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
+    err = subprocess.run(
+        [sys.executable, "-c",
+         f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)"],
+        env=env, capture_output=True, text=True, check=True).stderr
+    return set(err.splitlines()[-1].split())
 
-    def loaded(code):
-        out = subprocess.run(
-            [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        return set(out.split())
 
-    added = loaded("import plovlab.cli") - loaded("pass")
+def added_modules(code):
+    """The modules that running code loads beyond a bare interpreter's."""
+    return loaded_modules(code) - loaded_modules("pass")
+
+
+def test_import_loads_no_dataclasses():
+    added = added_modules("import plovlab.cli")
     assert "plovlab.cli" in added
     assert not added & {"dataclasses", "inspect"}
     # the traced benchmark run (perfbench/op.py) patches the traced
     # functions only in the modules that this import loads, and the kernel
     # workload times functions of symfun
     assert "plovlab.symfun" in added
+
+
+# fractions imports decimal and numbers
+FRACTION_MODULES = {"fractions", "decimal", "numbers"}
+
+
+def main_code(*commands):
+    """Source that runs main on each argv in turn and exits 1 at the first
+    one that fails."""
+    return (f"from plovlab.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            f"    if main(list(argv)):\n"
+            f"        raise SystemExit(f'failed: {{argv}}')\n")
+
+
+def test_matrix_commands_load_no_fractions():
+    # every matrix entry is an int and every rank is read mod a prime, so
+    # neither the import nor a matrix command loads fractions
+    assert not added_modules("import plovlab.cli") & FRACTION_MODULES
+    assert not added_modules(main_code(
+        ("reproduce", "table1"),
+        ("reproduce", "matrix-examples"),
+        ("reproduce", "table2", "--truncate", "2,1,1,1", "--n", "13"),
+        ("reproduce", "kernel", "--d", "4"),
+        ("reproduce", "fullrank", "--k", "3", "--d", "3", "--n", "4"),
+    )) & FRACTION_MODULES
+    # the w-table is rational, so plov loads fractions: the check can fail
+    assert "fractions" in added_modules(
+        main_code(("plov", "--abelian-blocks", "3")))
 
 
 # one command of each kind, each run under two interpreters

@@ -24,6 +24,7 @@ from oracles import (
     dense_nullity,
     dense_nullspace,
     dense_rank,
+    dense_transposed,
     from_dense,
     from_rows,
     hstack,
@@ -92,6 +93,26 @@ def test_degenerate_shapes():
     tall = from_rows(3, 0, [{}, {}, {}])
     assert matrix_rank(tall) == 0
     assert nullspace_basis(tall, []) == []
+
+
+def test_transposed_matches_the_dense_transpose():
+    # zero rows and zero columns are dropped, and a position counts only
+    # the nonzero rows before it
+    m = from_dense([[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [3, 0, 0, -1]])
+    assert exactmat._transposed(m) == ([{1: 3}, {0: 2}, {1: -1}], 2)
+    for shape in ((0, 4), (4, 0), (0, 0)):
+        assert exactmat._transposed(from_rows(*shape, [{}] * shape[0])) == (
+            [], 0)
+    rng = Random(23)
+    zero_row = zero_col = False
+    for _ in range(150):
+        m = random_matrix(rng, rng.randint(0, 8), rng.randint(0, 8),
+                          density=rng.choice((0.15, 0.5)))
+        dense = m.to_dense()
+        zero_row |= any(not any(r) for r in dense)
+        zero_col |= any(not any(c) for c in zip(*dense))
+        assert exactmat._transposed(m) == dense_transposed(m)
+    assert zero_row and zero_col
 
 
 def test_exact_matrix_rejects_bad_shape():
@@ -253,6 +274,15 @@ def test_table2_rank_lifts_one_left_kernel_vector(monkeypatch):
     echelons = count_calls(monkeypatch, "_modular_echelon")
     assert nullity_truncated((2, 1, 1, 1, 1, 1), 1) == 4
     assert [args[2] for args in echelons] == [2**30 - 35]
+
+
+def test_table2_row_takes_one_word_prime_echelon_per_cell(monkeypatch):
+    # the d = 7 row of Table 2: each cell is one elimination mod 2^30 - 35
+    echelons = count_calls(monkeypatch, "_modular_echelon")
+    t = table2_tuple(7, 0)
+    assert [nullity_truncated(t, e) for e in range(6)] == [
+        golden.TABLE2[(7, e)] for e in range(6)]
+    assert [args[2] for args in echelons] == [2**30 - 35] * 6
 
 
 def test_kernel_is_certified_by_the_word_prime_rank(monkeypatch):
@@ -457,9 +487,8 @@ def test_echelon_matches_bucket_echelon_on_table2_cells():
         for e in range(6):
             m = build_incidence(2 * r, d, r * (r + 1) + e)
             sub, _ = truncate_columns(m, kappa_of(table2_tuple(d, 0)))
-            rows = exactmat._integer_rows(sub)
-            cols = exactmat._transpose(rows, sub.ncols)
-            pivots = assert_same_echelon(cols, len(rows), WORD)
+            cols, ncols = exactmat._transposed(sub)
+            pivots = assert_same_echelon(cols, ncols, WORD)
             assert sub.ncols - len(pivots) == golden.TABLE2[(d, e)]
 
 
@@ -469,12 +498,12 @@ def test_echelon_matches_bucket_echelon_on_kernel_matrices():
     # rank bound eliminates it
     for d in range(2, 7):
         sub, v = kernel_matrix(d)
-        rows = exactmat._integer_rows(sub)
+        rows = [dict(r) for r in sub.rows if r]
         pivots = assert_same_echelon(rows, sub.ncols, MERSENNE)
         assert exactmat._lift_kernel(rows, pivots, sub.ncols, MERSENNE) == [
             exactmat._primitive(v)]
-        cols = exactmat._transpose(rows, sub.ncols)
-        assert len(assert_same_echelon(cols, len(rows), WORD)) == sub.ncols - 1
+        cols, ncols = exactmat._transposed(sub)
+        assert len(assert_same_echelon(cols, ncols, WORD)) == sub.ncols - 1
 
 
 def test_row_order_leaves_rank_kernel_and_pivots_unchanged():
@@ -502,4 +531,4 @@ def test_row_order_leaves_rank_kernel_and_pivots_unchanged():
         for p in (WORD, MERSENNE):
             assert [c for c, _ in exactmat._modular_echelon(rows, 6, p)] == pivot_cols
             assert len(exactmat._modular_echelon(
-                exactmat._transpose(rows, 6), 6, p)) == rank
+                *exactmat._transposed(m), p)) == rank

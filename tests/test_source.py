@@ -436,6 +436,43 @@ def test_only_true_ratios_import_fractions():
     assert fraction_importers(modules) == ["dynamics", "symfun"]
 
 
+def load_time_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, top-level module) of each absolute import that runs when the
+    module is loaded: every one outside a function body."""
+    deferred = {node.lineno
+                for func in ast.walk(tree)
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(func)
+                if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [(line, module) for line, module in absolute_imports(tree)
+            if line not in deferred]
+
+
+def test_no_module_loads_fractions_at_import():
+    # fractions (which imports decimal and numbers) is loaded by the
+    # functions that build a Fraction, so the matrix commands never load it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.name}:{line}"
+                  for line, module in load_time_imports(parse(path))
+                  if module == "fractions"]
+    assert found == []
+
+
+def test_load_time_import_is_reported():
+    # an import at module level or in a class body runs on loading; one in
+    # a function body runs on the first call
+    tree = ast.parse("from math import gcd\n"
+                     "from fractions import Fraction\n"
+                     "def f():\n"
+                     "    from fractions import Fraction\n"
+                     "    return Fraction(1)\n"
+                     "class C:\n"
+                     "    import fractions\n")
+    assert load_time_imports(tree) == [
+        (1, "math"), (2, "fractions"), (7, "fractions")]
+
+
 def test_fraction_importer_is_reported():
     # a plain and a from-import of fractions are found, dotted or aliased;
     # another module and a name merely called Fraction are not
