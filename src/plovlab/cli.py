@@ -367,35 +367,33 @@ def cmd_scan(args, started):
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser per command and per reproduce target, holding only the
-    flags that its handler, the parser's ``func`` default, reads."""
-    parser = _Parser(
-        prog="plovlab",
-        description="Reproduce the restricted-partition tables and run the "
-                    "polynomial-volume-growth pipeline with exact arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _common(p, func, csv=False):
+    """After a command's own flags: --format on a target with a CSV payload,
+    then --out and --deterministic."""
+    if csv:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", metavar="PATH")
+    p.add_argument("--deterministic", action="store_true",
+                   help="omit wall-clock timings for byte-identical output")
+    p.set_defaults(func=func)
 
-    def common(p, func, csv=False):
-        """After a command's own flags: --format on a target with a CSV
-        payload, then --out and --deterministic."""
-        if csv:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", metavar="PATH")
-        p.add_argument("--deterministic", action="store_true",
-                       help="omit wall-clock timings for byte-identical output")
-        p.set_defaults(func=func)
 
-    rep = sub.add_parser("reproduce", help="rebuild a published table or matrix")
-    targets = rep.add_subparsers(dest="target", required=True)
-    common(targets.add_parser("matrix-examples",
-                              help="the two printed 5x6 and 6x6 matrices"),
-           _reproduce_matrix_examples, csv=True)
-    common(targets.add_parser("table1", help="block form of A_{6,4,12}"),
-           _reproduce_table1, csv=True)
+# Each builder adds its command's parser to a subparsers action; a builder
+# with subcommands of its own builds those that the rest of argv names.
 
-    table2 = targets.add_parser("table2", help="truncated nullity table")
+def _add_matrix_examples(sub, rest):
+    _common(sub.add_parser("matrix-examples",
+                           help="the two printed 5x6 and 6x6 matrices"),
+            _reproduce_matrix_examples, csv=True)
+
+
+def _add_table1(sub, rest):
+    _common(sub.add_parser("table1", help="block form of A_{6,4,12}"),
+            _reproduce_table1, csv=True)
+
+
+def _add_table2(sub, rest):
+    table2 = sub.add_parser("table2", help="truncated nullity table")
     table2.add_argument("--n", type=int, help="n of a --truncate cell")
     size = table2.add_mutually_exclusive_group()
     size.add_argument("--dmax", type=int)
@@ -403,30 +401,87 @@ def build_parser() -> argparse.ArgumentParser:
                       help="custom tuple t for a single truncated-nullity cell")
     table2.add_argument("--extended", action="store_true",
                         help="allow the long-running d = 8, 9 table cells")
-    common(table2, _reproduce_table2, csv=True)
+    _common(table2, _reproduce_table2, csv=True)
 
-    kernel = targets.add_parser("kernel", help="one-dimensional truncated kernel")
+
+def _add_kernel(sub, rest):
+    kernel = sub.add_parser("kernel", help="one-dimensional truncated kernel")
     kernel.add_argument("--d", type=int)
-    common(kernel, _reproduce_kernel)
+    _common(kernel, _reproduce_kernel)
 
-    fullrank = targets.add_parser(
+
+def _add_fullrank(sub, rest):
+    fullrank = sub.add_parser(
         "fullrank", help="full rank of A_{k,d,n}: one instance, or a sweep")
     for flag in ("--k", "--d", "--n"):
         fullrank.add_argument(flag, type=int)
-    common(fullrank, _reproduce_fullrank)
+    _common(fullrank, _reproduce_fullrank)
 
+
+def _add_reproduce(sub, rest):
+    rep = sub.add_parser("reproduce", help="rebuild a published table or matrix")
+    _add_branch(rep.add_subparsers(dest="target", required=True),
+                REPRODUCE_TARGETS, rest)
+
+
+def _add_plov(sub, rest):
     plov = sub.add_parser("plov", help="full dynamics pipeline for one model")
     source = plov.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", metavar="PATH", help="model JSON file")
     source.add_argument("--abelian-blocks", metavar="n1,n2,...",
                         help="Jordan block sizes of an abelian surrogate")
-    common(plov, cmd_plov)
+    _common(plov, cmd_plov)
 
+
+def _add_scan(sub, rest):
     scan = sub.add_parser("scan", help="seeded sweep over random surrogates")
     scan.add_argument("--d", type=int, required=True)
     scan.add_argument("--count", type=int, default=10)
     scan.add_argument("--seed", type=int, default=0)
-    common(scan, cmd_scan)
+    _common(scan, cmd_scan)
+
+
+REPRODUCE_TARGETS = {
+    "matrix-examples": _add_matrix_examples,
+    "table1": _add_table1,
+    "table2": _add_table2,
+    "kernel": _add_kernel,
+    "fullrank": _add_fullrank,
+}
+COMMANDS = {"reproduce": _add_reproduce, "plov": _add_plov, "scan": _add_scan}
+
+
+def _add_branch(sub, builders: dict, rest) -> None:
+    """Add the parser that rest's first word names, given the words after
+    it; when rest is None or names none of the builders, add every parser
+    with all of its subcommands, so the choices an error lists are all
+    there."""
+    if rest and rest[0] in builders:
+        builders[rest[0]](sub, rest[1:])
+    else:
+        for build in builders.values():
+            build(sub, None)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """One parser per command and per reproduce target, holding only the
+    flags that its handler, the parser's ``func`` default, reads.
+
+    Given argv, only the branch it names is built: the parsers on its path
+    from the top.  Every other branch would only add choices to an error
+    about an unknown name, and that error, like any help text, comes from
+    the full tree: without argv, for a name that no parser holds, and
+    whenever argv asks for help.
+    """
+    parser = _Parser(
+        prog="plovlab",
+        description="Reproduce the restricted-partition tables and run the "
+                    "polynomial-volume-growth pipeline with exact arithmetic.",
+    )
+    if argv is not None and ("-h" in argv or "--help" in argv):
+        argv = None
+    _add_branch(parser.add_subparsers(dest="cmd", required=True),
+                COMMANDS, argv)
     return parser
 
 
@@ -435,7 +490,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # a usage error (2), or --help (0)
         return exc.code
     args.command = " ".join(argv)

@@ -9,6 +9,7 @@ the combinatorics and the intersection-number computations.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from functools import lru_cache
 from itertools import repeat
@@ -63,7 +64,8 @@ _rearrangers: dict[tuple[int, ...], itemgetter] = {}
 def _orbit(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The distinct rearrangements of a decreasing tuple, in decreasing lex
     order.  Cached per tuple, so callers share the list and must not change
-    it."""
+    it; ``vandermonde_coeff_vector`` empties the cache when its expansion
+    ends, so the memo lives for one expansion."""
     d = len(lam)
     if d < 2:
         return [lam]
@@ -138,6 +140,37 @@ def mhat_expand(p: SparseMultiPoly, k: int, d: int, n: int) -> CoeffVector:
     return out
 
 
+def _place(sums: dict, exps: list[int], i: int, free: int, sign: int) -> None:
+    """Add to sums the signed exponents delta + pi delta of every pi in S_m
+    that takes exps[:i] at positions below i and the values in the bitmask
+    free above, where sign is sgn of the inversions already placed.
+
+    Each value v placed at position i flips the sign once for each free
+    value above it: an inversion against delta's decreasing order.  The
+    last two positions are placed together.  Bound by name, not through a
+    closure cell, so the recursion leaves no reference cycle behind.
+    """
+    m = len(exps)
+    top = m - 1 - i  # delta_i
+    if i == m - 2:
+        low = free & -free
+        u, w = low.bit_length() - 1, (free ^ low).bit_length() - 1
+        # u at i has w above it still free; w at i has none
+        exps[i], exps[i + 1] = top + u, top - 1 + w
+        key = tuple(sorted(exps))
+        sums[key] = sums.get(key, 0) - sign
+        exps[i], exps[i + 1] = top + w, top - 1 + u
+        key = tuple(sorted(exps))
+        sums[key] = sums.get(key, 0) + sign
+        return
+    for v in range(m):
+        if (free >> v) & 1:
+            rest = free ^ (1 << v)
+            exps[i] = top + v
+            _place(sums, exps, i + 1, rest,
+                   -sign if (rest >> v).bit_count() & 1 else sign)
+
+
 @lru_cache(maxsize=None)
 def _vandermonde_square(m: int) -> dict[Partition, int]:
     """Coefficients of prod_{i<j<=m} (z_i - z_j)^2 at the partitions of m(m-1).
@@ -155,42 +188,18 @@ def _vandermonde_square(m: int) -> dict[Partition, int]:
     delta + pi delta to lambda are the |Stab lambda| = prod mult! that fix
     lambda.
 
-    One pass over S_m places a value v at each position i, from a bitmask
-    of the values still free, and flips the sign once for each free value
-    above v: an inversion against delta's decreasing order.  The last two
-    positions are placed together.  The signed sums are keyed by their
+    One pass over S_m (``_place``) places a value at each position from a
+    bitmask of the values still free.  The signed sums are keyed by their
     increasing sort.  Only nonzero coefficients are kept, one per partition
     in P(2m-2, m, m(m-1)), in that order.
     """
-    if m == 1:  # the empty product; the pass below places two positions
+    if m == 1:  # the empty product; the pass places two positions
         return {(0,): 1}
     sums: dict[Partition, int] = {}
-    get = sums.get
-    exps = [0] * m
-
-    def place(i: int, free: int, sign: int) -> None:
-        top = m - 1 - i  # delta_i
-        if i == m - 2:
-            low = free & -free
-            u, w = low.bit_length() - 1, (free ^ low).bit_length() - 1
-            # u at i has w above it still free; w at i has none
-            exps[i], exps[i + 1] = top + u, top - 1 + w
-            key = tuple(sorted(exps))
-            sums[key] = get(key, 0) - sign
-            exps[i], exps[i + 1] = top + w, top - 1 + u
-            key = tuple(sorted(exps))
-            sums[key] = get(key, 0) + sign
-            return
-        for v in range(m):
-            if (free >> v) & 1:
-                rest = free ^ (1 << v)
-                exps[i] = top + v
-                place(i + 1, rest, -sign if (rest >> v).bit_count() & 1 else sign)
-
-    place(0, (1 << m) - 1, 1)
+    _place(sums, [0] * m, 0, (1 << m) - 1, 1)
     out = {}
     for lam in enumerate_partitions(2 * m - 2, m, m * (m - 1)):
-        c = get(lam[::-1])
+        c = sums.get(lam[::-1])
         if c:
             out[lam] = c * prod(map(factorial, Counter(lam).values()))
     return out
@@ -217,8 +226,23 @@ def vandermonde_poly(r: int, d: int) -> SparseMultiPoly:
 
 
 def vandermonde_coeff_vector(r: int, d: int) -> CoeffVector:
-    """Coefficients of the degree r(r+1) Vandermonde sum over P(2r, d, r(r+1))."""
-    return mhat_expand(vandermonde_poly(r, d), 2 * r, d, r * (r + 1))
+    """Coefficients of the degree r(r+1) Vandermonde sum over P(2r, d, r(r+1)).
+
+    The expansion allocates every exponent tuple of the polynomial (56,183
+    at d = 6) and frees them all when it ends, together with the ``_orbit``
+    memo that shares them.  The tuples hold only ints and form no cycles, so
+    the cyclic collector, which a run of allocations sets off, would only
+    traverse them in vain: it is paused while the expansion runs, and the
+    caller's setting is restored after it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return mhat_expand(vandermonde_poly(r, d), 2 * r, d, r * (r + 1))
+    finally:
+        _orbit.cache_clear()
+        if enabled:
+            gc.enable()
 
 
 def hilbert_product(d: int) -> Fraction:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -182,6 +183,65 @@ def test_help_exits_0(capsys):
     assert main(["reproduce", "kernel", "--help"]) == 0
     out = capsys.readouterr().out
     assert "--d D" in out and "--format" not in out
+
+
+def command_parsers(parser) -> dict:
+    """Each command's and each target's parser under parser, keyed by its
+    path of names from the top."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found[(name,)] = sub
+                found.update({(name, *path): p
+                              for path, p in command_parsers(sub).items()})
+    return found
+
+
+def test_branch_parsers_match_the_full_tree():
+    # a named branch builds only the parsers on its path (a command with
+    # targets, named alone, keeps all its targets); the named parser and
+    # those below it have the help text of the same parser in the full
+    # tree, while the ones above lack the other choices, which only an
+    # unknown name or a help request, both given the full tree, would show
+    full = command_parsers(cli.build_parser())
+    assert len(full) == 8
+    for path, parser in full.items():
+        branch = command_parsers(cli.build_parser(list(path)))
+        on_path = {path[:i] for i in range(1, len(path) + 1)}
+        below = {p for p in full if p[:len(path)] == path}
+        assert set(branch) == on_path | below, path
+        for p in below:
+            assert branch[p].format_help() == full[p].format_help(), p
+
+
+PARSER_CASES = [
+    [], ["bogus"], ["--bogus", "plov"], ["--help"], ["-h", "plov"],
+    ["plov"], ["plov", "--bogus"], ["plov", "--abelian-blocks"],
+    ["plov", "--model", "m.json", "--abelian-blocks", "3"],
+    ["plov", "--abelian-blocks", "3", "reproduce"], ["plov", "-hh"],
+    ["reproduce"], ["reproduce", "nope"], ["reproduce", "--help"],
+    ["reproduce", "kernel", "--d", "x"], ["reproduce", "kernel", "--dd", "3"],
+    ["reproduce", "kernel", "--d"], ["reproduce", "kernel", "-hx"],
+    ["reproduce", "kernel", "--d", "3", "--deterministic"],
+    ["reproduce", "table2", "--dmax", "4", "--truncate", "1,1"],
+    ["reproduce", "table1", "--format", "xml"],
+    ["reproduce", "fullrank", "--k", "1", "--d", "2", "--n", "1"],
+    ["scan"], ["scan", "--d", "3", "extra"], ["scan", "--d", "3", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES)
+def test_branch_parse_matches_the_full_tree(capsys, argv):
+    # the parsed flags, the exit code and every byte of a usage error or a
+    # help text are the full tree's
+    def parse(parser):
+        try:
+            return vars(parser.parse_args(argv)), None, capsys.readouterr()
+        except SystemExit as exc:
+            return None, exc.code, capsys.readouterr()
+
+    assert parse(cli.build_parser(argv)) == parse(cli.build_parser())
 
 
 def test_kernel(capsys):

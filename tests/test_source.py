@@ -483,3 +483,48 @@ def test_fraction_importer_is_reported():
     assert fraction_importers({name: ast.parse(text)
                                for name, text in trees.items()}) == [
         "from", "plain"]
+
+
+# The calls that change when the cyclic collector runs
+COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+
+
+def collector_policy(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module or function) of each import of ``gc`` and each call of
+    a collector switch, as an attribute or as a plain name."""
+    found = [(line, module) for line, module in absolute_imports(tree)
+             if module == "gc"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None)
+            if name in COLLECTOR_SWITCHES:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_only_symfun_sets_the_collector_policy():
+    # the collector is paused only around the Vandermonde expansion, whose
+    # tuples form no cycles, so its policy stays in one module
+    modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, tree in modules.items()
+            if collector_policy(tree)] == ["symfun"]
+
+
+def test_collector_policy_is_reported():
+    # plain, aliased and from-imports of gc are found, and each switch
+    # called on any object or by its bare name; gc.collect and another
+    # module are not
+    tree = ast.parse("import os, gc as g\n"
+                     "from gc import freeze\n"
+                     "g.disable()\n"
+                     "freeze()\n"
+                     "parser.enable()\n"
+                     "def f():\n"
+                     "    set_threshold(1)\n"
+                     "g.collect()\n"
+                     "isenabled = g.enable\n")
+    assert collector_policy(tree) == [
+        (1, "gc"), (2, "gc"), (3, "disable"), (4, "freeze"), (5, "enable"),
+        (7, "set_threshold")]

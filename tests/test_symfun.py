@@ -1,3 +1,5 @@
+import gc
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -194,6 +196,95 @@ def test_vandermonde_kappa_entry():
         for j in range(1, d):
             expected *= factorial(2 * j)
         assert v[kappa] == expected
+
+
+@pytest.fixture
+def collector():
+    """Restore the collector's setting and thresholds after the test."""
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    yield
+    gc.set_threshold(*thresholds)
+    (gc.enable if enabled else gc.disable)()
+
+
+def collections_inside(code):
+    """A gc.callbacks probe, and the list of the generations of the
+    collections it sees start while a frame of code is on the stack."""
+    seen = []
+
+    def probe(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(0).f_back
+        while frame is not None:
+            if frame.f_code is code:
+                seen.append(info["generation"])
+                return
+            frame = frame.f_back
+
+    return probe, seen
+
+
+def test_expansion_runs_without_collector_passes(collector):
+    # with a collection due at every allocation, none starts inside the
+    # expansion; afterwards the collector is on again and the orbit memo
+    # is empty
+    probe, seen = collections_inside(vandermonde_coeff_vector.__code__)
+    gc.callbacks.append(probe)
+    try:
+        gc.enable()
+        gc.set_threshold(1)
+        for d in range(2, 7):
+            vandermonde_coeff_vector(d - 1, d)
+            assert gc.isenabled(), d
+            assert symfun._orbit.cache_info().currsize == 0, d
+    finally:
+        gc.callbacks.remove(probe)
+    assert seen == []
+
+
+def test_collection_probe_sees_an_unpaused_expansion(collector):
+    # the probe above is not blind: the same expansion without the pause
+    # starts collections
+    probe, seen = collections_inside(symfun.mhat_expand.__code__)
+    gc.callbacks.append(probe)
+    try:
+        gc.enable()
+        gc.set_threshold(1)
+        mhat_expand(vandermonde_poly(3, 4), 6, 4, 12)
+    finally:
+        gc.callbacks.remove(probe)
+    assert seen != []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_expansion_restores_the_collector_setting(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    vandermonde_coeff_vector(3, 4)
+    assert gc.isenabled() is enabled
+    with pytest.raises(ValueError):
+        vandermonde_coeff_vector(0, 4)
+    assert gc.isenabled() is enabled
+    assert symfun._orbit.cache_info().currsize == 0
+
+
+def test_expansion_leaves_no_garbage_for_the_collector(collector):
+    # every tuple the expansion allocates is freed by its reference count
+    gc.disable()
+    gc.collect()
+    for d in range(2, 7):
+        vandermonde_coeff_vector(d - 1, d)
+        assert gc.collect() == 0, d
+
+
+def test_vandermonde_square_leaves_no_cycle(collector):
+    # the pass over S_m frees its signed sums by reference count, so under
+    # the paused collector they do not outlive the expansion
+    gc.disable()
+    gc.collect()
+    for m in range(2, 8):
+        _vandermonde_square.__wrapped__(m)
+        assert gc.collect() == 0, m
 
 
 def test_vandermonde_square_matches_product():
