@@ -3,7 +3,8 @@
 Every command and every ``reproduce`` target has its own parser, which holds
 only the flags that command reads: ``--out`` and ``--deterministic`` are on
 all of them, ``--format`` only on the targets with a CSV payload
-(``matrix-examples``, ``table1`` and ``table2``).
+(``matrix-examples``, ``table1`` and ``table2``, whose ``--truncate`` cell
+has none: ``--format csv`` with it is a usage error).
 
 Exit codes: 0 = all asserted checks pass, 1 = verification mismatch,
 2 = usage error.  Every usage error, from the parser or from a range check,
@@ -204,6 +205,8 @@ def _reproduce_table1(args, started):
 def _reproduce_table2(args, started):
     if args.truncate is not None:
         # custom cell: nullity of the truncated matrix for a given tuple t
+        if args.format == "csv":
+            return _usage("--format csv has no payload for a --truncate cell")
         try:
             t = tuple(int(x) for x in args.truncate.split(","))
             if any(x <= 0 for x in t):

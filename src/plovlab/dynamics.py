@@ -8,6 +8,8 @@ intersection numbers w_lambda of the log-twisted classes L^i H,
 interpolates the top self-intersection of the sum of pullbacks as an exact
 polynomial in n, kept as its ascending Fraction coefficients with no
 trailing zero, and reads off the polynomial volume growth as its degree.
+L and w stay in ints, as cL and c^{|lambda|} w_lambda for the c that clears
+L; only the Hilbert check divides by c^{|lambda|}.
 The concrete models are abelian surrogates: the lattice Z^g with an integer
 unimodular A acting by S -> A^T S A on symmetric g x g matrices, which are
 the classes and carry the polarized-determinant intersection form.  Each
@@ -192,16 +194,15 @@ def unipotent_power(a: list[list[int]]) -> tuple[int, list[list[int]]]:
     return m, u
 
 
-def nilpotent_log(u: list[list[int]]) -> list[list[Fraction]]:
-    """log U = sum (-1)^{i+1} (U - I)^i / i for a unipotent integer matrix U;
-    exact and finite, with Fraction entries.
+def nilpotent_log(u: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(c, cN) for N = log U = sum (-1)^{i+1} (U - I)^i / i, U a unipotent
+    integer matrix, and c the least positive int with cN integral.
 
-    The integer powers N^i of N = U - I are summed with the integer weights
-    (-1)^{i+1} c/i, c = lcm(1..g), and the sum is divided by c once.
+    The powers of U - I are summed with the integer weights (-1)^{i+1} b/i,
+    b = lcm(1..g), into bN, and b / c = gcd(b, every entry of bN).
     """
-    from fractions import Fraction
     g = len(u)
-    c = lcm(*range(1, g + 1))
+    b = lcm(*range(1, g + 1))
     n = mat_sub(u, mat_identity(g))
     out = [[0] * g for _ in range(g)]
     power = mat_identity(g)
@@ -209,12 +210,13 @@ def nilpotent_log(u: list[list[int]]) -> list[list[Fraction]]:
         power = mat_mul(power, n)
         if mat_is_zero(power):
             break
-        weight = (-1) ** (i + 1) * (c // i)
+        weight = (-1) ** (i + 1) * (b // i)
         out = mat_add(out, [[x * weight for x in r] for r in power])
     else:
         if not mat_is_zero(mat_mul(power, n)):
             raise ModelError("input is not unipotent")
-    return [[Fraction(x, c) for x in r] for r in out]
+    common = gcd(b, *(x for r in out for x in r))
+    return b // common, [[x // common for x in r] for r in out]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +273,7 @@ class AbelianSurrogate:
         S_j) (Bapat 1989), exactly 2^g determinants.  The pipeline reads its
         w-table from one polynomial determinant (`_det_table`) and calls
         this once per k >= 2 model, on the integer classes (cL)^i H, to
-        certify w_kappa."""
+        certify the table's int c^|kappa| w_kappa."""
         g = self.g
         if len(classes) != g:
             raise ValueError(f"need exactly {g} classes")
@@ -344,16 +346,14 @@ def _prepared(model):
     eigenvalues, so its q-th power is unipotent iff A^q is +-(unipotent),
     and V, -V act alike.  So U: S -> V^T S V is the unipotent power, whose
     orbit `delta_polynomial` sums, and L = log U is S -> N^T S + S N for
-    N = log V.  With c the lcm of the denominators of N, (cL)^i H is a
-    symmetric integer matrix for H = I.
+    N = log V.  With (c, cN) from `nilpotent_log`, (cL)^i H is a symmetric
+    integer matrix for H = I.
     The classes run up to the last nonzero one, K = len(cLH) - 1, and the
-    w-table maps each partition with d parts in [0, K] to w_lambda, the
-    intersection of (L^{lambda_1} H, ..., L^{lambda_d} H): by
-    multilinearity, the intersection of the scaled classes, read from one
-    determinant by `_det_table`, divided by c^{|lambda|}.  Only the nonzero
-    w_lambda are stored; every other w_lambda is zero.
+    w-table maps each partition with d parts in [0, K] to the int
+    c^{|lambda|} w_lambda, the intersection of the classes (cL)^{lambda_j} H,
+    read from one determinant by `_det_table`, for w_lambda that of the
+    L^{lambda_j} H (multilinearity).  Only the nonzero entries are stored.
     """
-    from fractions import Fraction
     cache = getattr(model, "_pipeline_cache", None)
     if cache is None:
         p, v = unipotent_power(model.a)
@@ -362,9 +362,8 @@ def _prepared(model):
             if mat_is_zero(
                     mat_pow(mat_add(half, mat_identity(model.g)), model.g)):
                 p, v = p // 2, [[-x for x in r] for r in half]
-        n = nilpotent_log(v)
-        c = lcm(*(x.denominator for r in n for x in r))
-        cnt = [[int(x * c) for x in col] for col in zip(*n)]  # (cN)^T
+        c, cn = nilpotent_log(v)
+        cnt = list(zip(*cn))  # (cN)^T
         lh = [mat_identity(model.g)]
         while True:
             # (cN)^T S + S (cN) = X + X^T for X = (cN)^T S, S symmetric
@@ -373,9 +372,8 @@ def _prepared(model):
             if mat_is_zero(s):
                 break
             lh.append(s)
-        w = {lam: Fraction(val, c ** sum(lam))
-             for lam, val in _det_table(model.g, lh).items()}
-        cache = {"p": p, "V": v, "cLH": lh, "c": c, "w": w}
+        cache = {"p": p, "V": v, "cLH": lh, "c": c,
+                 "w": _det_table(model.g, lh)}
         model._pipeline_cache = cache
     return cache
 
@@ -393,8 +391,8 @@ def degree_growth_exponent(model) -> int:
 
 
 def w_vector(model, n: int) -> CoeffVector:
-    """w_lambda = intersection of (L^{lambda_1} H, ..., L^{lambda_d} H) over
-    P(k,d,n), for k = `degree_growth_exponent(model)`."""
+    """The ints c^n w_lambda over P(k,d,n): w up to the positive scale c^n,
+    c from `nilpotent_log`, for k = `degree_growth_exponent(model)`."""
     d = model.d
     k = degree_growth_exponent(model)
     if k == 0:
@@ -408,18 +406,11 @@ def w_vector(model, n: int) -> CoeffVector:
 
 def verify_linear_system(model, n: int) -> None:
     """A_{k,d,n} . w = 0, exactly, for k = `degree_growth_exponent(model)`;
-    raises ModelError otherwise.
-
-    Every lambda in P(k, d, n) has |lambda| = n, so c^n clears each
-    denominator of w, and the system is checked on the integer numerators.
-    """
+    raises ModelError otherwise.  The system is homogeneous, so it is
+    checked on the integer vector c^n w of `w_vector`."""
     w = w_vector(model, n)
     k = w.index.k
-    scale = _prepared(model)["c"] ** n
-    mat = build_incidence(k, model.d, n)
-    residual = mat.data.matvec(
-        [v.numerator * (scale // v.denominator) for v in w.entries])
-    if any(v != 0 for v in residual):
+    if any(build_incidence(k, model.d, n).data.matvec(w.entries)):
         raise ModelError(f"linear system violated at (k={k}, d={model.d}, n={n})")
 
 
@@ -481,9 +472,8 @@ def find_distinguished_kappa(model) -> tuple[tuple[int, ...], Partition]:
     parts 2j of the top partition, which must be kappa(t) with w positive.
     w_kappa is then certified by a second, independent route: one
     `intersect` of the classes (cL)^{kappa_j} H, a polarization sum over
-    their subsets of exactly 2^d determinants, divided by c^|kappa|.
+    their subsets of exactly 2^d determinants: the table's c^|kappa| w_kappa.
     """
-    from fractions import Fraction
     d = model.d
     k = degree_growth_exponent(model)
     if k < 2:
@@ -499,13 +489,11 @@ def find_distinguished_kappa(model) -> tuple[tuple[int, ...], Partition]:
         raise ModelError(
             f"no distinguished tuple: the top of the w-table, "
             f"{format_partition(kappa)}, is not kappa(t) with w positive")
-    certified = Fraction(
-        model.intersect([prep["cLH"][p] for p in kappa]),
-        prep["c"] ** sum(kappa))
+    certified = model.intersect([prep["cLH"][p] for p in kappa])
     if certified != w[kappa]:
         raise ModelError(
             f"w_kappa mismatch at kappa = {format_partition(kappa)}: "
-            f"determinant table {w[kappa]}, intersect {certified}")
+            f"c^|kappa| w_kappa: table {w[kappa]}, intersect {certified}")
     weighted = sum(2 * j * t[j] for j in range(1, r + 1))
     if not r * (r + 1) <= weighted <= r * d:
         raise ModelError(f"boundedness violated: {weighted}")
@@ -546,8 +534,10 @@ def hilbert_top_coefficient_check(model) -> None:
     # two independent routes: the top coefficient comes from the orbit sum
     # of U, and w_kappa from the determinant table of the classes L^i H
     # (find_distinguished_kappa certifies it against intersect)
-    w_kappa = _prepared(model)["w"].get(kappa_of(tuple([1] * d)), 0)
-    expected = w_kappa * hilbert_product(d)
+    prep = _prepared(model)
+    kappa = kappa_of(tuple([1] * d))
+    expected = (hilbert_product(d) * prep["w"].get(kappa, 0)
+                / prep["c"] ** sum(kappa))
     if (len(delta) - 1, delta[-1]) != (d * d, expected):
         raise ModelError(
             f"Hilbert closed form mismatch at d={d}: degree {len(delta) - 1} "
@@ -605,8 +595,8 @@ def model_from_json(text: str) -> AbelianSurrogate:
     Raises ValueError, with a one-line message, for anything that is not a
     square matrix of JSON integers of the declared size, or of a size above
     MAX_MODEL_DIM, or with an entry of more than MAX_ENTRY_BITS bits, for a
-    "g" that is not a JSON integer, and for JSON nested too deeply for the
-    parser's recursion.
+    "g" that is not a JSON integer, for any other key (named), and for JSON
+    nested too deeply for the parser's recursion.
     """
     try:
         spec = json.loads(text)
@@ -616,6 +606,9 @@ def model_from_json(text: str) -> AbelianSurrogate:
         raise ValueError("model must be a JSON object")
     if spec.get("type") != "abelian":
         raise ValueError(f"unsupported model type {spec.get('type')!r}")
+    unknown = next((key for key in spec if key not in ("type", "g", "A")), None)
+    if unknown is not None:
+        raise ValueError(f"unknown model key {json.dumps(unknown)}")
     if "A" not in spec:
         raise ValueError('model has no "A" matrix')
     a = spec["A"]

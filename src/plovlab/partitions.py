@@ -71,9 +71,9 @@ class PartitionSet(Record):
 
 
 class CoeffVector(Record):
-    """Rational coefficients indexed by a partition set, in its decreasing
-    lex order: a symmetric polynomial's expansion in the normalized monomial
-    basis (`symfun`), or a model's w-vector (`dynamics`)."""
+    """Exact coefficients indexed by a partition set, in its decreasing
+    lex order: a symmetric polynomial's rational expansion in the normalized
+    monomial basis (`symfun`), or a model's integer w-vector (`dynamics`)."""
 
     __slots__ = _fields = ("index", "entries")
 

@@ -595,6 +595,14 @@ def fraction_poly_mul(a, b):
     return out
 
 
+def rational_w_table(model):
+    """The nonzero w_lambda as Fractions: each int c^|lambda| w_lambda of
+    the library's w-table divided by c^|lambda|."""
+    prep = _prepared(model)
+    c = prep["c"]
+    return {lam: Fraction(v, c ** sum(lam)) for lam, v in prep["w"].items()}
+
+
 def delta_multinomial_fraction(model):
     """Coefficients of the volume polynomial, ascending, trailing zeros
     dropped: the sum over the w-table of d!/prod(e_i!) * w_lambda *
@@ -604,7 +612,7 @@ def delta_multinomial_fraction(model):
     s_over_fact = [[c / factorial(i) for c in power_sum_polynomial(i)]
                    for i in range(k + 1)]
     total = []
-    for lam, w in _prepared(model)["w"].items():
+    for lam, w in rational_w_table(model).items():
         e = multiplicities(lam, k)
         term = [Fraction(factorial(d)) * w]
         for i, e_i in enumerate(e):
@@ -684,7 +692,8 @@ def classes_by_action(a):
     """p, U = F^p and the nonzero classes L^i H, as Fraction vectors, from
     the unipotent power of the action matrix F of A and L = log U."""
     p, u = unipotent_power(action_matrix(a))
-    l = nilpotent_log(u)
+    c, cl = nilpotent_log(u)
+    l = [[Fraction(x, c) for x in r] for r in cl]
     g = len(a)
     lh = [[Fraction(int(i == j)) for i in range(g) for j in range(i, g)]]
     while any(lh[-1]):

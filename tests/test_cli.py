@@ -121,6 +121,17 @@ def test_table2_n_needs_truncate(capsys):
     assert err == "error: --n applies only with --truncate\n"
 
 
+def test_table2_truncate_cell_has_no_csv(capsys):
+    # a --truncate cell has no CSV payload: --format csv is a usage error,
+    # and --format json prints the cell's report
+    argv = ("reproduce", "table2", "--truncate", "2,1,1,1", "--n", "13")
+    err = usage_error_line(capsys, *argv, "--format", "csv")
+    assert err == "error: --format csv has no payload for a --truncate cell\n"
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["n"] == 13
+
+
 def test_table2_truncate_n_above_dk(capsys):
     # above n = d*k, k = 2r, P(k, d, n) is empty; n = d*k is the last cell
     for n in ("17", "100"):
@@ -557,6 +568,18 @@ def test_plov_malformed_model(capsys, tmp_path, text):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_plov_model_with_an_unknown_key(capsys, tmp_path):
+    # an ample class "H" is not a model key yet: the model does not run with
+    # H = I in its place, and the error names the key
+    path = tmp_path / "model.json"
+    path.write_text('{"type": "abelian", "A": [[1, 1], [0, 1]], '
+                    '"H": [[2, 0], [0, 1]]}')
+    assert main(["plov", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'error: unknown model key "H"\n'
+
+
 @pytest.mark.parametrize("blocks", ["7", "4,3", "2,2,2,1"])
 def test_plov_blocks_above_cap(capsys, blocks):
     assert main(["plov", "--abelian-blocks", blocks]) == 2
@@ -769,7 +792,8 @@ def test_matrix_commands_load_no_fractions():
         ("reproduce", "kernel", "--d", "4"),
         ("reproduce", "fullrank", "--k", "3", "--d", "3", "--n", "4"),
     )) & FRACTION_MODULES
-    # the w-table is rational, so plov loads fractions: the check can fail
+    # the volume polynomial is rational, so plov loads fractions: the check
+    # can fail
     assert "fractions" in added_modules(
         main_code(("plov", "--abelian-blocks", "3")))
 

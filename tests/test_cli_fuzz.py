@@ -181,8 +181,9 @@ def test_bad_command_or_target(under_reproduce, name):
     check(["reproduce", name] if under_reproduce else [name], codes=(2,))
 
 
-# --model files: wrong types, ragged or empty rows, deep nesting, entries over
-# 64 bits, a non-unimodular A and an A that is not quasi-unipotent
+# --model files: wrong types, an unknown key, ragged or empty rows, deep
+# nesting, entries over 64 bits, a non-unimodular A and an A that is not
+# quasi-unipotent
 
 def model(a, **extra):
     return json.dumps({"type": "abelian", "A": a, **extra})
@@ -198,7 +199,7 @@ json_values = st.recursive(
 @st.composite
 def wrong_types(draw):
     value = draw(json_values)
-    where = draw(st.sampled_from(["A", "g", "type", "document"]))
+    where = draw(st.sampled_from(["A", "g", "type", "H", "document"]))
     if where == "document":
         return json.dumps(value)
     spec = {"type": "abelian", "A": [[1, 1], [0, 1]], where: value}

@@ -18,6 +18,7 @@ from oracles import (
     nilpotent_exp,
     nilpotent_log_fraction,
     poly_at,
+    rational_w_table,
     sym_to_vec,
     vec_to_sym,
     w_table_by_polarization,
@@ -84,7 +85,49 @@ def test_integer_path_matches_fraction_oracles():
             for a in (m.a, f):
                 assert charpoly(a) == charpoly_fraction(a), blocks
             for u in (_prepared(m)["V"], unipotent_power(f)[1]):
-                assert nilpotent_log(u) == nilpotent_log_fraction(u), blocks
+                c, cn = nilpotent_log(u)
+                assert [[Fraction(x, c) for x in r] for r in cn] == (
+                    nilpotent_log_fraction(u)), blocks
+
+
+def test_nilpotent_log_scale_is_the_lcm_of_denominators():
+    # c of (c, cN) against the lcm of the denominators of the Fraction log,
+    # on V and on the action's unipotent power for a seeded conjugate of
+    # every type with g <= 5, and on U = I, where N = 0 and c = 1
+    rng = Random(5)
+    scales = set()
+    for g in range(2, 6):
+        assert nilpotent_log(mat_identity(g)) == (1, [[0] * g] * g)
+        for blocks in _jordan_types(g, g):
+            m = random_conjugate(blocks, rng)
+            for u in (_prepared(m)["V"], unipotent_power(action_matrix(m.a))[1]):
+                c, cn = nilpotent_log(u)
+                n = nilpotent_log_fraction(u)
+                assert c == lcm(*(x.denominator for r in n for x in r)), blocks
+                assert cn == [[x * c for x in r] for r in n], blocks
+                scales.add(c)
+    assert scales == {1, 2, 6, 12}
+
+
+def test_w_vector_is_the_scaled_w_table():
+    # w_vector(m, n) holds the ints c^n w_lambda: the rational polarization
+    # table times c^n, on the Jordan form and a seeded conjugate of every
+    # type with g <= 5 and k > 0, at every n in [1, d k]
+    rng = Random(41)
+    for g in range(2, 6):
+        for blocks in _jordan_types(g, g):
+            if blocks[0] == 1:
+                continue
+            for m in (AbelianSurrogate(jordan_matrix(blocks)),
+                      random_conjugate(blocks, rng)):
+                table = w_table_by_polarization(m)
+                c = _prepared(m)["c"]
+                for n in range(1, m.d * degree_growth_exponent(m) + 1):
+                    w = w_vector(m, n)
+                    assert w.entries == tuple(
+                        c ** n * table.get(lam, 0) for lam in w.index), (
+                        blocks, n)
+                    assert all(type(x) is int for x in w.entries)
 
 
 def test_w_table_matches_fraction_classes():
@@ -97,7 +140,7 @@ def test_w_table_matches_fraction_classes():
         prep = _prepared(m)
         lh = classes_by_action(m.a)[2]
         assert len(lh) == len(prep["cLH"]), blocks
-        for lam, w in prep["w"].items():
+        for lam, w in rational_w_table(m).items():
             assert w == intersect_rational(
                 m, [vec_to_sym(m.g, lh[part]) for part in lam]), (blocks, lam)
 
@@ -217,7 +260,8 @@ def test_unipotent_power_rejects_entropy():
 
 def test_log_exp_roundtrip():
     u = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
-    l = nilpotent_log(u)
+    c, cl = nilpotent_log(u)
+    l = [[Fraction(x, c) for x in r] for r in cl]
     assert nilpotent_exp(l) == [[Fraction(x) for x in r] for r in u]
 
 
@@ -317,7 +361,8 @@ def test_w_table_matches_polarization_oracle():
             for m in (jordan, random_conjugate(blocks, rng),
                       random_conjugate(blocks, rng)):
                 prep = _prepared(m)
-                assert prep["w"] == w_table_by_polarization(m), (blocks, m.a)
+                assert rational_w_table(m) == w_table_by_polarization(m), (
+                    blocks, m.a)
                 assert all(prep["w"].values()), blocks
                 dens.add(prep["c"])
     assert dens == {1, 2, 6, 12}
@@ -443,7 +488,8 @@ def test_delta_polynomial_matches_fraction_oracle():
                       random_conjugate(blocks, rng)):
                 assert list(delta_polynomial(m)) == (
                     delta_multinomial_fraction(m)), (blocks, m.a)
-                l = nilpotent_log(unipotent_power(action_matrix(m.a))[1])
+                l = nilpotent_log_fraction(
+                    unipotent_power(action_matrix(m.a))[1])
                 dens.add(lcm(*(x.denominator for r in l for x in r)))
             if blocks == (1, 1, 1, 1):
                 assert degree_growth_exponent(jordan) == 0
@@ -581,7 +627,7 @@ def test_hilbert_check():
     # d=2: coefficient of n^4 equals w_(2,0) / 12
     m2 = AbelianSurrogate(jordan_matrix((2,)), jordan=(2,))
     hilbert_top_coefficient_check(m2)
-    assert delta_polynomial(m2)[4] == _prepared(m2)["w"][(2, 0)] / 12
+    assert delta_polynomial(m2)[4] == rational_w_table(m2)[(2, 0)] / 12
 
 
 def test_hilbert_check_names_a_wrong_degree(monkeypatch):
@@ -658,6 +704,7 @@ def test_model_json_roundtrip():
     '{"type": "abelian", "g": 2.0, "A": [[1, 0], [0, 1]]}',  # float g
     '{"type": "abelian", "g": true, "A": [[1]]}',          # boolean g
     '{"type": "abelian", "A": [[1, 18446744073709551616], [0, 1]]}',  # 65 bits
+    '{"type": "abelian", "A": [[1, 1], [0, 1]], "H": [[2, 0], [0, 1]]}',  # extra key
     pytest.param('[' * 100000, id="nested-100000"),       # nested too deeply
 ])
 def test_model_from_json_rejects(text):

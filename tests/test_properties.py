@@ -26,12 +26,12 @@ from oracles import (  # noqa: E402
     intersect_rational,
     mhat_expand_by_sorting,
     mixed_determinant,
+    rational_w_table,
     vec_to_sym,
     w_table_by_polarization,
 )
 from plovlab.dynamics import (  # noqa: E402
     AbelianSurrogate,
-    _prepared,
     degree_growth_exponent,
     delta_polynomial,
     jordan_matrix,
@@ -264,7 +264,7 @@ def jordan_type(draw, lo=2, hi=5):
 @given(jordan_type(), st.integers(0, 2**32 - 1))
 def test_det_table_matches_polarization(blocks, seed):
     m = random_conjugate(blocks, Random(seed))
-    assert _prepared(m)["w"] == w_table_by_polarization(m), (blocks, m.a)
+    assert rational_w_table(m) == w_table_by_polarization(m), (blocks, m.a)
 
 
 @st.composite

@@ -422,18 +422,40 @@ def test_third_party_import_is_reported():
 
 
 def fraction_importers(modules: dict[str, ast.Module]) -> list[str]:
-    """The modules that import ``fractions``, plainly or from it."""
-    return sorted(name for name, tree in modules.items()
-                  if any(module == "fractions"
-                         for _, module in absolute_imports(tree)))
+    """Where ``fractions`` is imported, plainly or from it: the innermost
+    function around each import (``module.function``, a method as
+    ``module.Class.method``), or the module for an import outside every
+    function, which runs on loading."""
+    found = set()
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                name = f"{prefix}.{child.name}"
+                visit(child, name,
+                      owner if isinstance(child, ast.ClassDef) else name)
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and any(
+                    module == "fractions"
+                    for _, module in absolute_imports(child)):
+                found.add(owner)
+            visit(child, prefix, owner)
+
+    for module, tree in modules.items():
+        visit(tree, module, module)
+    return sorted(found)
 
 
 def test_only_true_ratios_import_fractions():
-    # every matrix is an integer matrix: Fraction stays where a value is a
-    # true ratio, the w-table and the volume polynomial (dynamics) and the
-    # symmetric-function coefficients (symfun)
+    # every matrix is an integer matrix, and the model pipeline keeps log V
+    # and the w-table in ints: Fraction is built only for a ratio that a
+    # command prints or compares, the volume polynomial (and the power sums
+    # of its test oracle) and the symmetric-function coefficients
     modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert fraction_importers(modules) == ["dynamics", "symfun"]
+    assert fraction_importers(modules) == [
+        "dynamics._bernoulli", "dynamics.delta_polynomial",
+        "dynamics.power_sum_polynomial", "symfun.hilbert_product",
+        "symfun.mhat_poly"]
 
 
 def load_time_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -474,15 +496,28 @@ def test_load_time_import_is_reported():
 
 
 def test_fraction_importer_is_reported():
-    # a plain and a from-import of fractions are found, dotted or aliased;
-    # another module and a name merely called Fraction are not
+    # a plain and a from-import of fractions are found, dotted or aliased,
+    # and named by the innermost function around them, a method by its
+    # class, or by the module outside every function; another module, a
+    # relative import and a name merely called Fraction are not
     trees = {"plain": "import fractions as f\n",
              "from": "from fractions import Fraction\n",
              "other": "from math import gcd\nFraction = int\n",
-             "relative": "from .fractions import Fraction\n"}
+             "relative": "from .fractions import Fraction\n",
+             "funcs": "def f():\n"
+                      "    from fractions import Fraction\n"
+                      "    def inner():\n"
+                      "        import fractions.numbers\n"
+                      "def g():\n"
+                      "    return Fraction(1)\n"
+                      "class C:\n"
+                      "    def m(self):\n"
+                      "        if self:\n"
+                      "            from fractions import Fraction\n"
+                      "    import fractions\n"}
     assert fraction_importers({name: ast.parse(text)
                                for name, text in trees.items()}) == [
-        "from", "plain"]
+        "from", "funcs", "funcs.C.m", "funcs.f", "funcs.f.inner", "plain"]
 
 
 # The calls that change when the cyclic collector runs
