@@ -1,9 +1,10 @@
 """Exact sparse integer matrices with a deterministic rank over Q.
 
-Every entry is a Python int by construction: ``incidence.build_incidence``
-and ``ExactMatrix.blocks`` are the only producers, and neither checks its
-entries again.  The validating constructors, which reject a Fraction or a
-float with TypeError, live in ``tests/oracles.py``.
+Every entry is a Python int by construction: ``incidence.build_incidence``,
+``incidence.truncate_columns`` and ``ExactMatrix.blocks`` are the only
+producers, and none checks its entries again.  The validating constructors,
+which reject a Fraction or a float with TypeError, live in
+``tests/oracles.py``.
 
 The rank is the one elimination.  It eliminates the transpose (rank A =
 rank A^T): the columns of A become the rows, with one column per nonzero

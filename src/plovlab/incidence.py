@@ -12,6 +12,7 @@ CheckFailed when the claim fails on an instance.
 from __future__ import annotations
 
 import io
+from bisect import bisect_left
 from math import factorial, prod
 
 from .exactmat import (CheckFailed, ExactMatrix, Record, matrix_rank,
@@ -52,14 +53,18 @@ def truncate_columns(
     m: IncidenceMatrix, kappa: Partition
 ) -> tuple[ExactMatrix, list[Partition]]:
     """Keep exactly the columns lambda with lambda <= kappa in lex order.
-    The columns decrease, so these are the suffix from the first such lambda."""
+    The columns decrease, so these are the suffix from the first such lambda;
+    each row keeps its entries from one bisection on, renumbered from 0."""
     if len(kappa) != m.col_set.d:
         raise ValueError("kappa must have d parts")
     if any(part > m.col_set.k for part in kappa):
         raise ValueError("kappa parts must be at most k")
     cols = m.col_set.members
     start = next((j for j, lam in enumerate(cols) if lam <= kappa), len(cols))
-    return m.data.blocks(0, start)[3], list(cols[start:])
+    rows = tuple([
+        tuple([(c - start, v) for c, v in row[bisect_left(row, (start,)):]])
+        for row in m.data.rows])
+    return ExactMatrix(len(cols) - start, rows), list(cols[start:])
 
 
 class BlockForm(Record):
@@ -147,16 +152,19 @@ def verify_kernel_dim_one(d: int) -> dict:
     kappa = kappa_of(t)
     m = build_incidence(2 * d - 2, d, d * (d - 1))
     sub, kept = truncate_columns(m, kappa)
-    v = vandermonde_coeff_vector(d - 1, d)
+    # v and the columns are both indexed by P(2d-2, d, d(d-1)), so the kept
+    # columns are the suffix of v, and kappa is the first of them
+    v = vandermonde_coeff_vector(d - 1, d).entries
+    candidate = v[len(v) - len(kept):]
     # a rank bound mod the word prime and the exact product sub v = 0
     # certify that v spans the kernel; no basis is eliminated
-    basis = nullspace_basis(sub, [v[lam] for lam in kept])
+    basis = nullspace_basis(sub, candidate)
     if not basis:
         raise CheckFailed(
             f"kernel theorem at d={d}: the truncated kernel has dimension "
             f"{len(kept) - matrix_rank(sub)} and is not spanned by the "
             f"Vandermonde vector")
-    kappa_entry = v[kappa]
+    kappa_entry = candidate[0]
     expected_entry = prod(factorial(2 * j) for j in range(1, d))
     if kappa_entry != expected_entry:
         raise CheckFailed(

@@ -5,16 +5,21 @@ z^alpha / alpha! over all distinct rearrangements alpha of lambda.  Expanding
 a symmetric polynomial in this basis turns the "raise one part" incidence
 matrix into the divergence operator sum_i d/dz_i, which is the bridge between
 the combinatorics and the intersection-number computations.
+
+An orbit, the distinct rearrangements of a partition, depends only on the
+partition's run lengths.  Each run-length shape keeps one byte string of the
+first-position indices of all its rearrangements, and an orbit is that
+string translated through the partition, one byte per part: parts and
+lengths are at most 255.
 """
 
 from __future__ import annotations
 
 import gc
-from collections import Counter
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from math import comb, factorial, prod
-from operator import itemgetter
+from operator import is_
 
 from .exactmat import SparseMultiPoly
 from .partitions import (
@@ -26,54 +31,53 @@ from .partitions import (
 )
 
 
-def _rearranger(first: tuple[int, ...]) -> itemgetter:
-    """A getter that lists, flat, the distinct rearrangements of every
-    decreasing tuple lam with lam[i] == lam[first[i]], first[i] being the
-    first position of lam[i]'s value.
+@lru_cache(maxsize=None)
+def _template(first: bytes) -> bytes:
+    """The distinct rearrangements of the nondecreasing bytes `first`, flat,
+    in increasing lex order.  With `first` the first positions of the parts
+    of a decreasing tuple lam (lam[i] == lam[first[i]]), they are lam's
+    rearrangements read through lam, and since lam's runs decrease,
+    increasing lex order on `first` gives decreasing lex order on lam.
 
-    Lam's rearrangements are those of `first` read through lam, and since
-    lam's runs decrease, increasing lex order on `first` gives decreasing
-    lex order on lam.  Each step goes to the next one: take the last ascent
-    a[i] < a[i+1], swap a[i] with the last entry above it, and reverse the
-    (now decreasing) suffix.
+    In that order the rearrangements come in one block per distinct value v
+    of `first`, increasing: v, then each rearrangement of `first` without
+    one v.  A block is written one column at a time by extended slices, the
+    rest from the template of the shorter bytes.
     """
-    a = list(first)
-    n = len(a)
-    flat = []
-    while True:
-        flat += a
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return itemgetter(*flat)
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = a[:i:-1]
-
-
-# The orbit of a decreasing tuple depends only on its run lengths, so one
-# getter serves each run-length shape, keyed by every entry's first position:
-# (5,4,4,2,1,0) -> (0,1,1,3,4,5).
-_rearrangers: dict[tuple[int, ...], itemgetter] = {}
+    n = len(first)
+    if n < 2:
+        return first
+    blocks = []
+    for i, v in enumerate(first):
+        if i and first[i - 1] == v:
+            continue
+        rest = _template(first[:i] + first[i + 1:])
+        rows = len(rest) // (n - 1)
+        block = bytearray(rows * n)
+        block[::n] = bytes([v]) * rows
+        for c in range(1, n):
+            block[c::n] = rest[c - 1::n - 1]
+        blocks.append(block)
+    return b"".join(blocks)
 
 
 @lru_cache(maxsize=None)
 def _orbit(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The distinct rearrangements of a decreasing tuple, in decreasing lex
-    order.  Cached per tuple, so callers share the list and must not change
-    it; ``vandermonde_coeff_vector`` empties the cache when its expansion
-    ends, so the memo lives for one expansion."""
+    order.  Parts and length are at most 255, as one byte each.
+
+    The orbit depends only on lam's run lengths, so one ``_template`` per
+    run-length shape, keyed by every part's first position ((5,4,4,2,1,0)
+    -> 0,1,1,3,4,5), serves every lam of that shape: one translate reads it
+    through lam.  Cached per tuple, so callers share the list and must not
+    change it; ``vandermonde_coeff_vector`` empties both caches when its
+    expansion ends, so the memos live for one expansion."""
     d = len(lam)
     if d < 2:
         return [lam]
-    first = tuple(map(lam.index, lam))
-    getter = _rearrangers.get(first)
-    if getter is None:
-        getter = _rearrangers[first] = _rearranger(first)
-    return list(zip(*[iter(getter(lam))] * d))
+    flat = _template(bytes(map(lam.index, lam))).translate(
+        bytes(lam).ljust(256, b"\0"))
+    return list(zip(*[iter(flat)] * d))
 
 
 @lru_cache(maxsize=None)
@@ -92,22 +96,31 @@ def _orbit_pass(terms: dict, index: PartitionSet) -> CoeffVector | None:
     partition's orbit is present with its coefficient and the orbits cover
     len(terms) exponents, no other term exists: the polynomial is symmetric
     and all its terms lie in orbits of index.
+
+    A polynomial built from the ``_orbit`` lists, as ``vandermonde_poly``
+    builds it, holds those very tuples, orbit after orbit in the order of
+    index.  So the terms are first walked in insertion order against the
+    present orbits: each key must be the orbit member itself
+    (``operator.is_``), and each orbit's coefficients must equal its
+    partition's, counted as the lookup counts them.  No term is hashed
+    again.  Where the walk disagrees anywhere, every orbit member is looked
+    up instead.
     """
     get = terms.get
-    covered = 0
-    entries = []
-    for lam in index:
-        c = get(lam)
-        if c is None:
-            entries.append(0)
-            continue
-        orbit = _orbit(lam)
-        if list(map(get, orbit)).count(c) != len(orbit):
-            return None
-        covered += len(orbit)
-        entries.append(c * prod(map(factorial, lam)))
-    if covered != len(terms):
+    present = [(i, c, _orbit(lam)) for i, lam in enumerate(index)
+               if (c := get(lam)) is not None]
+    if sum(len(orbit) for _, _, orbit in present) != len(terms):
         return None
+    keys, values = iter(terms), iter(terms.values())
+    walked = all(all(map(is_, islice(keys, len(orbit)), orbit))
+                 and list(islice(values, len(orbit))).count(c) == len(orbit)
+                 for _, c, orbit in present)
+    if not walked and any(list(map(get, orbit)).count(c) != len(orbit)
+                          for _, c, orbit in present):
+        return None
+    entries = [0] * len(index)
+    for i, c, _ in present:
+        entries[i] = c * prod(map(factorial, index[i]))
     return CoeffVector(index, tuple(entries))
 
 
@@ -121,10 +134,13 @@ def mhat_expand(p: SparseMultiPoly, k: int, d: int, n: int) -> CoeffVector:
 
     One pass over the orbits of P(k,d,n) certifies the usual input.  Any
     other input is checked term by term, so a term of the wrong degree is
-    reported first and zero coefficients may form partial orbits.
+    reported first and zero coefficients may form partial orbits.  Orbits
+    are listed one byte per part, so k or d above 255 raises ValueError.
     """
     if p.arity != d:
         raise ValueError(f"arity {p.arity} != d = {d}")
+    if k > 255 or d > 255:
+        raise ValueError(f"need k, d <= 255, got k={k}, d={d}")
     index = partition_set(k, d, n)
     out = _orbit_pass(p.terms, index)
     if out is not None:
@@ -201,7 +217,7 @@ def _vandermonde_square(m: int) -> dict[Partition, int]:
     for lam in enumerate_partitions(2 * m - 2, m, m * (m - 1)):
         c = sums.get(lam[::-1])
         if c:
-            out[lam] = c * prod(map(factorial, Counter(lam).values()))
+            out[lam] = c * prod(map(factorial, map(lam.count, set(lam))))
     return out
 
 
@@ -230,10 +246,11 @@ def vandermonde_coeff_vector(r: int, d: int) -> CoeffVector:
 
     The expansion allocates every exponent tuple of the polynomial (56,183
     at d = 6) and frees them all when it ends, together with the ``_orbit``
-    memo that shares them.  The tuples hold only ints and form no cycles, so
-    the cyclic collector, which a run of allocations sets off, would only
-    traverse them in vain: it is paused while the expansion runs, and the
-    caller's setting is restored after it.
+    memo that shares them and the ``_template`` memo behind it.  The tuples
+    hold only ints and form no cycles, so the cyclic collector, which a run
+    of allocations sets off, would only traverse them in vain: it is paused
+    while the expansion runs, and the caller's setting is restored after
+    it.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -241,6 +258,7 @@ def vandermonde_coeff_vector(r: int, d: int) -> CoeffVector:
         return mhat_expand(vandermonde_poly(r, d), 2 * r, d, r * (r + 1))
     finally:
         _orbit.cache_clear()
+        _template.cache_clear()
         if enabled:
             gc.enable()
 

@@ -246,6 +246,22 @@ def test_kernel_matrix_is_the_all_ones_cell():
         assert verify_kernel_dim_one(d)["nullity"] == 1, d
 
 
+def test_kernel_columns_are_the_suffix_of_the_vandermonde_vector():
+    # verify_kernel_dim_one reads the candidate as the suffix of v over the
+    # kept columns and kappa's entry as its first: v and the columns share
+    # the index P(2d - 2, d, d(d - 1)), and kappa is the first kept column
+    from plovlab.symfun import vandermonde_coeff_vector
+
+    for d in range(2, 8):
+        m = build_incidence(2 * d - 2, d, d * (d - 1))
+        _, kept = truncate_columns(m, kappa_of((1,) * d))
+        v = vandermonde_coeff_vector(d - 1, d)
+        assert v.index.members == m.col_set.members, d
+        assert kept[0] == kappa_of((1,) * d), d
+        assert v.entries[len(v.entries) - len(kept):] == tuple(
+            [v[lam] for lam in kept]), d
+
+
 def test_kernel_d2_vector():
     rep = verify_kernel_dim_one(2)
     assert [int(v) for v in rep["kernel"]] == [1, -1]

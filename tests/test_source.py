@@ -1,11 +1,17 @@
-"""Static checks on the library's source, parsed with ``ast``."""
+"""Checks on the library's source: static ones, parsed with ``ast``, and
+one on the module-level memos that a CLI call fills."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
+import types
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
-from test_bench_hooks import load_layers
+from test_bench_hooks import load_layers, small_ops
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plovlab"
 
@@ -563,3 +569,97 @@ def test_collector_policy_is_reported():
     assert collector_policy(tree) == [
         (1, "gc"), (2, "gc"), (3, "disable"), (4, "freeze"), (5, "enable"),
         (7, "set_threshold")]
+
+
+def container_sizes(modules: dict[str, types.ModuleType]) -> dict[str, int]:
+    """The size of each module-level container of the modules, keyed
+    "module.name": an ``lru_cache``'s ``currsize``, or the ``len`` of a
+    dict, list or set.  Dunder names are skipped, and so is a cached
+    function that another module defines."""
+    sizes = {}
+    for modname, module in modules.items():
+        for name, value in vars(module).items():
+            if (name.startswith("__")
+                    or getattr(value, "__module__", modname) != modname):
+                continue
+            if hasattr(value, "cache_info"):
+                sizes[f"{modname}.{name}"] = value.cache_info().currsize
+            elif isinstance(value, (dict, list, set)):
+                sizes[f"{modname}.{name}"] = len(value)
+    return sizes
+
+
+def resized(before: dict[str, int], after: dict[str, int]) -> list[str]:
+    """The containers whose size differs between two ``container_sizes``."""
+    return sorted(name for name, size in after.items()
+                  if before.get(name) != size)
+
+
+# Run in a fresh interpreter: load every plovlab module, run one CLI call
+# and print the containers it resized, as a JSON list
+RESIZED_BY_ONE_CALL = """
+import importlib, io, json, pkgutil, sys
+from contextlib import redirect_stdout
+import plovlab
+from test_source import container_sizes, resized
+modules = {info.name: importlib.import_module(info.name)
+           for info in pkgutil.iter_modules(plovlab.__path__, "plovlab.")}
+before = container_sizes(modules)
+with redirect_stdout(io.StringIO()):
+    code = modules["plovlab.cli"].main(sys.argv[1:])
+print(json.dumps([code, resized(before, container_sizes(modules))]))
+"""
+
+
+def test_cli_calls_resize_only_the_benchmarks_cold_caches(tmp_path):
+    # the benchmark's cold-process check reads only the caches that
+    # perfbench/layers.py COLD_CACHES names, so a memo that an op on a
+    # workload's path leaves resized and that the list does not name could
+    # carry over between ops unseen
+    cold = {f"{module}.{attr}" for module, attr in load_layers().COLD_CACHES}
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), str(tests), os.environ.get("PYTHONPATH", "")])}
+    unnamed = {}
+    for workload in ("table2", "plov", "kernel"):
+        for argv in small_ops(workload, tmp_path):
+            out = subprocess.run(
+                [sys.executable, "-c", RESIZED_BY_ONE_CALL, *argv,
+                 "--deterministic"],
+                capture_output=True, text=True, env=env, check=True).stdout
+            code, names = json.loads(out.splitlines()[-1])
+            assert code == 0, argv
+            assert names, argv  # each call fills some cache
+            if set(names) - cold:
+                unnamed[" ".join(argv)] = sorted(set(names) - cold)
+    assert unnamed == {}
+
+
+def test_resized_container_is_reported():
+    # a dict, list, set or lru_cache whose size changes is found; an
+    # unchanged one, a tuple, a dunder and a cached function that another
+    # module defines are not
+    @lru_cache(maxsize=None)
+    def cached(x):
+        return x
+
+    @lru_cache(maxsize=None)
+    def foreign(x):
+        return x
+
+    foreign.__module__ = "elsewhere"
+    module = types.ModuleType("m")
+    module.__dict__.update(table={}, items=[], seen={1}, cached=cached,
+                           same={}, parts=(), __extra__={}, foreign=foreign)
+    cached.__module__ = "m"
+    before = container_sizes({"m": module})
+    assert set(before) == {"m.table", "m.items", "m.seen", "m.cached",
+                           "m.same"}
+    module.table[1] = 2
+    module.items.append(1)
+    module.seen.clear()
+    cached(3)
+    module.__extra__[1] = 2
+    foreign(3)
+    assert resized(before, container_sizes({"m": module})) == [
+        "m.cached", "m.items", "m.seen", "m.table"]

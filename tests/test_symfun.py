@@ -35,13 +35,59 @@ from oracles import (
 )
 
 
+def orbit_uncached(lam):
+    """_orbit(lam) without filling its per-tuple memo, which a sweep over
+    every partition would grow to every exponent tuple of the sweep."""
+    return symfun._orbit.__wrapped__(lam)
+
+
 def test_distinct_permutations_order_matches_sorting():
-    # k = d - 1 gives every run-length shape of d parts
+    # every partition with parts up to 2d - 2, the largest part the
+    # kernel's expansion lists; k = d - 1 alone gives every run-length shape
     for d in range(1, 7):
-        k = max(d - 1, 1)
+        k = max(2 * d - 2, 1)
         for n in range(d * k + 1):
             for lam in enumerate_partitions(k, d, n):
-                assert symfun._orbit(lam) == distinct_permutations_by_sorting(lam), lam
+                assert orbit_uncached(lam) == distinct_permutations_by_sorting(lam), lam
+
+
+def runs_at_the_ends(d, k):
+    """For every run-length shape of d parts, the partition whose runs take
+    the largest values in [0, k] and the one whose runs take the least."""
+    for cuts in range(1 << (d - 1)):
+        lengths, run = [], 1
+        for i in range(d - 1):
+            if cuts >> i & 1:
+                lengths.append(run)
+                run = 0
+            run += 1
+        lengths.append(run)
+        for top in (k, len(lengths) - 1):
+            yield tuple(v for j, size in enumerate(lengths)
+                        for v in [top - j] * size)
+
+
+def test_orbit_matches_sorting_on_every_shape_at_d7():
+    # every partition of parts up to 12 would be 13^7 exponent tuples; each
+    # of the 64 run-length shapes at both ends of [0, 12] reads the templates
+    # through the largest and the smallest parts
+    lams = list(runs_at_the_ends(7, 12))
+    assert len(set(lams)) == 128 and max(map(max, lams)) == 12
+    for lam in lams:
+        assert orbit_uncached(lam) == distinct_permutations_by_sorting(lam), lam
+
+
+def test_mhat_expand_caps_parts_and_length_at_255():
+    # an orbit is listed one byte per part: 255 fits in k and in d, 256
+    # raises one line
+    for k, d, lam in ((255, 2, (255, 0)), (1, 255, (1,) + (0,) * 254)):
+        p = SparseMultiPoly(d, dict.fromkeys(orbit_uncached(lam), 1))
+        assert len(p.terms) == d
+        assert mhat_expand(p, k, d, sum(lam))[lam] == factorial(max(lam))
+    for k, d in ((256, 2), (1, 256)):
+        with pytest.raises(ValueError, match="255") as err:
+            mhat_expand(SparseMultiPoly(d, {}), k, d, 0)
+        assert "\n" not in str(err.value)
 
 
 def test_mhat_poly_small():
@@ -66,6 +112,27 @@ def test_mhat_expand_rejects_asymmetric():
         mhat_expand(p, 2, 2, 2)
 
 
+class LookupCounter(dict):
+    """Terms that count their ``get`` calls: the orbit pass makes one per
+    partition of the index, and its lookup makes one more per term."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def certified_by(terms, k, d, n):
+    """The orbit pass's expansion of terms, and "walk" or "lookup" for the
+    check that certified it."""
+    counted = LookupCounter(terms)
+    index = partition_set(k, d, n)
+    out = symfun._orbit_pass(counted, index)
+    assert out is not None
+    return out, "walk" if counted.gets == len(index) else "lookup"
+
+
 def test_mhat_expand_rejects_incomplete_orbit():
     # drop one of the six rearrangements of (2,1,0)
     p = SparseMultiPoly(
@@ -78,10 +145,15 @@ def test_mhat_expand_rejects_incomplete_orbit():
 
 
 def test_mhat_expand_rejects_unequal_orbit_coefficient():
-    # every rearrangement present, one coefficient changed
+    # every rearrangement present, one coefficient changed; the copy keeps
+    # the Vandermonde sum's insertion order, so the walk that certifies the
+    # sum meets the change among identical keys and must compare the
+    # coefficients too
     p = vandermonde_poly(1, 3)
+    assert certified_by(p.terms, 2, 3, 2)[1] == "walk"
     terms = dict(p.terms)
     terms[(0, 2, 0)] += 1
+    assert list(terms) == list(p.terms)
     with pytest.raises(ValueError, match="polynomial is not symmetric"):
         mhat_expand(SparseMultiPoly(3, terms), 2, 3, 2)
 
@@ -121,6 +193,32 @@ def test_mhat_expand_orbit_count_must_match_term_count():
     p = SparseMultiPoly(3, terms)
     with pytest.raises(ValueError, match=r"term \(1, 0, 0\) is not of degree 3"):
         mhat_expand(p, 2, 3, 3)
+
+
+def test_orbit_pass_walks_the_insertion_order():
+    # the Vandermonde sum lists its terms orbit after orbit from the orbit
+    # memo, so the walk certifies it with no lookup
+    p = vandermonde_poly(3, 4)
+    out, how = certified_by(p.terms, 6, 4, 12)
+    assert how == "walk"
+    assert out == mhat_expand_by_sorting(p, 6, 4, 12)
+
+
+def test_orbit_pass_looks_up_what_the_walk_cannot_certify():
+    # a shuffled copy, and a copy with one key replaced by an equal tuple
+    # that is not the orbit member itself, are the same polynomial: the walk
+    # disagrees and the lookup certifies them
+    p = vandermonde_poly(3, 4)
+    expected = mhat_expand_by_sorting(p, 6, 4, 12)
+    items = list(p.terms.items())
+    Random(5).shuffle(items)
+    old = next(e for e in p.terms if e != tuple(sorted(e, reverse=True)))
+    new = tuple(list(old))
+    assert new == old and new is not old
+    replaced = {(new if e is old else e): c for e, c in p.terms.items()}
+    assert list(replaced) == list(p.terms)
+    for terms in (dict(items), replaced):
+        assert certified_by(terms, 6, 4, 12) == (expected, "lookup")
 
 
 def test_mhat_expand_certifies_symmetric_input_in_one_pass(monkeypatch):
@@ -238,6 +336,7 @@ def test_expansion_runs_without_collector_passes(collector):
             vandermonde_coeff_vector(d - 1, d)
             assert gc.isenabled(), d
             assert symfun._orbit.cache_info().currsize == 0, d
+            assert symfun._template.cache_info().currsize == 0, d
     finally:
         gc.callbacks.remove(probe)
     assert seen == []
@@ -266,6 +365,7 @@ def test_expansion_restores_the_collector_setting(collector, enabled):
         vandermonde_coeff_vector(0, 4)
     assert gc.isenabled() is enabled
     assert symfun._orbit.cache_info().currsize == 0
+    assert symfun._template.cache_info().currsize == 0
 
 
 def test_expansion_leaves_no_garbage_for_the_collector(collector):
