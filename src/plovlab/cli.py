@@ -24,6 +24,8 @@ duration is omitted so identical flags give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -302,7 +304,10 @@ def _reproduce_fullrank(args, started):
 # plov and scan
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
-    blocks = tuple(int(x) for x in text.split(","))
+    try:
+        blocks = tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad --abelian-blocks list: {exc}") from None
     if not blocks or any(b < 1 for b in blocks):
         raise ValueError("block sizes must be positive integers")
     if sum(blocks) > MAX_MODEL_DIM:
@@ -311,11 +316,31 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return blocks
 
 
+def _read_model(path: str) -> AbelianSurrogate:
+    """The model in the JSON file at path.  A file that cannot be read, or
+    that is not UTF-8 JSON, raises ValueError naming --model and the path;
+    a missing file keeps the OS's message, which names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ValueError(f"cannot read --model {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"--model {path} is not UTF-8: {exc.reason} "
+                         f"at byte {exc.start}") from None
+    try:
+        return model_from_json(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--model {path} is not JSON: {exc.msg} at line "
+                         f"{exc.lineno} column {exc.colno}") from None
+
+
 def cmd_plov(args, started):
     try:
         if args.model is not None:
-            with open(args.model) as fh:
-                model = model_from_json(fh.read())
+            model = _read_model(args.model)
         else:
             blocks = _parse_blocks(args.abelian_blocks)
             model = AbelianSurrogate(jordan_matrix(blocks), jordan=blocks)
@@ -490,6 +515,13 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     started = time.monotonic()
+    # At exit, before the interpreter's finalization collections, freeze
+    # the heap: they then skip the objects that startup, the imports and
+    # the command left, which only die with the process.  Registered once
+    # per process, however often main is called; nothing changes while
+    # the command runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     if argv is None:
         argv = sys.argv[1:]
     try:

@@ -580,6 +580,43 @@ def test_plov_model_with_an_unknown_key(capsys, tmp_path):
     assert captured.err == 'error: unknown model key "H"\n'
 
 
+# Each input that plov cannot read, and the one line naming its flag
+PLOV_INPUT_ERRORS = {
+    "directory": "cannot read --model {path}: Is a directory",
+    "not-utf-8": "--model {path} is not UTF-8: invalid start byte at byte 0",
+    "empty": "--model {path} is not JSON: Expecting value at line 1 column 1",
+    "devnull": "--model {path} is not JSON: Expecting value at line 1 column 1",
+    "empty-block": "bad --abelian-blocks list: "
+                   "invalid literal for int() with base 10: ''",
+}
+
+
+@pytest.mark.parametrize("case", PLOV_INPUT_ERRORS)
+def test_plov_input_error_names_its_flag(capsys, tmp_path, case):
+    path = tmp_path / "model.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf-8":
+        path.write_bytes(b"\xff{}")
+    elif case == "empty":
+        path.write_bytes(b"")
+    elif case == "devnull":
+        path = os.devnull
+    argv = (("plov", "--abelian-blocks", "2,,1") if case == "empty-block"
+            else ("plov", "--model", str(path)))
+    assert usage_error_line(capsys, *argv) == (
+        f"error: {PLOV_INPUT_ERRORS[case].format(path=path)}\n")
+
+
+def test_plov_model_is_read_as_utf_8(capsys, tmp_path):
+    # JSON is UTF-8 whatever the locale: a non-ASCII string reaches the
+    # model check intact
+    path = tmp_path / "model.json"
+    path.write_bytes('{"type": "ab\u00e9lien", "A": [[1]]}'.encode())
+    assert usage_error_line(capsys, "plov", "--model", str(path)) == (
+        "error: unsupported model type 'ab\u00e9lien'\n")
+
+
 @pytest.mark.parametrize("blocks", ["7", "4,3", "2,2,2,1"])
 def test_plov_blocks_above_cap(capsys, blocks):
     assert main(["plov", "--abelian-blocks", blocks]) == 2
@@ -740,17 +777,23 @@ def test_out_unwritable_fails_before_work(capsys, tmp_path, monkeypatch):
     assert not fresh.exists() and kept.read_text() == "old"
 
 
+def fresh_interpreter(code, *argv, cwd=None):
+    """Run code in a fresh interpreter that imports plovlab from this
+    checkout, with argv as ``sys.argv[1:]``; stdout and stderr are bytes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          cwd=cwd, capture_output=True)
+
+
 def loaded_modules(code):
     """The modules a fresh interpreter holds after running code, read from
     the last line of its stderr, since code may print to stdout.  A fresh
     interpreter, because pytest itself imports these modules."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    err = subprocess.run(
-        [sys.executable, "-c",
-         f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)"],
-        env=env, capture_output=True, text=True, check=True).stderr
-    return set(err.splitlines()[-1].split())
+    run = fresh_interpreter(
+        f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)")
+    assert run.returncode == 0, run.stderr
+    return set(run.stderr.decode().splitlines()[-1].split())
 
 
 def added_modules(code):
@@ -796,6 +839,84 @@ def test_matrix_commands_load_no_fractions():
     # can fail
     assert "fractions" in added_modules(
         main_code(("plov", "--abelian-blocks", "3")))
+
+
+# An exit handler registered before anything else runs after every later
+# one, so it reports how many objects were frozen once the others had run
+FREEZE_PROBE = """import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+"""
+RUN_MAIN = "from plovlab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+# one command of each benchmark workload's kind, at a small size
+EXIT_FREEZE_COMMANDS = (
+    ("reproduce", "kernel", "--d", "4", "--deterministic"),
+    ("reproduce", "table2", "--truncate", "2,1,1,1", "--n", "13",
+     "--deterministic"),
+    ("plov", "--abelian-blocks", "3", "--deterministic"),
+)
+
+
+def frozen_at_exit(run) -> int:
+    """The probe's count from a run whose only stderr line is the probe's."""
+    assert run.returncode == 0, run.stderr
+    found = re.fullmatch(rb"frozen (\d+)\n", run.stderr)
+    assert found, run.stderr
+    return int(found.group(1))
+
+
+@pytest.mark.parametrize("argv", EXIT_FREEZE_COMMANDS)
+def test_main_freezes_the_heap_at_exit(argv):
+    # the freeze runs among the exit handlers, before the interpreter's
+    # finalization collections, which then skip the heap the command left
+    run = fresh_interpreter(FREEZE_PROBE + RUN_MAIN, *argv)
+    assert run.stdout
+    assert frozen_at_exit(run) > 0
+
+
+def test_import_registers_no_freeze():
+    # only main registers the freeze: importing the CLI leaves the
+    # importer's collector as it was
+    assert frozen_at_exit(
+        fresh_interpreter(FREEZE_PROBE + "import plovlab.cli\n")) == 0
+
+
+def test_freeze_is_registered_once_and_runs_at_exit():
+    # main called twice registers the freeze once, and it runs only at exit
+    code = ("import atexit, gc, sys\n"
+            "calls = []\n"
+            "def counted():\n"
+            "    calls.append(None)\n"
+            "    freeze()\n"
+            "freeze, gc.freeze = gc.freeze, counted\n"
+            "atexit.register(lambda: print('at exit', len(calls), "
+            "file=sys.stderr))\n"
+            "from plovlab.cli import main\n"
+            "for _ in range(2):\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print('after main', len(calls), file=sys.stderr)\n")
+    run = fresh_interpreter(code, "plov", "--abelian-blocks", "2",
+                            "--deterministic")
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == b"after main 0\nat exit 1\n"
+
+
+@pytest.mark.parametrize("argv", EXIT_FREEZE_COMMANDS)
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, argv):
+    # no finalizer runs at exit, so --out is closed before main returns:
+    # the file holds the bytes that the same command prints when its --out
+    # path leads to stdout
+    for place in ("file", "stdout"):
+        (tmp_path / place).mkdir()
+    os.symlink("/dev/stdout", tmp_path / "stdout" / "report.json")
+    runs = {place: fresh_interpreter("import sys\n" + RUN_MAIN, *argv,
+                                     "--out", "report.json",
+                                     cwd=tmp_path / place)
+            for place in ("file", "stdout")}
+    assert [(r.returncode, r.stderr) for r in runs.values()] == [(0, b"")] * 2
+    assert runs["file"].stdout == b"" and runs["stdout"].stdout
+    assert (tmp_path / "file" / "report.json").read_bytes() == (
+        runs["stdout"].stdout)
 
 
 # one command of each kind, each run under two interpreters

@@ -427,29 +427,32 @@ def test_third_party_import_is_reported():
         (2, "numpy"), (3, "sympy"), (6, "gmpy2")]
 
 
-def fraction_importers(modules: dict[str, ast.Module]) -> list[str]:
-    """Where ``fractions`` is imported, plainly or from it: the innermost
-    function around each import (``module.function``, a method as
-    ``module.Class.method``), or the module for an import outside every
-    function, which runs on loading."""
-    found = set()
-
+def owned_nodes(modules: dict[str, ast.Module]):
+    """(owner, node) of each node of the modules below its module: the
+    owner is the innermost function around the node (``module.function``,
+    a method as ``module.Class.method``), or the module for a node outside
+    every function, which runs on loading."""
     def visit(node, prefix, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, DEFINITIONS):
                 name = f"{prefix}.{child.name}"
-                visit(child, name,
-                      owner if isinstance(child, ast.ClassDef) else name)
+                yield from visit(child, name, owner
+                                 if isinstance(child, ast.ClassDef) else name)
                 continue
-            if isinstance(child, (ast.Import, ast.ImportFrom)) and any(
-                    module == "fractions"
-                    for _, module in absolute_imports(child)):
-                found.add(owner)
-            visit(child, prefix, owner)
+            yield owner, child
+            yield from visit(child, prefix, owner)
 
     for module, tree in modules.items():
-        visit(tree, module, module)
-    return sorted(found)
+        yield from visit(tree, module, module)
+
+
+def fraction_importers(modules: dict[str, ast.Module]) -> list[str]:
+    """Where ``fractions`` is imported, plainly or from it: the owner of
+    each import, as ``owned_nodes`` names it."""
+    return sorted({owner for owner, node in owned_nodes(modules)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and any(module == "fractions"
+                           for _, module in absolute_imports(node))})
 
 
 def test_only_true_ratios_import_fractions():
@@ -526,37 +529,46 @@ def test_fraction_importer_is_reported():
         "from", "funcs", "funcs.C.m", "funcs.f", "funcs.f.inner", "plain"]
 
 
-# The calls that change when the cyclic collector runs
+# The functions that change when the cyclic collector runs
 COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
 
 
-def collector_policy(tree: ast.Module) -> list[tuple[int, str]]:
-    """(line, module or function) of each import of ``gc`` and each call of
-    a collector switch, as an attribute or as a plain name."""
-    found = [(line, module) for line, module in absolute_imports(tree)
-             if module == "gc"]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None)
-            if name in COLLECTOR_SWITCHES:
-                found.append((node.lineno, name))
+def collector_policy(modules: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(owner, "gc") of each import of ``gc``, and (owner, switch) of each
+    read of a collector switch, as an attribute or as a plain name, whether
+    called or passed on: ``atexit.register(gc.freeze)`` sets the policy as
+    surely as ``gc.freeze()``.  Owners as ``owned_nodes`` names them."""
+    found = []
+    for owner, node in owned_nodes(modules):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(owner, "gc") for _, module in absolute_imports(node)
+                      if module == "gc"]
+            continue
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name in COLLECTOR_SWITCHES and isinstance(node.ctx, ast.Load):
+            found.append((owner, name))
     return sorted(found)
 
 
-def test_only_symfun_sets_the_collector_policy():
+def test_collector_policy_is_set_at_two_sites():
     # the collector is paused only around the Vandermonde expansion, whose
-    # tuples form no cycles, so its policy stays in one module
+    # tuples form no cycles; and main registers the freeze that runs at
+    # exit, before the interpreter's finalization collections, which would
+    # otherwise spend about 6 ms of every CLI process on a heap that dies
+    # with it.  Nothing else moves the collector.
     modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert [name for name, tree in modules.items()
-            if collector_policy(tree)] == ["symfun"]
+    assert collector_policy(modules) == [
+        ("cli", "gc"), ("cli.main", "freeze"), ("cli.main", "freeze"),
+        ("symfun", "gc"), ("symfun.vandermonde_coeff_vector", "disable"),
+        ("symfun.vandermonde_coeff_vector", "enable")]
 
 
 def test_collector_policy_is_reported():
     # plain, aliased and from-imports of gc are found, and each switch
-    # called on any object or by its bare name; gc.collect and another
-    # module are not
+    # called or passed on, on any object or by its bare name, named by the
+    # innermost function around it; gc.collect, another module and a
+    # switch's name being bound are not
     tree = ast.parse("import os, gc as g\n"
                      "from gc import freeze\n"
                      "g.disable()\n"
@@ -564,11 +576,76 @@ def test_collector_policy_is_reported():
                      "parser.enable()\n"
                      "def f():\n"
                      "    set_threshold(1)\n"
+                     "    def inner():\n"
+                     "        g.enable()\n"
                      "g.collect()\n"
-                     "isenabled = g.enable\n")
-    assert collector_policy(tree) == [
-        (1, "gc"), (2, "gc"), (3, "disable"), (4, "freeze"), (5, "enable"),
-        (7, "set_threshold")]
+                     "isenabled = g.enable\n"
+                     "atexit.register(g.freeze)\n"
+                     "enable = parser.disable = None\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        import gc\n")
+    assert collector_policy({"m": tree}) == [
+        ("m", "disable"), ("m", "enable"), ("m", "enable"), ("m", "freeze"),
+        ("m", "freeze"), ("m", "gc"), ("m", "gc"), ("m.C.m", "gc"),
+        ("m.f", "set_threshold"), ("m.f.inner", "enable")]
+
+
+def finalizer_hazards(modules: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(owner, "__del__") of each class that defines ``__del__``, named
+    ``module.Class``, and (owner, "open") of each ``open`` call that is
+    neither the item of a ``with`` nor closed in the same expression, as
+    ``open(path).close()``; owners as ``owned_nodes`` names them."""
+    nodes = list(owned_nodes(modules))
+    managed = {id(node.context_expr) for _, node in nodes
+               if isinstance(node, ast.withitem)}
+    managed |= {id(node.func.value) for _, node in nodes
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "close"}
+    found = [(owner, "open") for owner, node in nodes
+             if isinstance(node, ast.Call) and id(node) not in managed
+             and (node.func.id if isinstance(node.func, ast.Name)
+                  else getattr(node.func, "attr", None)) == "open"]
+    for module, tree in modules.items():
+        found += [(name, "__del__")
+                  for name, node, _ in definitions(tree, module)
+                  if isinstance(node, ast.ClassDef)
+                  and any(isinstance(item, ast.FunctionDef)
+                          and item.name == "__del__" for item in node.body)]
+    return sorted(found)
+
+
+def test_no_output_waits_for_a_finalizer():
+    # main freezes the heap at exit, so the interpreter's last collections
+    # neither free nor finalize the cyclic garbage that a command leaves:
+    # no output may depend on a finalizer.  No class defines __del__, and
+    # every file is closed by a with, or at once, before main returns.
+    modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert finalizer_hazards(modules) == []
+
+
+def test_finalizer_hazard_is_reported():
+    # a bare open, on its own or as a method, one whose close is read but
+    # not called, and a class with __del__, at any depth, are found; a with
+    # item, each of several, an open closed in the same expression, and a
+    # __del__ that is not a class's method are not
+    tree = ast.parse("fh = open(p)\n"
+                     "with open(p) as a, path.open('w') as b:\n"
+                     "    pass\n"
+                     "open(p, 'a').close()\n"
+                     "open(p).close\n"
+                     "def f():\n"
+                     "    return path.open()\n"
+                     "class Handle:\n"
+                     "    def __del__(self): pass\n"
+                     "def g():\n"
+                     "    class Inner:\n"
+                     "        def __del__(self): pass\n"
+                     "    def __del__(x): pass\n")
+    assert finalizer_hazards({"m": tree}) == [
+        ("m", "open"), ("m", "open"), ("m.Handle", "__del__"), ("m.f", "open"),
+        ("m.g.Inner", "__del__")]
 
 
 def container_sizes(modules: dict[str, types.ModuleType]) -> dict[str, int]:
