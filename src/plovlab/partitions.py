@@ -43,8 +43,7 @@ def enumerate_partitions(k: int, d: int, n: int) -> tuple[Partition, ...]:
 class PartitionSet(Record):
     """P(k, d, n) with members in decreasing lexicographic order."""
 
-    _fields = ("k", "d", "n", "members")
-    __slots__ = _fields + ("_idx",)
+    __slots__ = _fields = ("k", "d", "n", "members")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -54,36 +53,6 @@ class PartitionSet(Record):
 
     def __getitem__(self, i: int) -> Partition:
         return self.members[i]
-
-    def index_of(self, p: Partition) -> int:
-        return self._index()[p]
-
-    def __contains__(self, p: Partition) -> bool:
-        return p in self._index()
-
-    def _index(self) -> dict[Partition, int]:
-        # lazy lookup table; tuples hash cheaply so a dict beats binary search
-        idx = getattr(self, "_idx", None)
-        if idx is None:
-            idx = {p: i for i, p in enumerate(self.members)}
-            object.__setattr__(self, "_idx", idx)
-        return idx
-
-
-class CoeffVector(Record):
-    """Exact coefficients indexed by a partition set, in its decreasing
-    lex order: a symmetric polynomial's rational expansion in the normalized
-    monomial basis (`symfun`), or a model's integer w-vector (`dynamics`)."""
-
-    __slots__ = _fields = ("index", "entries")
-
-    def __init__(self, index: PartitionSet, entries: tuple):
-        if len(entries) != len(index):
-            raise ValueError("entry count must match the index set")
-        super().__init__(index, entries)
-
-    def __getitem__(self, lam: Partition):
-        return self.entries[self.index.index_of(lam)]
 
 
 def partition_set(k: int, d: int, n: int) -> PartitionSet:

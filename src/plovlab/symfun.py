@@ -22,13 +22,7 @@ from math import comb, factorial, prod
 from operator import is_
 
 from .exactmat import SparseMultiPoly
-from .partitions import (
-    CoeffVector,
-    Partition,
-    PartitionSet,
-    enumerate_partitions,
-    partition_set,
-)
+from .partitions import Partition, PartitionSet, enumerate_partitions, partition_set
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +82,7 @@ def mhat_poly(lam: Partition) -> SparseMultiPoly:
     return SparseMultiPoly(len(lam), dict.fromkeys(_orbit(lam), coef))
 
 
-def _orbit_pass(terms: dict, index: PartitionSet) -> CoeffVector | None:
+def _orbit_pass(terms: dict, index: PartitionSet) -> tuple | None:
     """The expansion of a polynomial with these terms, or None if it is not
     a sum of whole orbits of index with one coefficient each.
 
@@ -121,10 +115,10 @@ def _orbit_pass(terms: dict, index: PartitionSet) -> CoeffVector | None:
     entries = [0] * len(index)
     for i, c, _ in present:
         entries[i] = c * prod(map(factorial, index[i]))
-    return CoeffVector(index, tuple(entries))
+    return tuple(entries)
 
 
-def mhat_expand(p: SparseMultiPoly, k: int, d: int, n: int) -> CoeffVector:
+def mhat_expand(p: SparseMultiPoly, k: int, d: int, n: int) -> tuple:
     """Coefficients of p in the normalized monomial basis over P(k,d,n).
 
     Validates that p is homogeneous of degree n, has per-variable degree at
@@ -241,7 +235,7 @@ def vandermonde_poly(r: int, d: int) -> SparseMultiPoly:
     return SparseMultiPoly(d, terms)
 
 
-def vandermonde_coeff_vector(r: int, d: int) -> CoeffVector:
+def vandermonde_coeff_vector(r: int, d: int) -> tuple:
     """Coefficients of the degree r(r+1) Vandermonde sum over P(2r, d, r(r+1)).
 
     The expansion allocates every exponent tuple of the polynomial (56,183

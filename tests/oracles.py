@@ -29,7 +29,7 @@ from plovlab.dynamics import (
 )
 from plovlab.exactmat import ExactMatrix, SparseMultiPoly, matrix_rank
 from plovlab.partitions import Partition, enumerate_partitions, partition_set
-from plovlab.symfun import CoeffVector, _orbit, mhat_expand
+from plovlab.symfun import _orbit, mhat_expand
 
 
 def brute_force_partitions(k, d, n):
@@ -443,7 +443,8 @@ def vandermonde_square_by_backtracking(m):
 def mhat_expand_by_sorting(p, k, d, n):
     """mhat_expand term by term: check each term's degrees, group the nonzero
     terms by their sorted exponent and compare each group with its orbit
-    size d!/prod e_i! and first coefficient."""
+    size d!/prod e_i! and first coefficient.  The coefficients come in the
+    order of partition_set(k, d, n)."""
     if p.arity != d:
         raise ValueError(f"arity {p.arity} != d = {d}")
     orbits = {}  # sorted exponent -> [coefficient, members]
@@ -466,37 +467,38 @@ def mhat_expand_by_sorting(p, k, d, n):
         symmetric = symmetric and members == size
     if not symmetric:
         raise ValueError("polynomial is not symmetric")
-    index = partition_set(k, d, n)
     entries = []
-    for lam in index:
+    for lam in partition_set(k, d, n):
         mult = Fraction(1)
         for a in lam:
             mult *= factorial(a)
         entries.append(p.terms.get(lam, 0) * mult)
-    return CoeffVector(index, tuple(entries))
+    return tuple(entries)
 
 
-def coeff_vector_poly(x: CoeffVector) -> SparseMultiPoly:
-    """The symmetric polynomial sum_lambda x_lambda mhat_lambda."""
+def coeff_vector_poly(index, x) -> SparseMultiPoly:
+    """The symmetric polynomial sum_lambda x_lambda mhat_lambda, for x in the
+    order of the partition set index."""
     terms = {}
-    for lam, c in zip(x.index, x.entries):
+    for lam, c in zip(index, x, strict=True):
         if c:
             terms.update(dict.fromkeys(
                 _orbit(lam), Fraction(c) / prod(map(factorial, lam))))
-    return SparseMultiPoly(x.index.d, terms)
+    return SparseMultiPoly(index.d, terms)
 
 
-def apply_derivation(x: CoeffVector) -> CoeffVector:
-    """Expand sum_i d/dz_i of the polynomial attached to x, one degree down.
+def apply_derivation(index, x) -> tuple:
+    """Expand sum_i d/dz_i of the polynomial attached to x over the
+    partition set index = P(k,d,n), one degree down, over P(k,d,n-1).
 
     Computed by direct differentiation of monomials, independently of the
     incidence matrices: each term adds its d partial derivatives to one sum.
     """
-    k, d, n = x.index.k, x.index.d, x.index.n
+    k, d, n = index.k, index.d, index.n
     if n < 1:
         raise ValueError("n must be at least 1")
     out: dict[tuple[int, ...], Fraction] = {}
-    for expo, c in coeff_vector_poly(x).terms.items():
+    for expo, c in coeff_vector_poly(index, x).terms.items():
         for i, e in enumerate(expo):
             if e:
                 lower = expo[:i] + (e - 1,) + expo[i + 1:]

@@ -28,17 +28,14 @@ from plovlab.incidence import (
     build_incidence,
     nullity_truncated,
     table2_tuple,
+    truncate_columns,
     verify_full_rank,
     verify_kernel_dim_one,
 )
 from plovlab.partitions import count, partition_set
-from plovlab.symfun import (
-    CoeffVector,
-    hilbert_product,
-    vandermonde_coeff_vector,
-)
+from plovlab.symfun import hilbert_product, vandermonde_coeff_vector
 
-from oracles import apply_derivation, integrate_unit_cube
+from oracles import apply_derivation, dense_rank, integrate_unit_cube
 
 
 def report(num, label, ok):
@@ -62,7 +59,7 @@ def test_acceptance_02_table1_block_form():
     t0 = time.monotonic()
     # returns without raising: CheckFailed on a nonzero top-right block or
     # a diagonal block other than A_{6,3,6} and A_{5,4,12}
-    bf = block_form(6, 4, 12)
+    _, top_left, bottom_right = block_form(6, 4, 12)
     full = build_incidence(6, 4, 12)
     dense = full.data.to_dense()
     rows_ok = [tuple(p) for p in full.row_set] == golden.TABLE1_ROWS
@@ -72,13 +69,13 @@ def test_acceptance_02_table1_block_form():
         for i, mu in enumerate(full.row_set)
         for j, lam in enumerate(full.col_set)
     )
-    dashed1 = [row[1:] for row in bf.top_left.data.to_dense()]
-    dashed2 = [row[:6] for row in bf.bottom_right.data.to_dense()[:6]]
+    dashed1 = [row[1:] for row in top_left.data.to_dense()]
+    dashed2 = [row[:6] for row in bottom_right.data.to_dense()[:6]]
     ok = (
         full.shape == (16, 18)
         and rows_ok and cols_ok and entries_ok
-        and bf.top_left.shape == (5, 7)        # A_{6,3,6}
-        and bf.bottom_right.shape == (11, 11)  # A_{5,4,12}
+        and top_left.shape == (5, 7)        # A_{6,3,6}
+        and bottom_right.shape == (11, 11)  # A_{5,4,12}
         and dashed1 == build_incidence(5, 3, 6).data.to_dense()
         and dashed2 == build_incidence(5, 3, 7).data.to_dense()
         and time.monotonic() - t0 < 1.0
@@ -112,13 +109,20 @@ def test_acceptance_04_full_rank():
 
 
 def test_acceptance_05_kernel_theorem():
+    # verify_kernel_dim_one raises CheckFailed unless the Vandermonde vector
+    # spans the kernel; the nullity is also counted from a dense exact rank,
+    # up to d = 5 (71 x 62)
     ok = True
     for d in range(2, 7):
-        rep = verify_kernel_dim_one(d)
+        _, kappa, kappa_entry = verify_kernel_dim_one(d)
         expected = 1
         for j in range(1, d):
             expected *= factorial(2 * j)
-        ok = ok and rep["nullity"] == 1 and rep["kappa_entry"] == expected
+        ok = ok and kappa_entry == expected
+        if d <= 5:
+            sub, kept = truncate_columns(
+                build_incidence(2 * d - 2, d, d * (d - 1)), kappa)
+            ok = ok and len(kept) - dense_rank(sub.to_dense()) == 1
     report(5, "kernel theorem: nullity 1 with Vandermonde kernel, d in 2..6", ok)
 
 
@@ -134,8 +138,7 @@ def test_acceptance_06_derivation_correspondence():
                     entries = tuple(
                         Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                         for _ in index)
-                    x = CoeffVector(index, entries)
-                    lhs = apply_derivation(x).entries
+                    lhs = apply_derivation(index, entries)
                     rhs = tuple(mat.data.matvec(list(entries)))
                     ok = ok and lhs == rhs
     report(6, "derivation equals incidence action, 20 random vectors per shape", ok)
@@ -196,12 +199,13 @@ def test_acceptance_10_hilbert_closed_form():
             AbelianSurrogate(jordan_matrix((d,)), jordan=(d,)))
     ok = True
     for d in range(2, 6):
+        index = partition_set(2 * d - 2, d, d * (d - 1))
         v = vandermonde_coeff_vector(d - 1, d)
         norm = 1
         for j in range(1, d):
             norm *= factorial(2 * j)
         total = sum(
-            (integrate_unit_cube(lam) * c for lam, c in zip(v.index, v.entries)),
+            (integrate_unit_cube(lam) * c for lam, c in zip(index, v, strict=True)),
             Fraction(0)) / norm
         ok = ok and total == hilbert_product(d)
     report(10, "Hilbert top coefficient and integral closed form", ok)
@@ -219,8 +223,8 @@ def test_acceptance_11_vanishing_suite():
             continue
         all_w = []
         for n in range(1, d * k + 1):
-            w = w_vector(m, n)
-            all_w.extend(zip(w.index, w.entries))
+            all_w.extend(zip(partition_set(k, d, n), w_vector(m, n),
+                             strict=True))
         # combinatorial vanishing
         ok = ok and all(v == 0 for lam, v in all_w if sum(lam) > d * k // 2)
         # geometric vanishing and positivity around the distinguished partition

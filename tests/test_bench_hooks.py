@@ -72,7 +72,7 @@ def test_exactmat_spans_are_called(monkeypatch):
     kernels = count_calls(monkeypatch, "nullspace_basis")
     assert nullity_truncated((2, 1, 1, 1), 0) == 3
     assert (len(ranks), len(kernels)) == (1, 0)
-    assert verify_kernel_dim_one(4)["nullity"] == 1
+    assert verify_kernel_dim_one(4)[1] == (6, 4, 2, 0)  # kappa
     assert (len(ranks), len(kernels)) == (1, 1)
 
 

@@ -13,7 +13,6 @@ import pytest
 from plovlab import cli, golden, incidence
 from plovlab.cli import main
 from plovlab.exactmat import CheckFailed, ExactMatrix
-from plovlab.partitions import CoeffVector
 
 from oracles import from_rows
 
@@ -167,13 +166,45 @@ def test_usage_error_is_one_line(capsys, argv, what):
 @pytest.mark.parametrize("argv, err", [
     (("plov", "--model", ""), "[Errno 2] No such file or directory: ''"),
     (("reproduce", "table2", "--truncate", ""),
-     "bad --truncate tuple: invalid literal for int() with base 10: ''"),
+     "bad --truncate tuple: invalid int value: ''"),
     (("reproduce", "table1", "--out", ""),
      "cannot write --out : No such file or directory"),
 ])
 def test_empty_value_is_refused(capsys, argv, err):
     # an empty value is read as given, not as an absent flag
     assert usage_error_line(capsys, *argv) == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("reproduce", "kernel", "--d", "\u0663"),
+     "argument --d: invalid int value: '\u0663'"),
+    (("scan", "--d", "3", "--count", "0_1"),
+     "argument --count: invalid int value: '0_1'"),
+    (("reproduce", "table2", "--truncate", "2,1,1,1", "--n", "1_3"),
+     "argument --n: invalid int value: '1_3'"),
+    (("reproduce", "table2", "--truncate", "1_0,1"),
+     "bad --truncate tuple: invalid int value: '1_0'"),
+    (("plov", "--abelian-blocks", " 2"),
+     "bad --abelian-blocks list: invalid int value: ' 2'"),
+    (("reproduce", "fullrank", "--k", "+2", "--d", "2", "--n", "3"),
+     "argument --k: invalid int value: '+2'"),
+    (("scan", "--d", "2", "--seed", "-0"),
+     "argument --seed: invalid int value: '-0'"),
+    (("reproduce", "table2", "--dmax", "07"),
+     "argument --dmax: invalid int value: '07'"),
+])
+def test_int_is_read_only_as_typed(capsys, argv, err):
+    # int() alone reads each of these as another int, which the report's
+    # parameters would show beside the command as typed
+    assert usage_error_line(capsys, *argv) == f"error: {err}\n"
+
+
+def test_negative_seed_is_an_int(capsys):
+    assert main(["scan", "--d", "2", "--count", "1", "--seed", "-5",
+                 "--deterministic"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["parameters"]["seed"] == -5
+    assert report["results"]["rows"][0]["seed"] == -5
 
 
 @pytest.mark.parametrize("argv, parameters", [
@@ -463,7 +494,7 @@ def test_failed_kernel_check_is_one_line(capsys, monkeypatch):
     def off_by_one(r, d):
         v = inner(r, d)
         # the last, lex-smallest, partition is below kappa, so it is kept
-        return CoeffVector(v.index, v.entries[:-1] + (v.entries[-1] + 1,))
+        return v[:-1] + (v[-1] + 1,)
 
     monkeypatch.setattr(incidence, "vandermonde_coeff_vector", off_by_one)
     err = check_failed_line(capsys, "reproduce", "kernel", "--d", "4")
@@ -586,8 +617,7 @@ PLOV_INPUT_ERRORS = {
     "not-utf-8": "--model {path} is not UTF-8: invalid start byte at byte 0",
     "empty": "--model {path} is not JSON: Expecting value at line 1 column 1",
     "devnull": "--model {path} is not JSON: Expecting value at line 1 column 1",
-    "empty-block": "bad --abelian-blocks list: "
-                   "invalid literal for int() with base 10: ''",
+    "empty-block": "bad --abelian-blocks list: invalid int value: ''",
 }
 
 

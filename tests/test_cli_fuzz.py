@@ -97,11 +97,12 @@ def call(command, pairs, tail=()):
 
 
 def is_int(text):
+    """Whether the command line reads text as an int: only in the spelling
+    the int prints, so "1_0", " 2", "+3", "03" and "\u0663" are not."""
     try:
-        int(text)
+        return str(int(text)) == text
     except ValueError:
         return False
-    return True
 
 
 @st.composite
@@ -176,6 +177,13 @@ def bad_value(draw):
 
 @FUZZ
 @given(bad_value())
+# text that int() alone would read as another int
+@example(["reproduce", "kernel", "--deterministic", "--d", "\u0663"])
+@example(["scan", "--deterministic", "--d", "3", "--count", "0_1"])
+@example(["reproduce", "table2", "--deterministic", "--truncate", "2,1,1,1",
+          "--n", "1_3"])
+@example(["reproduce", "table2", "--deterministic", "--truncate", "1_0,1"])
+@example(["plov", "--deterministic", "--abelian-blocks", " 2"])
 def test_bad_value(argv):
     check(argv, codes=(2,))
 

@@ -48,6 +48,7 @@ from plovlab.dynamics import (
     verify_linear_system,
     w_vector,
 )
+from plovlab.partitions import partition_set
 
 
 def test_power_sum_polynomials():
@@ -122,12 +123,13 @@ def test_w_vector_is_the_scaled_w_table():
                       random_conjugate(blocks, rng)):
                 table = w_table_by_polarization(m)
                 c = _prepared(m)["c"]
-                for n in range(1, m.d * degree_growth_exponent(m) + 1):
+                k = degree_growth_exponent(m)
+                for n in range(1, m.d * k + 1):
                     w = w_vector(m, n)
-                    assert w.entries == tuple(
-                        c ** n * table.get(lam, 0) for lam in w.index), (
+                    assert w == tuple(c ** n * table.get(lam, 0)
+                                      for lam in partition_set(k, m.d, n)), (
                         blocks, n)
-                    assert all(type(x) is int for x in w.entries)
+                    assert all(type(x) is int for x in w)
 
 
 def test_w_table_matches_fraction_classes():
@@ -576,7 +578,8 @@ def test_w_vector_and_linear_system():
     m = AbelianSurrogate(jordan_matrix((2,)), jordan=(2,))
     for n in range(1, 5):
         assert verify_linear_system(m, n) is None  # ModelError on failure
-    w = w_vector(m, 2)
+    k = degree_growth_exponent(m)
+    w = dict(zip(partition_set(k, 2, 2), w_vector(m, 2), strict=True))
     assert w[(2, 0)] != 0 or w[(1, 1)] != 0
 
 
@@ -736,7 +739,6 @@ def test_combinatorial_vanishing():
     k = degree_growth_exponent(m)
     d = m.d
     for n in range(1, d * k + 1):
-        w = w_vector(m, n)
-        for lam, v in zip(w.index, w.entries):
+        for lam, v in zip(partition_set(k, d, n), w_vector(m, n), strict=True):
             if sum(lam) > d * k // 2:
                 assert v == 0, lam

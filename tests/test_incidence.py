@@ -17,7 +17,8 @@ from plovlab.incidence import (
     verify_full_rank,
     verify_kernel_dim_one,
 )
-from plovlab.partitions import PartitionSet, count, enumerate_partitions
+from plovlab.partitions import (PartitionSet, count, enumerate_partitions,
+                                partition_set)
 
 from oracles import (
     block_nullity_formula,
@@ -59,9 +60,9 @@ def test_table1_nullity():
 def test_block_form_table1():
     # returns without raising: the top-right block is zero and the diagonal
     # blocks are A_{6,3,6} and A_{5,4,12}
-    bf = block_form(6, 4, 12)
-    assert bf.top_left.shape == (5, 7)
-    assert bf.bottom_right.shape == (11, 11)
+    _, top_left, bottom_right = block_form(6, 4, 12)
+    assert top_left.shape == (5, 7)
+    assert bottom_right.shape == (11, 11)
 
 
 def test_block_form_small_cases():
@@ -155,7 +156,7 @@ def test_build_incidence_matches_bump_oracle():
 
 def test_block_form_returns_the_matrix_it_cuts():
     for k, d, n in ((6, 4, 12), (3, 2, 3), (2, 3, 4)):
-        assert block_form(k, d, n).full == build_incidence(k, d, n)
+        assert block_form(k, d, n)[0] == build_incidence(k, d, n)
 
 
 def test_kappa_of():
@@ -221,21 +222,22 @@ def test_block_nullity_formula_on_incidence():
     for k in range(2, 5):
         for d in range(2, 4):
             for n in range(k + 2, d * k + 1):
-                bf = block_form(k, d, n)
-                bottom_left = bf.full.data.blocks(*bf.top_left.shape)[2]
+                full, top_left, bottom_right = block_form(k, d, n)
+                bottom_left = full.data.blocks(*top_left.shape)[2]
                 rep = block_nullity_formula(
-                    bf.top_left.data, bottom_left, bf.bottom_right.data)
+                    top_left.data, bottom_left, bottom_right.data)
                 assert rep["pass"]
 
 
 def test_kernel_dim_one_small():
+    # CheckFailed unless the Vandermonde vector spans the kernel
     for d in (2, 3):
-        rep = verify_kernel_dim_one(d)
-        assert rep["nullity"] == 1
+        _, kappa, kappa_entry = verify_kernel_dim_one(d)
+        assert kappa == kappa_of((1,) * d)
         expected = 1
         for j in range(1, d):
             expected *= factorial(2 * j)
-        assert rep["kappa_entry"] == expected
+        assert kappa_entry == expected
 
 
 def test_kernel_matrix_is_the_all_ones_cell():
@@ -243,7 +245,7 @@ def test_kernel_matrix_is_the_all_ones_cell():
     # by the transposed rank agrees with the candidate-certified kernel
     for d in range(2, 7):
         assert nullity_truncated((1,) * d, 0) == 1, d
-        assert verify_kernel_dim_one(d)["nullity"] == 1, d
+        verify_kernel_dim_one(d)  # CheckFailed unless v spans the kernel
 
 
 def test_kernel_columns_are_the_suffix_of_the_vandermonde_vector():
@@ -255,16 +257,17 @@ def test_kernel_columns_are_the_suffix_of_the_vandermonde_vector():
     for d in range(2, 8):
         m = build_incidence(2 * d - 2, d, d * (d - 1))
         _, kept = truncate_columns(m, kappa_of((1,) * d))
+        index = partition_set(2 * d - 2, d, d * (d - 1))
         v = vandermonde_coeff_vector(d - 1, d)
-        assert v.index.members == m.col_set.members, d
+        entry = dict(zip(index, v, strict=True))
+        assert index.members == m.col_set.members, d
         assert kept[0] == kappa_of((1,) * d), d
-        assert v.entries[len(v.entries) - len(kept):] == tuple(
-            [v[lam] for lam in kept]), d
+        assert v[len(v) - len(kept):] == tuple([entry[lam] for lam in kept]), d
 
 
 def test_kernel_d2_vector():
-    rep = verify_kernel_dim_one(2)
-    assert [int(v) for v in rep["kernel"]] == [1, -1]
+    kernel, _, _ = verify_kernel_dim_one(2)
+    assert kernel == [1, -1]
 
 
 def test_csv_format():

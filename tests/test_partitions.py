@@ -1,7 +1,7 @@
 import pytest
 
 from plovlab.exactmat import ExactMatrix
-from plovlab.incidence import BlockForm
+from plovlab.incidence import IncidenceMatrix
 from plovlab.partitions import (
     PartitionSet,
     count,
@@ -82,8 +82,6 @@ def test_format_partition():
 def test_partition_set_is_a_value():
     a, b = partition_set(5, 3, 6), partition_set(5, 3, 6)
     assert a == b and hash(a) == hash(b)
-    assert a.index_of((2, 2, 2)) == b.index_of((2, 2, 2))  # fills one lazy index
-    assert a == b and hash(a) == hash(b)
     assert a != partition_set(5, 3, 7)
     with pytest.raises(AttributeError):
         a.members = ()
@@ -93,13 +91,13 @@ def test_partition_set_is_a_value():
         PartitionSet(1, 2, 3)
     with pytest.raises(TypeError):
         ExactMatrix(2, (), ())
-    with pytest.raises(TypeError,
-                       match=r"\(full, top_left, bottom_right\), got 1"):
-        BlockForm(a)
+    with pytest.raises(TypeError, match=r"\(row_set, col_set, data\), got 1"):
+        IncidenceMatrix(a)
 
 
-def test_index_of():
+def test_partition_set_lists_its_members():
     ps = partition_set(5, 3, 6)
+    assert len(ps) == len(ps.members) == 6
     for i, p in enumerate(ps):
-        assert ps.index_of(p) == i
+        assert ps[i] == ps.members[i] == p
     assert (9, 9, 9) not in ps

@@ -48,7 +48,7 @@ from plovlab.exactmat import (  # noqa: E402
     nullspace_basis,
 )
 from plovlab.partitions import count, enumerate_partitions, partition_set  # noqa: E402
-from plovlab.symfun import CoeffVector, mhat_expand  # noqa: E402
+from plovlab.symfun import mhat_expand  # noqa: E402
 
 SMALL = settings(max_examples=40, deadline=None)
 
@@ -305,8 +305,8 @@ def perturbed_symmetric_poly(draw):
     n = draw(st.integers(0, k * d))
     index = partition_set(k, d, n)
     coef = st.sampled_from((0, 0, 1, -1, Fraction(1, 2), 3))
-    x = CoeffVector(index, tuple(Fraction(draw(coef)) for _ in index))
-    terms = dict(coeff_vector_poly(x).terms)
+    x = tuple(Fraction(draw(coef)) for _ in index)
+    terms = dict(coeff_vector_poly(index, x).terms)
     change = draw(st.sampled_from(PERTURBATIONS))
     lam = draw(st.sampled_from(index.members))
     alpha = [draw(st.integers(0, k)) for _ in range(d)]

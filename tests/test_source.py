@@ -137,11 +137,9 @@ def test_uncalled_definition_is_reported():
         "m.Base.unused", "m.Child.also_unused", "m.Hooked", "m.helper"]
 
 
-def store_only_inits(modules: dict[str, ast.Module]) -> list[str]:
-    """The qualified name of each subclass of ``Record``, directly or
-    through another class of the modules, that defines ``__init__`` with no
-    ``raise`` in its body: such an ``__init__`` only stores its arguments,
-    which ``Record``'s own constructor does."""
+def record_classes(modules: dict[str, ast.Module]) -> dict[str, ast.ClassDef]:
+    """Each subclass of ``Record``, directly or through another class of the
+    modules, by its qualified name ``module.Class``."""
     classes = [(f"{module}.{node.name}", node) for module, tree in modules.items()
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
@@ -151,11 +149,18 @@ def store_only_inits(modules: dict[str, ast.Module]) -> list[str]:
         return any(base == "Record" or is_record(base)
                    for base in bases.get(name, ()))
 
+    return {name: node for name, node in classes if is_record(node.name)}
+
+
+def store_only_inits(modules: dict[str, ast.Module]) -> list[str]:
+    """The qualified name of each record class (``record_classes``) that
+    defines ``__init__`` with no ``raise`` in its body: such an ``__init__``
+    only stores its arguments, which ``Record``'s own constructor does."""
     return sorted(
-        name for name, node in classes if is_record(node.name)
-        and any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
-                and not any(isinstance(n, ast.Raise) for n in ast.walk(item))
-                for item in node.body))
+        name for name, node in record_classes(modules).items()
+        if any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+               and not any(isinstance(n, ast.Raise) for n in ast.walk(item))
+               for item in node.body))
 
 
 def test_records_define_init_only_to_check():
@@ -187,6 +192,28 @@ def test_store_only_init_is_reported():
                      "    def __init__(self, a):\n"
                      "        self.a = a\n")
     assert store_only_inits({"m": tree}) == ["m.Deeper", "m.Stored"]
+    assert sorted(record_classes({"m": tree})) == [
+        "m.Checked", "m.Deeper", "m.Plain", "m.Stored"]
+
+
+# Each record class of the library, and what its fields earn over a plain
+# tuple.  A vector over a partition set is a plain tuple in the order of
+# partition_set(k, d, n), and a function returning several values returns
+# them as a tuple: a new record names its reason here.
+RECORDS = {
+    "exactmat.ExactMatrix": "it owns methods",
+    "exactmat.SparseMultiPoly":
+        "its .terms is read by the symfun.vandermonde span counter",
+    "incidence.IncidenceMatrix":
+        "its .data is read by the incidence.build span counter",
+    "partitions.PartitionSet":
+        "k, d, n are read by truncate_columns and matrix_to_csv",
+}
+
+
+def test_every_record_names_its_reason():
+    modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(record_classes(modules)) == sorted(RECORDS)
 
 
 def assertion_error_uses(tree: ast.Module) -> list[tuple[int, str]]:
@@ -646,6 +673,55 @@ def test_finalizer_hazard_is_reported():
     assert finalizer_hazards({"m": tree}) == [
         ("m", "open"), ("m", "open"), ("m.Handle", "__del__"), ("m.f", "open"),
         ("m.g.Inner", "__del__")]
+
+
+def int_reads(modules: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(owner, how) of each read of the name ``int`` outside annotations:
+    "type=int" as a keyword's value, "int()" as the function called, and
+    "int" passed on in any other way, as in ``map(int, parts)``; owners as
+    ``owned_nodes`` names them."""
+    annotations = {id(n) for tree in modules.values() for node in ast.walk(tree)
+                   for part in (getattr(node, "returns", None),
+                                getattr(node, "annotation", None))
+                   if part is not None for n in ast.walk(part)}
+    nodes = list(owned_nodes(modules))
+    how = {}
+    for _, node in nodes:
+        if isinstance(node, ast.keyword) and node.arg == "type":
+            how[id(node.value)] = "type=int"
+        elif isinstance(node, ast.Call):
+            how[id(node.func)] = "int()"
+    return sorted((owner, how.get(id(node), "int")) for owner, node in nodes
+                  if isinstance(node, ast.Name) and node.id == "int"
+                  and isinstance(node.ctx, ast.Load)
+                  and id(node) not in annotations)
+
+
+def test_cli_reads_ints_only_through_its_strict_parser():
+    # int() also reads "1_3", " 2", "+3", "03" and non-ASCII digits, so a
+    # report would echo a flag as typed and run another value: every int
+    # the command line reads goes through the one parser that takes a text
+    # only as the int prints itself
+    assert int_reads({"cli": parse(PACKAGE / "cli.py")}) == [
+        ("cli._parse_int", "int()")]
+
+
+def test_int_read_is_reported():
+    # an argparse type, a call and a name passed on are found, at any depth
+    # and named by the innermost function; an annotation, another type, a
+    # binding of the name and an attribute called int are not
+    tree = ast.parse("p.add_argument('--d', type=int)\n"
+                     "def f(text: int) -> int:\n"
+                     "    x: int = 0\n"
+                     "    return int(text)\n"
+                     "def g(parts):\n"
+                     "    def inner():\n"
+                     "        return tuple(map(int, parts))\n"
+                     "    p.add_argument('--s', type=str)\n"
+                     "    int = None\n"
+                     "    return numbers.int(1)\n")
+    assert int_reads({"m": tree}) == [
+        ("m", "type=int"), ("m.f", "int()"), ("m.g.inner", "int")]
 
 
 def container_sizes(modules: dict[str, types.ModuleType]) -> dict[str, int]:

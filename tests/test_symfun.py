@@ -12,7 +12,6 @@ from plovlab.exactmat import SparseMultiPoly
 from plovlab.incidence import build_incidence
 from plovlab.partitions import enumerate_partitions, partition_set
 from plovlab.symfun import (
-    CoeffVector,
     _vandermonde_square,
     hilbert_product,
     mhat_expand,
@@ -83,7 +82,9 @@ def test_mhat_expand_caps_parts_and_length_at_255():
     for k, d, lam in ((255, 2, (255, 0)), (1, 255, (1,) + (0,) * 254)):
         p = SparseMultiPoly(d, dict.fromkeys(orbit_uncached(lam), 1))
         assert len(p.terms) == d
-        assert mhat_expand(p, k, d, sum(lam))[lam] == factorial(max(lam))
+        index = partition_set(k, d, sum(lam))
+        x = mhat_expand(p, k, d, sum(lam))
+        assert x[index.members.index(lam)] == factorial(max(lam))
     for k, d in ((256, 2), (1, 256)):
         with pytest.raises(ValueError, match="255") as err:
             mhat_expand(SparseMultiPoly(d, {}), k, d, 0)
@@ -101,9 +102,7 @@ def test_mhat_expand_roundtrip():
         index = partition_set(k, d, n)
         entries = tuple(
             Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in index)
-        x = CoeffVector(index, entries)
-        back = mhat_expand(coeff_vector_poly(x), k, d, n)
-        assert back.entries == entries
+        assert mhat_expand(coeff_vector_poly(index, entries), k, d, n) == entries
 
 
 def test_mhat_expand_rejects_asymmetric():
@@ -164,9 +163,8 @@ def test_mhat_expand_symmetry_matches_swap_oracle():
     k, d, n = 3, 3, 4
     index = partition_set(k, d, n)
     for trial in range(60):
-        x = CoeffVector(index, tuple(
-            Fraction(rng.randint(-2, 2)) for _ in index))
-        terms = dict(coeff_vector_poly(x).terms)
+        x = tuple(Fraction(rng.randint(-2, 2)) for _ in index)
+        terms = dict(coeff_vector_poly(index, x).terms)
         for _ in range(trial % 3):
             expo = tuple(rng.sample(index[rng.randrange(len(index))], d))
             terms[expo] = terms.get(expo, Fraction(0)) + rng.choice((-1, 1))
@@ -250,17 +248,21 @@ def test_derivation_matches_incidence():
                 for _ in range(3):
                     entries = tuple(
                         Fraction(rng.randint(-3, 3)) for _ in index)
-                    x = CoeffVector(index, entries)
-                    lhs = apply_derivation(x).entries
+                    lhs = apply_derivation(index, entries)
                     rhs = tuple(mat.data.matvec(list(entries)))
                     assert lhs == rhs
 
 
+def vandermonde_by_partition(r, d):
+    """vandermonde_coeff_vector(r, d) keyed by the partitions of its index
+    P(2r, d, r(r+1))."""
+    return dict(zip(partition_set(2 * r, d, r * (r + 1)),
+                    vandermonde_coeff_vector(r, d), strict=True))
+
+
 def test_vandermonde_small():
     # d=2, r=1: (z1-z2)^2 = 2 mhat_(2,0) - 2 mhat_(1,1)
-    v = vandermonde_coeff_vector(1, 2)
-    assert v[(2, 0)] == 2
-    assert v[(1, 1)] == -2
+    assert vandermonde_by_partition(1, 2) == {(2, 0): 2, (1, 1): -2}
 
 
 def test_vandermonde_in_kernel():
@@ -268,7 +270,7 @@ def test_vandermonde_in_kernel():
         for r in range(1, d):
             v = vandermonde_coeff_vector(r, d)
             mat = build_incidence(2 * r, d, r * (r + 1))
-            assert all(x == 0 for x in mat.data.matvec(list(v.entries)))
+            assert all(x == 0 for x in mat.data.matvec(list(v)))
 
 
 def test_vandermonde_general_kappa_entry():
@@ -279,7 +281,7 @@ def test_vandermonde_general_kappa_entry():
              (1, 4, (3, 1)), (2, 4, (2, 1, 1)), (3, 4, (1, 1, 1, 1))]
     for r, d, t in cases:
         kappa = kappa_of(t)
-        v = vandermonde_coeff_vector(r, d)
+        v = vandermonde_by_partition(r, d)
         expected = d - r
         for part in kappa:
             expected *= factorial(part)
@@ -288,7 +290,7 @@ def test_vandermonde_general_kappa_entry():
 
 def test_vandermonde_kappa_entry():
     for d in (2, 3, 4):
-        v = vandermonde_coeff_vector(d - 1, d)
+        v = vandermonde_by_partition(d - 1, d)
         kappa = tuple(2 * j for j in range(d - 1, -1, -1))
         expected = 1
         for j in range(1, d):
@@ -460,8 +462,16 @@ def test_hilbert_product_values():
         hilbert_product(1)
 
 
-def test_coeff_vector_rejects_wrong_entry_count():
-    index = partition_set(2, 2, 2)
-    with pytest.raises(ValueError):
-        CoeffVector(index, (Fraction(1),) * (len(index) + 1))
+def test_expansion_has_one_entry_per_partition():
+    # mhat_expand lists one coefficient per partition of P(k, d, n), in its
+    # order, whichever check certified the input
+    for k, d, n in ((3, 2, 3), (4, 3, 6), (6, 4, 12)):
+        index = partition_set(k, d, n)
+        x = tuple(Fraction(i % 3 - 1, 1 + i % 2) for i in range(len(index)))
+        p = coeff_vector_poly(index, x)
+        assert mhat_expand(p, k, d, n) == x
+        # x is zero at index[1]: a zero on one rearrangement of it is a
+        # partial orbit, which only the term-by-term check accepts
+        zeroed = SparseMultiPoly(d, {**p.terms, index[1][::-1]: 0})
+        assert mhat_expand(zeroed, k, d, n) == x
 
