@@ -184,12 +184,13 @@ def _reproduce_matrix_examples(args, started):
         mismatch = mismatch or cell
         results[f"A_{k}_{d}_{n}"] = {"match": cell is None,
                                      "entries": m.data.to_dense()}
-        csv_chunks.append(matrix_to_csv(m))
+        csv_chunks.append(matrix_to_csv(m, k, d, n))
     return _report(args, results, started, "".join(csv_chunks), mismatch)
 
 
 def _reproduce_table1(args, started):
-    full, top_left, bottom_right = block_form(6, 4, 12)
+    kdn = (6, 4, 12)
+    full, top_left, bottom_right = block_form(*kdn)
     entries = [[golden.TABLE1_ENTRIES.get((mu, lam), 0) for lam in full.col_set]
                for mu in full.row_set]
     sub_536 = build_incidence(5, 3, 6)
@@ -211,7 +212,7 @@ def _reproduce_table1(args, started):
     mismatch = next(filter(None, checks.values()), None)
     results = {"shape": list(full.shape),
                **{name: found is None for name, found in checks.items()}}
-    return _report(args, results, started, matrix_to_csv(full), mismatch)
+    return _report(args, results, started, matrix_to_csv(full, *kdn), mismatch)
 
 
 def _reproduce_table2(args, started):
@@ -293,9 +294,13 @@ def _reproduce_fullrank(args, started):
     if args.k is not None or args.n is not None:
         if args.k is None or args.d is None or args.n is None:
             return _usage("fullrank needs all of --k --d --n (or none)")
-        if not (args.k >= 1 and args.d >= 1 and 1 <= args.n <= args.d * args.k):
+        flags = (("--k", args.k), ("--d", args.d))
+        for flag, v in flags:
+            if v < 1:
+                return _usage(f"{flag} {v}, below the minimum of 1")
+        if not 1 <= args.n <= args.d * args.k:
             return _usage("need 1 <= n <= d*k")
-        for flag, v in (("--k", args.k), ("--d", args.d)):
+        for flag, v in flags:
             if v > FULLRANK_MAX:
                 return _usage(f"{flag} {v}, above the cap of {FULLRANK_MAX}")
         cases.append((args.k, args.d, args.n))

@@ -34,10 +34,10 @@ where only the left kernel lifts mod 2^30 - 35, it is 8 to 10 times
 
 The kernel theorem needs no basis: ``nullspace_basis`` certifies that a
 given int vector x spans the kernel.  It does when x is nonzero, m x is
-exactly zero and the transposed echelon mod the word-size prime has
-ncols - 1 pivots, with no lift at all; when that bound falls short, the
-exact rank decides, starting from that echelon.  Everything is exact; no
-floating point anywhere.
+exactly zero and the rank is ncols - 1.  x bounds the rank by ncols - 1,
+and a pivot count that reaches a proven bound is the rank, so no lift is
+needed when the word-size echelon has ncols - 1 pivots.  Everything is
+exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -299,22 +299,16 @@ def _transposed(m: ExactMatrix) -> tuple[list[dict[int, int]], int]:
     return [col for col in cols if col], len(nonzero)
 
 
-def _rank(
-    cols: list[dict[int, int]],
-    ncols: int,
-    pivots: list[tuple[int, dict[int, int]]] | None = None,
-) -> int:
+def _rank(cols: list[dict[int, int]], ncols: int,
+          bound: int | None = None) -> int:
     """``matrix_rank`` of the matrix whose transpose has the integer rows
-    cols, over ncols columns.  ``pivots``, when given, is the echelon of
-    cols mod the first prime of ``_PRIMES``, and is used in place of
-    eliminating them again there."""
+    cols, over ncols columns.  ``bound``, when given, is a proven upper
+    bound on the rank, and a pivot count that reaches it is the rank."""
     for p in _PRIMES:
-        if pivots is None:
-            pivots = _modular_echelon(cols, ncols, p)
-        if (len(pivots) in (ncols, len(cols))
+        pivots = _modular_echelon(cols, ncols, p)
+        if (len(pivots) in (ncols, len(cols), bound)
                 or _lift_kernel(cols, pivots, ncols, p) is not None):
             return len(pivots)
-        pivots = None
     return len(_modular_echelon(cols, ncols, _hadamard_prime(cols)))
 
 
@@ -339,18 +333,15 @@ def nullspace_basis(m: ExactMatrix, candidate) -> list[list[int]]:
 
     It does when x is nonzero, m x is exactly zero and the rank is
     ncols - 1: nullity at least one because of x and at most one because
-    of the rank.  The rank bound is the transposed echelon mod the
-    word-size prime, whose pivot count never exceeds the rank over Q; when
-    it falls short, the exact rank decides, starting from that echelon.  A
-    wrong length raises ValueError and a non-int entry TypeError.
+    of the rank.  The exact rank decides, given ncols - 1 as its bound, so
+    a transposed echelon mod the word-size prime with ncols - 1 pivots
+    certifies x with no lift.  A wrong length raises ValueError and a
+    non-int entry TypeError.
     """
     x = [index(v) for v in candidate]
     if any(m.matvec(x)) or not any(x):
         return []
-    cols, ncols = _transposed(m)
-    pivots = _modular_echelon(cols, ncols, _PRIMES[0])
-    if (len(pivots) == m.ncols - 1
-            or _rank(cols, ncols, pivots) == m.ncols - 1):
+    if _rank(*_transposed(m), m.ncols - 1) == m.ncols - 1:
         return [_primitive(x)]
     return []
 

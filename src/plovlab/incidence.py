@@ -22,8 +22,8 @@ from .symfun import vandermonde_coeff_vector
 
 
 class IncidenceMatrix(Record):
-    """A_{k,d,n} with its row set P(k,d,n-1) and column set P(k,d,n), which
-    hold k, d and n."""
+    """A_{k,d,n} with its row set P(k,d,n-1) and column set P(k,d,n), each
+    a tuple in decreasing lex order."""
 
     __slots__ = _fields = ("row_set", "col_set", "data")
 
@@ -54,12 +54,9 @@ def truncate_columns(
 ) -> tuple[ExactMatrix, list[Partition]]:
     """Keep exactly the columns lambda with lambda <= kappa in lex order.
     The columns decrease, so these are the suffix from the first such lambda;
-    each row keeps its entries from one bisection on, renumbered from 0."""
-    if len(kappa) != m.col_set.d:
-        raise ValueError("kappa must have d parts")
-    if any(part > m.col_set.k for part in kappa):
-        raise ValueError("kappa parts must be at most k")
-    cols = m.col_set.members
+    each row keeps its entries from one bisection on, renumbered from 0.
+    kappa has d parts; one above k keeps every column."""
+    cols = m.col_set
     start = next((j for j, lam in enumerate(cols) if lam <= kappa), len(cols))
     rows = tuple([
         tuple([(c - start, v) for c, v in row[bisect_left(row, (start,)):]])
@@ -165,11 +162,11 @@ def verify_kernel_dim_one(d: int) -> tuple[list[int], Partition, int]:
     return basis[0], kappa, kappa_entry
 
 
-def matrix_to_csv(m: IncidenceMatrix) -> str:
-    """Integer CSV, header "k,d,n,rows,cols", rows in decreasing-lex order."""
+def matrix_to_csv(m: IncidenceMatrix, k: int, d: int, n: int) -> str:
+    """Integer CSV of m = A_{k,d,n}, header "k,d,n,rows,cols", rows in
+    decreasing-lex order."""
     buf = io.StringIO()
-    cols = m.col_set
-    buf.write(f"{cols.k},{cols.d},{cols.n},{m.data.nrows},{m.data.ncols}\n")
+    buf.write(f"{k},{d},{n},{m.data.nrows},{m.data.ncols}\n")
     for row in m.data.to_dense():
         buf.write(",".join(map(str, row)) + "\n")
     return buf.getvalue()

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactmat import Record
-
 Partition = tuple[int, ...]
 
 
@@ -40,26 +38,11 @@ def enumerate_partitions(k: int, d: int, n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-class PartitionSet(Record):
-    """P(k, d, n) with members in decreasing lexicographic order."""
-
-    __slots__ = _fields = ("k", "d", "n", "members")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i: int) -> Partition:
-        return self.members[i]
-
-
-def partition_set(k: int, d: int, n: int) -> PartitionSet:
+def partition_set(k: int, d: int, n: int) -> tuple[Partition, ...]:
     """P(k, d, n); P(0, d, n) is {0^d} at n = 0 and empty otherwise."""
     if k < 0 or d < 1:
         raise ValueError("k must be nonnegative and d positive")
-    return PartitionSet(k, d, n, enumerate_partitions(k, d, n))
+    return enumerate_partitions(k, d, n)
 
 
 _count_cache: dict[tuple[int, int, int], int] = {}

@@ -22,7 +22,7 @@ from math import comb, factorial, prod
 from operator import is_
 
 from .exactmat import SparseMultiPoly
-from .partitions import Partition, PartitionSet, enumerate_partitions, partition_set
+from .partitions import Partition, enumerate_partitions, partition_set
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +82,7 @@ def mhat_poly(lam: Partition) -> SparseMultiPoly:
     return SparseMultiPoly(len(lam), dict.fromkeys(_orbit(lam), coef))
 
 
-def _orbit_pass(terms: dict, index: PartitionSet) -> tuple | None:
+def _orbit_pass(terms: dict, index: tuple[Partition, ...]) -> tuple | None:
     """The expansion of a polynomial with these terms, or None if it is not
     a sum of whole orbits of index with one coefficient each.
 

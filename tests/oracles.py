@@ -476,29 +476,28 @@ def mhat_expand_by_sorting(p, k, d, n):
     return tuple(entries)
 
 
-def coeff_vector_poly(index, x) -> SparseMultiPoly:
+def coeff_vector_poly(k, d, n, x) -> SparseMultiPoly:
     """The symmetric polynomial sum_lambda x_lambda mhat_lambda, for x in the
-    order of the partition set index."""
+    order of partition_set(k, d, n)."""
     terms = {}
-    for lam, c in zip(index, x, strict=True):
+    for lam, c in zip(partition_set(k, d, n), x, strict=True):
         if c:
             terms.update(dict.fromkeys(
                 _orbit(lam), Fraction(c) / prod(map(factorial, lam))))
-    return SparseMultiPoly(index.d, terms)
+    return SparseMultiPoly(d, terms)
 
 
-def apply_derivation(index, x) -> tuple:
-    """Expand sum_i d/dz_i of the polynomial attached to x over the
-    partition set index = P(k,d,n), one degree down, over P(k,d,n-1).
+def apply_derivation(k, d, n, x) -> tuple:
+    """Expand sum_i d/dz_i of the polynomial attached to x over P(k,d,n),
+    one degree down, over P(k,d,n-1).
 
     Computed by direct differentiation of monomials, independently of the
     incidence matrices: each term adds its d partial derivatives to one sum.
     """
-    k, d, n = index.k, index.d, index.n
     if n < 1:
         raise ValueError("n must be at least 1")
     out: dict[tuple[int, ...], Fraction] = {}
-    for expo, c in coeff_vector_poly(index, x).terms.items():
+    for expo, c in coeff_vector_poly(k, d, n, x).terms.items():
         for i, e in enumerate(expo):
             if e:
                 lower = expo[:i] + (e - 1,) + expo[i + 1:]

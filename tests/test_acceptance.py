@@ -138,7 +138,7 @@ def test_acceptance_06_derivation_correspondence():
                     entries = tuple(
                         Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                         for _ in index)
-                    lhs = apply_derivation(index, entries)
+                    lhs = apply_derivation(k, d, n, entries)
                     rhs = tuple(mat.data.matvec(list(entries)))
                     ok = ok and lhs == rhs
     report(6, "derivation equals incidence action, 20 random vectors per shape", ok)

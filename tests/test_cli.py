@@ -419,6 +419,17 @@ def test_fullrank_usage(capsys):
     assert main(["reproduce", "fullrank", "--k", "6", "--d", "6", "--n", "3"]) == 0
 
 
+@pytest.mark.parametrize("argv", [("--k", "0", "--d", "2", "--n", "1"),
+                                  ("--k", "2", "--d", "0", "--n", "1")])
+def test_fullrank_names_the_flag_below_one(capsys, argv):
+    # n = 1 is in range: the error names the flag at 0, not n
+    assert main(["reproduce", "fullrank", *argv]) == 2
+    captured = capsys.readouterr()
+    flag = argv[argv.index("0") - 1]
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} 0, below the minimum of 1\n"
+
+
 def test_plov_blocks(capsys):
     code, out = run_cli(capsys, "plov", "--abelian-blocks", "2,1,1")
     assert code == 0

@@ -347,15 +347,15 @@ def kernel_matrix(d):
 
 
 def test_candidate_certifies_nullity_one(monkeypatch):
-    # one echelon mod the word prime and no call of the exact rank
+    # one echelon mod the word prime, certified by the bound with no lift
     sub, v = kernel_matrix(4)
     assert dense_nullity(sub.to_dense(), sub.ncols) == 1
     echelons = count_calls(monkeypatch, "_modular_echelon")
-    ranks = count_calls(monkeypatch, "_rank")
+    lifts = count_calls(monkeypatch, "_lift_kernel")
     basis = nullspace_basis(sub, [-3 * x for x in v])
     assert basis == [exactmat._primitive(v)]
     assert [args[2] for args in echelons] == [2**30 - 35]
-    assert ranks == []
+    assert lifts == []
 
 
 def test_wrong_candidate_fails_the_exact_product(monkeypatch):

@@ -1,9 +1,6 @@
 import pytest
 
-from plovlab.exactmat import ExactMatrix
-from plovlab.incidence import IncidenceMatrix
 from plovlab.partitions import (
-    PartitionSet,
     count,
     enumerate_partitions,
     format_partition,
@@ -80,24 +77,14 @@ def test_format_partition():
 
 
 def test_partition_set_is_a_value():
-    a, b = partition_set(5, 3, 6), partition_set(5, 3, 6)
-    assert a == b and hash(a) == hash(b)
-    assert a != partition_set(5, 3, 7)
-    with pytest.raises(AttributeError):
-        a.members = ()
-    # one value per field: Record's constructor names the fields, and a
-    # checking __init__ such as ExactMatrix's has the fields as parameters
-    with pytest.raises(TypeError, match=r"\(k, d, n, members\), got 3"):
-        PartitionSet(1, 2, 3)
-    with pytest.raises(TypeError):
-        ExactMatrix(2, (), ())
-    with pytest.raises(TypeError, match=r"\(row_set, col_set, data\), got 1"):
-        IncidenceMatrix(a)
+    # the enumeration's own cached tuple, no wrapper
+    a = partition_set(5, 3, 6)
+    assert type(a) is tuple and a is enumerate_partitions(5, 3, 6)
 
 
 def test_partition_set_lists_its_members():
     ps = partition_set(5, 3, 6)
-    assert len(ps) == len(ps.members) == 6
-    for i, p in enumerate(ps):
-        assert ps[i] == ps.members[i] == p
+    assert len(ps) == 6
+    assert list(ps) == [(5, 1, 0), (4, 2, 0), (4, 1, 1), (3, 3, 0),
+                        (3, 2, 1), (2, 2, 2)]
     assert (9, 9, 9) not in ps

@@ -306,9 +306,9 @@ def perturbed_symmetric_poly(draw):
     index = partition_set(k, d, n)
     coef = st.sampled_from((0, 0, 1, -1, Fraction(1, 2), 3))
     x = tuple(Fraction(draw(coef)) for _ in index)
-    terms = dict(coeff_vector_poly(index, x).terms)
+    terms = dict(coeff_vector_poly(k, d, n, x).terms)
     change = draw(st.sampled_from(PERTURBATIONS))
-    lam = draw(st.sampled_from(index.members))
+    lam = draw(st.sampled_from(index))
     alpha = [draw(st.integers(0, k)) for _ in range(d)]
     new = {}
     if change == "drop" and terms:

@@ -206,14 +206,64 @@ RECORDS = {
         "its .terms is read by the symfun.vandermonde span counter",
     "incidence.IncidenceMatrix":
         "its .data is read by the incidence.build span counter",
-    "partitions.PartitionSet":
-        "k, d, n are read by truncate_columns and matrix_to_csv",
 }
 
 
 def test_every_record_names_its_reason():
     modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert sorted(record_classes(modules)) == sorted(RECORDS)
+
+
+VALUE_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+
+
+def value_methods(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.Class.name`` of each equality, hash or attribute-guard
+    method that a class other than ``Record`` defines or assigns in its
+    body, at any depth."""
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or node.name == "Record":
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets
+                             if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                found += [f"{module}.{node.name}.{name}" for name in names
+                          if name in VALUE_METHODS]
+    return sorted(found)
+
+
+def test_only_record_defines_value_semantics():
+    # a value class subclasses Record, which alone defines equality,
+    # hashing and immutability
+    modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert value_methods(modules) == []
+
+
+def test_value_method_is_reported():
+    # a defined or assigned method on a class, nested or not, is found;
+    # Record's own, another dunder and a module-level function are not
+    tree = ast.parse("class Record:\n"
+                     "    def __eq__(self, other): pass\n"
+                     "    def __hash__(self): pass\n"
+                     "class Point:\n"
+                     "    def __init__(self): pass\n"
+                     "    def __eq__(self, other): pass\n"
+                     "    __hash__ = None\n"
+                     "    class Frozen:\n"
+                     "        def __setattr__(self, name, value): pass\n"
+                     "        def __delattr__(self, name): pass\n"
+                     "        def __repr__(self): pass\n"
+                     "def __eq__(a, b): pass\n")
+    assert value_methods({"m": tree}) == [
+        "m.Frozen.__delattr__", "m.Frozen.__setattr__", "m.Point.__eq__",
+        "m.Point.__hash__"]
 
 
 def assertion_error_uses(tree: ast.Module) -> list[tuple[int, str]]:
@@ -452,6 +502,39 @@ def test_third_party_import_is_reported():
                      "from . import exactmat\n")
     assert non_stdlib_imports(tree) == [
         (2, "numpy"), (3, "sympy"), (6, "gmpy2")]
+
+
+def package_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module) of each import from the ``plovlab`` package: every
+    relative import, and each absolute one of ``plovlab``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+    return sorted(found + [(line, module)
+                           for line, module in absolute_imports(tree)
+                           if module == "plovlab"])
+
+
+def test_partitions_is_a_leaf_module():
+    # partition enumeration depends on no other module of the package
+    assert package_imports(parse(PACKAGE / "partitions.py")) == []
+
+
+def test_package_import_is_reported():
+    # relative imports at any level and absolute imports of plovlab are
+    # found; the standard library and __future__ are not
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os, plovlab.exactmat\n"
+                     "from .exactmat import Record\n"
+                     "from functools import lru_cache\n"
+                     "from . import golden\n"
+                     "def f():\n"
+                     "    from plovlab import symfun\n"
+                     "    from ..plovlab import cli\n")
+    assert package_imports(tree) == [
+        (2, "plovlab"), (3, ".exactmat"), (5, "."), (7, "plovlab"),
+        (8, "..plovlab")]
 
 
 def owned_nodes(modules: dict[str, ast.Module]):
